@@ -6,6 +6,15 @@ and the forced cell count; any two of the three force the third.
 Engines: brute-force subset scan, reduced-Laplacian determinant with
 torsion correction, alternating product of eigenvalue products, and
 the closed form for full cubes.  All arithmetic exact.
+
+The brute engine tests each candidate with one determinant.  Fix a
+(k-1)-tree U, the first basis of the boundary columns one dimension
+down, and let Ubar be the other (k-1)-cells.  A candidate T of the
+forced size is a k-tree iff det d[Ubar, T] != 0, and then its torsion
+is t_T = |det| t_X / t_U, the Cauchy-Binet step of the simplicial
+matrix-tree theorem (Duval-Klivans-Martin).  The candidates are
+scanned depth first with incremental elimination, so a prefix with
+dependent columns is never extended.
 """
 
 from __future__ import annotations
@@ -17,8 +26,7 @@ from fractions import Fraction
 from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
                       weight_vars, xi_weight)
-from .exact import (LaurentPoly, det_exact, det_ring, gen_binom, rank_exact,
-                    smith_normal_form)
+from .exact import LaurentPoly, det_exact, det_ring, gen_binom
 
 BRUTE_CAP = 10 ** 6
 MATRIX_SIDE_CAP = 4096
@@ -135,10 +143,123 @@ def is_cst(x, k: int, T) -> CstCertificate:
 # engines
 
 
+class _Echelon:
+    """Fraction-free (Bareiss) echelon form of sparse integer vectors
+    ({position: value}) added one at a time and removed in stack order.
+
+    Stored row k has zeros at the pivot positions of rows 0..k-1, and
+    each of its entries is, up to sign, a (k+1)-minor of the first k+1
+    vectors (Sylvester's identity), so every division below is exact.
+    Rows are stored with a positive pivot, which changes only signs.
+    """
+
+    def __init__(self):
+        self.rows: list = []
+        self.pivots: list = []
+
+    def reduce(self, v: dict) -> dict:
+        """v reduced by every stored row: an empty dict iff v lies in
+        their span.  After d stored rows each entry is, up to sign, the
+        (d+1)-minor of the stored vectors and v over the pivot positions
+        plus the entry's own; on d+1 vectors of length d+1 the single
+        entry left is the determinant up to sign."""
+        # Bareiss skips a step whose pivot position v misses by scaling
+        # v by p_k / p_(k-1); a run of skipped steps telescopes, so v is
+        # kept unscaled and `div` is the pivot of the step before its
+        # stage.
+        div = 1
+        rows = self.rows
+        for k, c in enumerate(self.pivots):
+            x = v.get(c)
+            if not x:
+                continue
+            rk = rows[k]
+            p = rk[c]
+            w = dict(v) if p == 1 else {j: p * a for j, a in v.items()}
+            for j, a in rk.items():
+                y = w.get(j, 0) - x * a
+                if y:
+                    w[j] = y
+                else:
+                    del w[j]
+            v = w if div == 1 else {j: a // div for j, a in w.items()}
+            div = p
+        last = self.det()
+        if last != div:
+            v = {j: a * last // div for j, a in v.items()}
+        return v
+
+    def det(self) -> int:
+        """The last stored pivot: |det| of the stored vectors over their
+        pivot positions (1 when none is stored)."""
+        return self.rows[-1][self.pivots[-1]] if self.rows else 1
+
+    def push(self, v: dict) -> None:
+        """Store a nonzero vector returned by reduce."""
+        c = min(v)
+        if v[c] < 0:
+            v = {j: -a for j, a in v.items()}
+        self.rows.append(v)
+        self.pivots.append(c)
+
+    def pop(self) -> None:
+        self.rows.pop()
+        self.pivots.pop()
+
+
+def _sparse_columns(b, rows=None) -> list:
+    """Columns of an IntMatrix as {row: value}, restricted to the given
+    rows (renumbered in order) when rows is not None."""
+    pos = range(b.nrows) if rows is None else rows
+    cols = [{} for _ in range(b.ncols)]
+    for r, i in enumerate(pos):
+        for j, a in enumerate(b.rows[i]):
+            if a:
+                cols[j][r] = a
+    return cols
+
+
+def _pivot_columns(b) -> list:
+    """Indices of the lexicographically first basis of the column space
+    of an IntMatrix: one incremental elimination in column order keeps
+    each column that is independent of those before it."""
+    ech = _Echelon()
+    picked: list = []
+    for j, col in enumerate(_sparse_columns(b)):
+        v = ech.reduce(col)
+        if v:
+            ech.push(v)
+            picked.append(j)
+    return picked
+
+
+def _greedy_u(xs: ChainComplex, k: int):
+    """Indices of a maximal independent set of columns of the reduced
+    boundary one dimension down, first in stored cell order.  These
+    are the facets of a (k-1)-tree."""
+    return _pivot_columns(xs.homology_boundary(k - 1)), xs.labels(k - 1)
+
+
+def _torsions(xs: ChainComplex, k: int, u_cells) -> tuple:
+    """(t_X, t_U): torsion orders of H_(k-2) of X and of the
+    (k-2)-skeleton plus the (k-1)-tree U."""
+    if k < 2:
+        return 1, 1
+    xu = xs.with_top_cells(k - 1, u_cells)
+    return xs.torsion_order(k - 2), xu.torsion_order(k - 2)
+
+
 def enumerate_trees(q: TreeQuery) -> TreeReport:
-    """Scan all candidate cell sets of the forced size; keep those with
-    independent boundary columns (top acyclicity); accumulate the
-    squared torsion, times the face-weight monomial in weighted mode."""
+    """Scan the candidate cell sets of the forced size in combinations
+    order; accumulate the squared torsion of each k-tree, times the
+    face-weight monomial in weighted mode.
+
+    With U a (k-1)-tree and Ubar the other (k-1)-cells, T is a k-tree
+    iff det d[Ubar, T] != 0, and then t_T = |det| t_X / t_U (the
+    Cauchy-Binet step of the simplicial matrix-tree theorem).  The scan
+    is depth first with one incremental elimination on the Ubar rows,
+    so a prefix whose columns are already dependent is never extended.
+    """
     xs = q.chain.skeleton(q.k)
     if not xs.is_apc():
         raise ValueError("skeleton is not acyclic in positive codimension")
@@ -149,43 +270,52 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
     if needed > q.cap:
         raise CapExceeded(needed, q.cap)
     b = xs.homology_boundary(q.k)
+    picked, u_labels = _greedy_u(xs, q.k)
+    t_x, t_u = _torsions(xs, q.k, [u_labels[j] for j in picked])
+    ubar = sorted(set(range(b.nrows)) - set(picked))
+    if len(ubar) != target:
+        raise ArithmeticError("complement of U does not match the tree size")
+    cols = _sparse_columns(b, ubar)
     if q.weighted:
         weights = [xi_weight(q.complex.universe, f) for f in labels]
-        tau = LaurentPoly(weight_vars(q.complex.universe))
-    else:
-        tau = 0
+        vs = weight_vars(q.complex.universe)
+        prefix = [LaurentPoly.constant(vs, 1)]   # weight of each prefix
+        terms: dict = {}
+    tau = 0
     per_tree = []
-    for idx in itertools.combinations(range(n), target):
-        sub = b.columns_subset(idx)
-        if rank_exact(sub) != target:
+    ech = _Echelon()
+    path: list = []
+    j = 0
+    while True:
+        d = len(path)
+        if d == target:
+            t, rem = divmod(ech.det() * t_x, t_u)
+            if rem:
+                raise ArithmeticError("torsion ratio did not divide the determinant")
+            per_tree.append((tuple(labels[i] for i in path), t))
+            if q.weighted:
+                for e, c in prefix[-1].terms.items():
+                    terms[e] = terms.get(e, 0) + c * t * t
+            else:
+                tau += t * t
+        if d == target or j > n - target + d:
+            if not path:
+                break
+            j = path.pop() + 1
+            ech.pop()
+            if q.weighted:
+                prefix.pop()
             continue
-        t = 1
-        for f in smith_normal_form(sub):
-            if f > 1:
-                t *= f
-        cells = tuple(labels[j] for j in idx)
-        per_tree.append((cells, t))
-        if q.weighted:
-            w = LaurentPoly.constant(tau.vars, t * t)
-            for j in idx:
-                w = w * weights[j]
-            tau = tau + w
-        else:
-            tau += t * t
+        v = ech.reduce(cols[j])
+        if v:
+            ech.push(v)
+            path.append(j)
+            if q.weighted:
+                prefix.append(prefix[-1] * weights[j])
+        j += 1
+    if q.weighted:
+        tau = LaurentPoly(vs, terms)
     return TreeReport(tau, "brute", trees=len(per_tree), per_tree=per_tree)
-
-
-def _greedy_u(xs: ChainComplex, k: int):
-    """Indices of a maximal independent set of columns of the reduced
-    boundary one dimension down, scanned in stored cell order.  These
-    are the facets of a (k-1)-tree."""
-    b = xs.homology_boundary(k - 1)
-    labels = xs.labels(k - 1)
-    picked: list = []
-    for j in range(len(labels)):
-        if rank_exact(b.columns_subset(picked + [j])) == len(picked) + 1:
-            picked.append(j)
-    return picked, labels
 
 
 def tau_matrix_tree(x, k: int) -> TreeReport:
@@ -204,14 +334,12 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
     u_size_ok = len(labels) - len(picked) == xs.n_cells(k) - xs.betti(k)
     lu = xs.laplacian(k - 1, "ud").delete_rows_cols(picked)
     det = det_exact(lu)
-    t_x = xs.torsion_order(k - 2) if k - 2 >= 0 else 1
-    xu = xs.with_top_cells(k - 1, [labels[j] for j in picked])
-    t_u = xu.torsion_order(k - 2) if k - 2 >= 0 else 1
+    u_cells = [labels[j] for j in picked]
+    t_x, t_u = _torsions(xs, k, u_cells)
     tau = Fraction(det * t_x * t_x, t_u * t_u)
     if tau.denominator != 1:
         raise ArithmeticError("torsion ratio did not divide the determinant")
-    return TreeReport(int(tau), "matrix-tree",
-                      u_cells=[labels[j] for j in picked], u_size_ok=u_size_ok)
+    return TreeReport(int(tau), "matrix-tree", u_cells=u_cells, u_size_ok=u_size_ok)
 
 
 def tau_alternating(x, k: int) -> int:
@@ -261,15 +389,14 @@ def weighted_tau_matrix_tree(x: CubicalComplex, k: int) -> LaurentPoly:
         raise ValueError("skeleton is not acyclic in positive codimension")
     picked, labels = _greedy_u(xs, k)
     lw = weighted_diag_laplacian(x, k)
-    keep = [j for j in range(len(labels)) if j not in set(picked)]
+    u = set(picked)
+    keep = [j for j in range(len(labels)) if j not in u]
     reduced = [[lw[r][s] for s in keep] for r in keep]
     vs = weight_vars(x.universe)
     det = det_ring(reduced) if reduced else LaurentPoly.constant(vs, 1)
     if isinstance(det, int):
         det = LaurentPoly.constant(vs, det)
-    t_x = xs.torsion_order(k - 2) if k - 2 >= 0 else 1
-    xu = xs.with_top_cells(k - 1, [labels[j] for j in picked])
-    t_u = xu.torsion_order(k - 2) if k - 2 >= 0 else 1
+    t_x, t_u = _torsions(xs, k, [labels[j] for j in picked])
     if t_x == t_u:
         return det
     num, den = t_x * t_x, t_u * t_u

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellspan.exact import (
     IntMatrix,
@@ -264,3 +266,61 @@ def test_det_ring_laurent_matrix():
     one = LaurentPoly.constant(vs, 1)
     rows = [[t, one], [one, t]]
     assert det_ring(rows) == t * t - one
+
+
+# ---------------------------------------------------------------------------
+# differential tests: det_ring against the two elimination routines
+
+
+@st.composite
+def sparse_int_matrices(draw, max_side=9):
+    """Square integer matrices of side 0..max_side, mostly zeros, some
+    with a zero column or two equal rows (singular)."""
+    n = draw(st.integers(0, max_side))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        kind = draw(st.sampled_from(("zero-column", "equal-rows")))
+        if kind == "zero-column":
+            j = draw(st.integers(0, n - 1))
+            for r in rows:
+                r[j] = 0
+        elif n >= 2:
+            rows[n - 1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrices())
+def test_det_ring_against_bareiss_and_fractions(rows):
+    n = len(rows)
+    want = det_exact(IntMatrix(rows, ncols=n))
+    assert det_ring(rows) == want
+    assert det_fraction(rows) == want
+
+
+LVARS = ("s", "t")
+
+
+@st.composite
+def laurent_matrices(draw, max_side=5):
+    n = draw(st.integers(0, max_side))
+    exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    poly = st.dictionaries(exps, st.integers(-3, 3), max_size=2)
+    return [[LaurentPoly(LVARS, draw(poly)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_matrices(),
+       st.tuples(st.integers(-3, 3).filter(bool), st.integers(-3, 3).filter(bool)))
+def test_det_ring_laurent_against_evaluated_det(rows, point):
+    """Evaluating commutes with the determinant: compare at a point
+    against det_exact of the evaluated matrix, cleared of denominators."""
+    n = len(rows)
+    at = dict(zip(LVARS, point))
+    det = det_ring(rows)
+    value = det.subs(at) if isinstance(det, LaurentPoly) else Fraction(det)
+    evaluated = [[e.subs(at) for e in r] for r in rows]
+    den = math.lcm(1, *(e.denominator for r in evaluated for e in r))
+    scaled = IntMatrix([[int(e * den) for e in r] for r in evaluated], ncols=n)
+    assert value * den ** n == det_exact(scaled)

@@ -1,8 +1,14 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellspan.chain import ChainComplex
+from cellspan.colorful import colorful_complex
+from cellspan.corpus import identity_corpus, mirror_corpus
 from cellspan.cubical import cube, mirror, weight_vars
-from cellspan.exact import LaurentPoly
+from cellspan.exact import IntMatrix, LaurentPoly, det_exact, rank_exact
 from cellspan.trees import (
     BRUTE_CAP,
     CapExceeded,
@@ -22,6 +28,10 @@ from cellspan.trees import (
     tau_matrix_tree,
     verify_conjecture,
     weighted_tau_matrix_tree,
+    _as_chain,
+    _Echelon,
+    _greedy_u,
+    _pivot_columns,
 )
 
 
@@ -245,3 +255,150 @@ def test_submatrix_det_properties_square():
 def test_submatrix_det_properties_q3_two_skeleton():
     r = submatrix_det_properties(cube(3), 2)
     assert r["holds"] and r["checked"] == 6 * 792
+
+
+# ---------------------------------------------------------------------------
+# choosing U in one pass, against the rank-per-column greedy it replaced
+
+
+def rank_greedy(b):
+    """Keep column j when it raises the rank of the columns kept so far."""
+    picked = []
+    for j in range(b.ncols):
+        if rank_exact(b.columns_subset(picked + [j])) == len(picked) + 1:
+            picked.append(j)
+    return picked
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Integer matrices up to 7 x 9, as a product A B with a small inner
+    dimension, so dependent columns are common."""
+    nr, nc, inner = draw(st.integers(0, 7)), draw(st.integers(0, 9)), draw(st.integers(0, 4))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    a = [[draw(entry) for _ in range(inner)] for _ in range(nr)]
+    b = [[draw(entry) for _ in range(nc)] for _ in range(inner)]
+    rows = [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(nc)]
+            for i in range(nr)]
+    return IntMatrix(rows, ncols=nc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_matrices())
+def test_pivot_columns_match_rank_greedy(b):
+    assert _pivot_columns(b) == rank_greedy(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_echelon_determinant_matches_bareiss(rows):
+    """Pushing the columns one at a time: the first dependent one shows
+    a zero determinant, else the last reduction is +-det."""
+    n = len(rows)
+    want = det_exact(IntMatrix(rows))
+    ech = _Echelon()
+    for j in range(n):
+        v = ech.reduce({i: rows[i][j] for i in range(n) if rows[i][j]})
+        if not v:
+            assert want == 0
+            return
+        if j + 1 == n:
+            assert len(v) == 1 and abs(next(iter(v.values()))) == abs(want)
+        else:
+            ech.push(v)
+
+
+def test_greedy_u_matches_rank_greedy_on_corpus():
+    """Cubes, rp2, the mirrors on up to four vertices and the colorful
+    complexes of up to seven vertices, in every dimension."""
+    items = identity_corpus(mirror_max=4, colorful_max=7)
+    items.append(("twisted", twisted()))
+    for name, c in items:
+        for k in range(1, c.dim + 1):
+            xs = c.skeleton(k)
+            picked, labels = _greedy_u(xs, k)
+            assert picked == rank_greedy(xs.homology_boundary(k - 1)), (name, k)
+            assert labels == xs.labels(k - 1)
+
+
+# ---------------------------------------------------------------------------
+# the brute engine's determinant test against is_cst
+
+
+def twisted():
+    """U = {a} has torsion 2 while X has none below, so the brute engine
+    must divide its determinants by t_U: the 3-tree {g} has torsion 1
+    (det 2) and {h} torsion 3 (det 6)."""
+    return ChainComplex({0: ("v",), 1: ("e",), 2: ("a", "b"), 3: ("g", "h")},
+                        {1: [[0]], 2: [[2, 1]], 3: [[1, 3], [-2, -6]]})
+
+
+def brute_against_is_cst(x, k):
+    """per_tree lists exactly the subsets is_cst certifies, with its
+    torsions, in itertools.combinations order."""
+    rep = enumerate_trees(TreeQuery(x, k))
+    xs = _as_chain(x).skeleton(k)
+    labels = xs.labels(k)
+    want = []
+    for idx in itertools.combinations(range(len(labels)), cst_target_size(xs, k)):
+        cells = tuple(labels[j] for j in idx)
+        cert = is_cst(xs, k, cells)
+        if cert:
+            want.append((cells, cert.torsion))
+    assert list(rep.per_tree) == want
+    assert rep.trees == len(want)
+    assert rep.tau == sum(t * t for _, t in want)
+    return rep
+
+
+def test_brute_torsions_match_is_cst_rp2():
+    rep = brute_against_is_cst(rp2(), 2)
+    assert rep.per_tree == ((("f",), 2),)
+    for k in (0, 1):
+        brute_against_is_cst(rp2(), k)
+
+
+def test_brute_torsions_match_is_cst_twisted():
+    rep = brute_against_is_cst(twisted(), 3)
+    assert rep.per_tree == ((("g",), 1), (("h",), 3))
+    assert rep.tau == tau_matrix_tree(twisted(), 3).tau == 10
+
+
+def test_brute_torsions_match_is_cst_cube3_k2():
+    rep = brute_against_is_cst(cube(3), 2)
+    assert rep.trees == 6
+
+
+def test_brute_torsions_match_is_cst_colorful():
+    c = colorful_complex((1, 2, 2))
+    for k in range(0, c.dim + 1):
+        brute_against_is_cst(c, k)
+
+
+def test_brute_torsions_match_is_cst_mirror_corpus():
+    """Every APC skeleton of the mirrors on up to four vertices with at
+    most 300 candidate subsets (203 cases)."""
+    cases = 0
+    for _name, _fam, x in mirror_corpus(4):
+        c = x.to_chain()
+        for k in range(0, c.dim + 1):
+            xs = c.skeleton(k)
+            if not xs.is_apc():
+                continue
+            if math.comb(xs.n_cells(k), cst_target_size(xs, k)) > 300:
+                continue
+            brute_against_is_cst(c, k)
+            cases += 1
+    assert cases == 203
+
+
+def test_brute_per_tree_in_combinations_order():
+    rep = enumerate_trees(TreeQuery(cube(3), 1))
+    labels = cube(3).to_chain().labels(1)
+    pos = {f: j for j, f in enumerate(labels)}
+    idx = [tuple(pos[f] for f in cells) for cells, _ in rep.per_tree]
+    assert idx == sorted(idx)
+    assert all(list(t) == sorted(t) for t in idx)
+    assert rep.trees == 384
