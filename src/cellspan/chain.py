@@ -21,7 +21,7 @@ from .exact import (
     LaurentPoly,
     NotIntegral,
     char_poly,
-    integer_spectrum,
+    integer_roots,
     rank_exact,
     smith_normal_form,
 )
@@ -143,6 +143,7 @@ class ChainComplex:
         self._spec: dict = {}
         self._chi: dict = {}
         self._hom: dict = {}
+        self._rank: dict = {}
         if check:
             bad = self.validate()
             if bad is not None:
@@ -214,25 +215,34 @@ class ChainComplex:
 
     # -- homology
 
-    def homology(self, i: int) -> HomologySummary:
+    def _check_dim(self, i: int) -> None:
         lo = -1 if self.empty_cell else 0
         if not (lo <= i <= self.dim):
             raise ValueError(f"dimension {i} out of range [{lo}, {self.dim}]")
+
+    def _boundary_rank(self, i: int) -> int:
+        """Rank of homology_boundary(i), computed once per boundary."""
+        if i not in self._rank:
+            self._rank[i] = rank_exact(self.homology_boundary(i))
+        return self._rank[i]
+
+    def homology(self, i: int) -> HomologySummary:
+        self._check_dim(i)
         if i not in self._hom:
-            ni = self.n_cells(i)
-            rank_down = rank_exact(self.homology_boundary(i)) if i > lo - 1 else 0
-            up = self.homology_boundary(i + 1)
-            rank_up = rank_exact(up)
-            betti = ni - rank_down - rank_up
+            # the invariant factors give the rank of the boundary too
+            factors = smith_normal_form(self.homology_boundary(i + 1))
+            self._rank.setdefault(i + 1, len(factors))
             torsion = 1
-            for f in smith_normal_form(up):
+            for f in factors:
                 if f > 1:
                     torsion *= f
-            self._hom[i] = HomologySummary(i, betti, torsion)
+            self._hom[i] = HomologySummary(i, self.betti(i), torsion)
         return self._hom[i]
 
     def betti(self, i: int) -> int:
-        return self.homology(i).betti
+        """Reduced Betti number from the boundary ranks alone."""
+        self._check_dim(i)
+        return self.n_cells(i) - self._boundary_rank(i) - self._boundary_rank(i + 1)
 
     def torsion_order(self, i: int) -> int:
         return self.homology(i).torsion
@@ -265,9 +275,7 @@ class ChainComplex:
     def laplacian(self, i: int, family: str) -> IntMatrix:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        lo = -1 if self.empty_cell else 0
-        if not (lo <= i <= self.dim):
-            raise ValueError(f"dimension {i} out of range [{lo}, {self.dim}]")
+        self._check_dim(i)
         if family == "ud":
             b = self.boundary(i + 1)
             return b * b.transpose()
@@ -285,16 +293,8 @@ class ChainComplex:
     def spectrum(self, i: int, family: str) -> SpectrumGF:
         key = (i, family)
         if key not in self._spec:
-            lap = self.laplacian(i, family)
-            eigs = integer_spectrum(lap)
-            if isinstance(eigs, NotIntegral):
-                chi = eigs.charpoly
-            else:
-                chi = self._chi.get(key)
-                if chi is None:
-                    chi = IntPoly.from_roots(sorted(eigs.items()))
-            self._chi[key] = chi
-            self._spec[key] = SpectrumGF(i, family, eigs, lap.nrows, chi)
+            chi = self.char_polynomial(i, family)
+            self._spec[key] = SpectrumGF(i, family, integer_roots(chi), chi.degree, chi)
         return self._spec[key]
 
     def total_gf(self) -> LaurentPoly:
@@ -335,9 +335,7 @@ class ChainComplex:
 
     def omega(self, k: int) -> int:
         """Product of the nonzero eigenvalues of the total Laplacian."""
-        lo = -1 if self.empty_cell else 0
-        if not (lo <= k <= self.dim):
-            raise ValueError(f"dimension {k} out of range [{lo}, {self.dim}]")
+        self._check_dim(k)
         return self._nonzero_eig_product(self.char_polynomial(k, "tot"))
 
     # -- derived complexes

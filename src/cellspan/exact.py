@@ -3,15 +3,17 @@
 Everything in this module is exact: arbitrary-precision integers,
 rationals, integer polynomials and Laurent polynomials.  No floating
 point enters any computation; numpy is used only for word-size modular
-arithmetic inside the CRT characteristic-polynomial kernel.  Its int64
-intermediates are exact up to side 512 only: residues are below 2^27,
-so each product is below 2^54, and a dot product of at most 511 such
-products stays below 2^63.  Larger sides can overflow and are not yet
-guarded (ROADMAP item 3).
+arithmetic inside the CRT characteristic-polynomial kernel (and to pack
+the keys of its memo).  Its int64 intermediates are exact at every
+side: residues are below 2^27, so each product is below 2^54, and every
+dot product sums at most 511 such products before it is reduced mod p
+(_dot_mod), which stays below 2^63.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from fractions import Fraction
 
@@ -30,6 +32,8 @@ __all__ = [
     "smith_normal_form",
     "char_poly",
     "char_poly_interpolate",
+    "char_poly_memo",
+    "integer_roots",
     "integer_spectrum",
     "poly_eval",
 ]
@@ -530,6 +534,25 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
+# Products of residues below 2^27 are below 2^54, and 511 of them plus a
+# residue stay below 2^63, the int64 limit.
+_DOT_BLOCK = 511
+
+
+def _dot_mod(a, b, p: int):
+    """(a @ b) % p for int64 arrays of residues mod p < 2^27, exact at
+    any inner length: the inner dimension (last of a, first of b) is
+    summed in blocks of at most _DOT_BLOCK terms, reduced between
+    blocks."""
+    k = a.shape[-1]
+    if k <= _DOT_BLOCK:
+        return (a @ b) % p
+    out = (a[..., :_DOT_BLOCK] @ b[:_DOT_BLOCK]) % p
+    for s in range(_DOT_BLOCK, k, _DOT_BLOCK):
+        out = (out + a[..., s:s + _DOT_BLOCK] @ b[s:s + _DOT_BLOCK]) % p
+    return out
+
+
 def _charpoly_mod(rows, n: int, p: int, pre=None) -> list[int]:
     """char poly of an n x n integer matrix mod p (Hessenberg method)."""
     if pre is not None:
@@ -550,7 +573,7 @@ def _charpoly_mod(rows, n: int, p: int, pre=None) -> list[int]:
         f = (h[k + 2:, k] * inv) % p
         if f.any():
             h[k + 2:, k:] = (h[k + 2:, k:] - f[:, None] * h[k + 1, k:]) % p
-            h[:, k + 1] = (h[:, k + 1] + h[:, k + 2:] @ f) % p
+            h[:, k + 1] = (h[:, k + 1] + _dot_mod(h[:, k + 2:], f, p)) % p
     # p_m(y) = (y - h[m-1,m-1]) p_{m-1} - sum_i h[i-1,m-1] (prod subdiag) p_{i-1}
     P = np.zeros((n + 1, n + 1), dtype=np.int64)
     P[0, 0] = 1
@@ -566,10 +589,40 @@ def _charpoly_mod(rows, n: int, p: int, pre=None) -> list[int]:
                 beta[i - 1] = acc
             coef = (h[0:m - 1, m - 1] * beta) % p
             if coef.any():
-                corr = (coef @ P[0:m - 1, 0:m + 1]) % p
+                corr = _dot_mod(coef, P[0:m - 1, 0:m + 1], p)
                 pm[0:m + 1] = (pm[0:m + 1] - corr) % p
         P[m] = pm
     return [int(v) for v in P[n]]
+
+
+# The memo of the innermost active char_poly_memo block, or None.
+_MEMO: contextvars.ContextVar = contextvars.ContextVar("char_poly_memo", default=None)
+
+
+@contextlib.contextmanager
+def char_poly_memo():
+    """Within the block, char_poly computes each distinct matrix once.
+
+    The memo is keyed on the exact contents of the matrix (_memo_key)
+    and is dropped when the block exits, normally or by an exception.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memo_key(m: IntMatrix):
+    """Shape plus entries, packed as int8 bytes when every entry fits,
+    else as int64 bytes, else the rows themselves."""
+    try:
+        a = np.array(m.rows, dtype=np.int64)
+    except OverflowError:
+        return m.shape, "rows", m.rows
+    if a.size and (a.min() < -128 or a.max() > 127):
+        return m.shape, "int64", a.tobytes()
+    return m.shape, "int8", a.astype(np.int8).tobytes()
 
 
 def char_poly(m: IntMatrix) -> IntPoly:
@@ -578,10 +631,22 @@ def char_poly(m: IntMatrix) -> IntPoly:
     Runs the Hessenberg algorithm modulo enough fixed word-size primes
     and recombines by CRT; the prime budget is driven by the rigorous
     bound |c_{n-k}| <= C(n,k) R^k with R the largest absolute row sum
-    (every eigenvalue lies in a Gershgorin disc of radius <= R).
+    (every eigenvalue lies in a Gershgorin disc of radius <= R).  Inside
+    a char_poly_memo block a matrix seen before is not recomputed.
     """
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
+    memo = _MEMO.get()
+    if memo is None:
+        return _char_poly(m)
+    key = _memo_key(m)
+    chi = memo.get(key)
+    if chi is None:
+        chi = memo[key] = _char_poly(m)
+    return chi
+
+
+def _char_poly(m: IntMatrix) -> IntPoly:
     n = m.nrows
     if n == 0:
         return IntPoly([1])
@@ -663,48 +728,44 @@ def char_poly_interpolate(m: IntMatrix) -> IntPoly:
     return IntPoly(out)
 
 
-def integer_spectrum(m: IntMatrix):
-    """Eigenvalue multiset of a symmetric PSD integer matrix.
+def integer_roots(chi: IntPoly):
+    """Eigenvalue multiset of a symmetric PSD integer matrix, read off
+    its characteristic polynomial chi.
 
-    Returns {eigenvalue: multiplicity} when every eigenvalue is a
-    nonnegative integer, or NotIntegral carrying the exact
-    characteristic polynomial otherwise.  Candidate roots are scanned
-    over [0, trace] (every PSD eigenvalue is bounded by the trace);
-    the scan also stops at the Gershgorin radius, whichever is smaller.
+    Returns {eigenvalue: multiplicity} when every root of chi is a
+    nonnegative integer, or NotIntegral carrying chi otherwise.  After
+    the zero roots, candidates lam = 1, 2, ... are tried while lam is at
+    most the sum of the roots left (all nonnegative for a PSD matrix),
+    and only when lam divides the constant term of the monic quotient
+    left, as every integer root of it does.
     """
-    if m.nrows != m.ncols:
-        raise ValueError("spectrum of a non-square matrix")
-    if not m.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    n = m.nrows
-    if n == 0:
-        return {}
-    if m.is_zero():
-        return {0: n}
-    chi = char_poly(m)
     eigs: dict[int, int] = {}
     v = chi.valuation()
     if v:
         eigs[0] = v
     rem = IntPoly(chi.coeffs[v:])
-    trace = m.trace()
-    gersh = max((sum(abs(x) for x in r) for r in m.rows), default=0)
-    bound = min(trace, gersh)
     lam = 1
-    while rem.degree > 0 and lam <= bound:
-        while True:
+    while rem.degree > 0 and lam <= -rem.coeffs[-2]:
+        if rem.coeffs[0] % lam == 0:
             q, r = rem.divide_linear(lam)
             if r == 0:
                 eigs[lam] = eigs.get(lam, 0) + 1
                 rem = q
-                if rem.degree == 0:
-                    break
-            else:
-                break
+                continue
         lam += 1
     if rem.degree > 0:
         return NotIntegral(chi)
     return eigs
+
+
+def integer_spectrum(m: IntMatrix):
+    """Eigenvalue multiset of a symmetric PSD integer matrix:
+    integer_roots of its char_poly."""
+    if m.nrows != m.ncols:
+        raise ValueError("spectrum of a non-square matrix")
+    if not m.is_symmetric():
+        raise ValueError("matrix is not symmetric")
+    return integer_roots(char_poly(m))
 
 
 # ---------------------------------------------------------------------------

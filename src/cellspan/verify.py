@@ -2,11 +2,15 @@
 
 Each suite returns Check rows; a row is hard when its failure means a
 proved identity broke (exit code 4 territory), and soft when it only
-reports the status of a conjecture.
+reports the status of a conjecture.  Each suite run computes the
+characteristic polynomial of each distinct matrix once: equal
+Laplacians recur across the corpus, in mirrors sharing a skeleton and
+in complexes rebuilt by several checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .chain import (alternating_ud_holds, euler_identity_holds, product,
@@ -20,7 +24,7 @@ from .corpus import (colorful_corpus, colorful_sizes,
                      mirror_matroid_example, rp2, shifted_corpus)
 from .cubical import (cube, near_prism_betti_check, prism_tot_identity_holds,
                       prism_ud_identity_holds, shifted_spectrum)
-from .exact import LaurentPoly
+from .exact import LaurentPoly, char_poly_memo
 from .trees import (BRUTE_CAP, CapExceeded, TreeQuery, cmtt_pi_identity_holds,
                     cst_target_size, f_recurrence_check, run_query,
                     submatrix_det_properties, tau_cube_closed_form,
@@ -38,6 +42,16 @@ class Check:
 
     def __repr__(self):
         return f"Check({self.name!r}, ok={self.ok})"
+
+
+def _suite(fn):
+    """Run the suite inside one char_poly memo, dropped when it returns
+    or raises, so no suite run reuses the work of another."""
+    @functools.wraps(fn)
+    def run(*args, **kw):
+        with char_poly_memo():
+            return fn(*args, **kw)
+    return run
 
 
 def _agg(name: str, failures: list, scope: str, hard: bool = True) -> Check:
@@ -128,6 +142,7 @@ def colorful_closed_form_failures(colorfuls) -> list:
     return bad
 
 
+@_suite
 def suite_identities(cap=None, seed: int = 0, colorful_max: int = 8,
                      prism_mirror_max: int = 3) -> list:
     colorfuls = colorful_corpus(colorful_max)
@@ -226,6 +241,7 @@ def submatrix_failures() -> list:
     return bad
 
 
+@_suite
 def suite_engines(cap: int = BRUTE_CAP, seed: int = 0,
                   colorful_max: int = 8) -> list:
     return [
@@ -241,6 +257,7 @@ def suite_engines(cap: int = BRUTE_CAP, seed: int = 0,
 # duality
 
 
+@_suite
 def suite_duality(cap=None, seed: int = 0, tree_samples: int = 200) -> list:
     rows = []
     for n in (2, 3):
@@ -311,6 +328,7 @@ def near_prism_betti_rows(nmax: int = 4):
     return checked, bad
 
 
+@_suite
 def suite_shifted(cap=None, seed: int = 0, nmax: int = 4) -> list:
     rows = [
         _agg("shifted-recursion", shifted_recursion_failures(nmax),
@@ -343,6 +361,7 @@ CONJECTURE_PAIRS = ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3))
 RECURRENCE_PAIRS = ((3, 1), (3, 2), (4, 2), (4, 3))
 
 
+@_suite
 def suite_conjectures(cap: int = BRUTE_CAP, seed: int = 0) -> list:
     rows = []
     for n, k in CONJECTURE_PAIRS:

@@ -2,11 +2,14 @@
 deterministic bytes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cellspan
+from cellspan import exact
 from cellspan.chain import ChainComplex
 from cellspan.cli import main
 from cellspan.exact import IntMatrix
@@ -277,3 +280,23 @@ def test_repeated_runs_are_byte_identical():
     a = subprocess.run(cmd, capture_output=True, check=True)
     b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout and a.stdout
+
+
+def test_verify_identities_twice_in_one_process_prints_identical_bytes(capsys):
+    first = run(capsys, "verify", "identities", "--format", "json")
+    assert exact._MEMO.get() is None
+    second = run(capsys, "verify", "identities", "--format", "json")
+    assert exact._MEMO.get() is None
+    assert first == second and first[0] == 0
+
+
+def test_python_dash_m_cellspan_matches_main(capsys):
+    argv = ["verify", "shifted", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(cellspan.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "cellspan", *argv],
+                          capture_output=True, env=env)
+    rc, out, _ = run(capsys, *argv)
+    assert proc.returncode == rc == 4
+    assert proc.stdout.decode() == out and out

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cellspan import exact
 from cellspan.exact import (
     IntMatrix,
     IntPoly,
@@ -12,6 +14,7 @@ from cellspan.exact import (
     NotIntegral,
     char_poly,
     char_poly_interpolate,
+    char_poly_memo,
     det_exact,
     det_fraction,
     det_ring,
@@ -324,3 +327,156 @@ def test_det_ring_laurent_against_evaluated_det(rows, point):
     den = math.lcm(1, *(e.denominator for r in evaluated for e in r))
     scaled = IntMatrix([[int(e * den) for e in r] for r in evaluated], ncols=n)
     assert value * den ** n == det_exact(scaled)
+
+
+@st.composite
+def rectangular_int_matrices(draw, max_side=7):
+    """Integer matrices of 0..max_side rows and columns, as products of
+    two random factors so that low ranks are common."""
+    nr, nc, k = (draw(st.integers(0, max_side)) for _ in range(3))
+    entry = st.integers(-3, 3)
+    a = [[draw(entry) for _ in range(k)] for _ in range(nr)]
+    b = [[draw(entry) for _ in range(nc)] for _ in range(k)]
+    rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)]
+            for i in range(nr)]
+    return IntMatrix(rows, ncols=nc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rectangular_int_matrices())
+def test_rank_is_the_number_of_invariant_factors(m):
+    """Homology takes a boundary's rank from its Smith form when it has
+    one; the two must agree.  On square matrices |det| is the product
+    of the invariant factors."""
+    factors = smith_normal_form(m)
+    assert rank_exact(m) == len(factors)
+    if m.nrows == m.ncols:
+        assert abs(det_exact(m)) == (math.prod(factors) if len(factors) == m.nrows else 0)
+
+
+# ---------------------------------------------------------------------------
+# the characteristic polynomial: blocked int64 dot products, differential
+# tests, and the memo
+
+
+def test_dot_mod_sums_past_the_int64_limit():
+    """1024 products (p-1)^2 sum past 2^63: the plain product wraps, the
+    blocked one agrees with Python ints, as vector and as matrix."""
+    p = exact._prime(0)
+    n = 1024
+    a = np.full(n, p - 1, dtype=np.int64)
+    want = n * (p - 1) ** 2 % p
+    assert int((a @ a) % p) != want
+    assert int(exact._dot_mod(a, a, p)) == want
+    rng = random.Random(5)
+    h = np.array([[rng.choice((p - 1, rng.randrange(p))) for _ in range(1100)]
+                  for _ in range(3)], dtype=np.int64)
+    f = np.full(1100, p - 1, dtype=np.int64)
+    rows = h.tolist()
+    assert exact._dot_mod(h, f, p).tolist() == [
+        sum(x * (p - 1) for x in r) % p for r in rows]
+    assert exact._dot_mod(f, h.T, p).tolist() == [
+        sum((p - 1) * x for x in r) % p for r in rows]
+
+
+def test_dot_mod_short_sums_are_one_product():
+    p = exact._prime(1)
+    a = np.full(511, p - 1, dtype=np.int64)
+    assert int(exact._dot_mod(a, a, p)) == int((a @ a) % p) == 511 * (p - 1) ** 2 % p
+
+
+@st.composite
+def symmetric_int_matrices(draw, max_side=8):
+    """Symmetric integer matrices of side 0..max_side; some entries
+    large enough to take char_poly off its int64 set-up."""
+    n = draw(st.integers(0, max_side))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-2**40, 2**40))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return IntMatrix(rows, ncols=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_int_matrices())
+def test_char_poly_against_interpolation(m):
+    assert char_poly(m) == char_poly_interpolate(m)
+
+
+@st.composite
+def psd_int_matrices(draw, max_side=8):
+    """B B^T for small integer B (symmetric PSD), or a diagonal matrix
+    with nonnegative entries; sides 0..max_side."""
+    n = draw(st.integers(0, max_side))
+    if draw(st.booleans()):
+        return IntMatrix([[draw(st.integers(0, 6)) if i == j else 0
+                           for j in range(n)] for i in range(n)], ncols=n)
+    k = draw(st.integers(0, max_side))
+    b = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(n)]
+    rows = [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(n)]
+            for i in range(n)]
+    return IntMatrix(rows, ncols=n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(psd_int_matrices())
+# the path on four vertices: eigenvalues 2 - 2 cos(j pi / 4)
+@example(IntMatrix([[1, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 1]]))
+def test_integer_spectrum_against_nullities(m):
+    """A symmetric matrix has the integer eigenvalue lam with
+    multiplicity n - rank(m - lam I); the spectrum is integral iff these
+    multiplicities add up to n."""
+    n = m.nrows
+    want = {}
+    for lam in range(m.trace() + 1):
+        shifted = IntMatrix([[v - (lam if i == j else 0) for j, v in enumerate(r)]
+                             for i, r in enumerate(m.rows)], ncols=n)
+        mult = n - rank_exact(shifted)
+        if mult:
+            want[lam] = mult
+    out = integer_spectrum(m)
+    if sum(want.values()) == n:
+        assert out == want
+        assert IntPoly.from_roots(sorted(out.items())) == char_poly(m)
+    else:
+        assert isinstance(out, NotIntegral)
+        assert out.charpoly == char_poly(m)
+
+
+def test_char_poly_memo_hit_equals_fresh_computation():
+    m = IntMatrix([[3, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    fresh = char_poly(m)
+    with char_poly_memo():
+        first = char_poly(m)
+        # equal contents under other labels: the same entry
+        again = char_poly(IntMatrix(m.rows, row_labels="abc", col_labels="abc"))
+    assert first == fresh
+    assert again is first
+
+
+def test_char_poly_memo_keys_separate_shapes_and_wide_entries():
+    assert len({exact._memo_key(IntMatrix(rows)) for rows in
+                ([[1, 2, 3, 4]], [[1, 2], [3, 4]], [[1], [2], [3], [4]])}) == 3
+    # 200 and -56 have the same int8 bytes; 2^70 does not fit int64
+    cases = [[[v]] for v in (200, -56, 128, -128, 127, 2**70, 2**70 + 1)]
+    cases.append([[128, 0], [0, 1]])
+    cases.append([[-128, 0], [0, 1]])
+    with char_poly_memo():
+        got = [char_poly(IntMatrix(rows)) for rows in cases]
+    assert got == [char_poly(IntMatrix(rows)) for rows in cases]
+    assert len(set(got)) == len(cases)
+
+
+def test_char_poly_memo_is_dropped_on_exit_and_on_raise():
+    assert exact._MEMO.get() is None
+    with char_poly_memo():
+        assert exact._MEMO.get() == {}
+        char_poly(IntMatrix([[1]]))
+        assert len(exact._MEMO.get()) == 1
+    assert exact._MEMO.get() is None
+    with pytest.raises(RuntimeError):
+        with char_poly_memo():
+            char_poly(IntMatrix([[1]]))
+            raise RuntimeError
+    assert exact._MEMO.get() is None

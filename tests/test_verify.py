@@ -6,6 +6,9 @@ failure (the matroid mirror that is integral after all) is pinned here
 so a regression in either direction is caught.
 """
 
+import pytest
+
+from cellspan import exact, verify
 from cellspan.verify import (SUITES, Check, suite_conjectures, suite_duality,
                              suite_engines, suite_identities, suite_shifted)
 
@@ -80,3 +83,30 @@ def test_conjectures_suite_rows():
     for r in rows:
         assert r.ok is True
         assert r.hard is False
+
+
+def test_each_suite_run_has_its_own_memo(monkeypatch):
+    """A suite runs inside a char_poly memo, which is gone when the
+    suite returns or raises."""
+    seen = []
+    real = verify.near_prism_betti_rows
+
+    def spy(nmax):
+        seen.append(exact._MEMO.get())
+        return real(nmax)
+
+    monkeypatch.setattr(verify, "near_prism_betti_rows", spy)
+    suite_shifted(nmax=2)
+    suite_shifted(nmax=2)
+    assert exact._MEMO.get() is None
+    assert len(seen) == 2 and seen[0] and seen[1] and seen[0] is not seen[1]
+
+    def boom(nmax):
+        seen.append(exact._MEMO.get())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "near_prism_betti_rows", boom)
+    with pytest.raises(RuntimeError):
+        suite_shifted(nmax=2)
+    assert seen[2] is not None
+    assert exact._MEMO.get() is None
