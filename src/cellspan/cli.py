@@ -19,8 +19,8 @@ from .colorful import (colorful_complex, colorful_etot, colorful_omega,
                        cross_polytope_cube_duality, weighted_duality_check)
 from .corpus import rp2
 from .cubical import CubicalComplex, cube, mirror, shifted_spectrum
-from .trees import (BRUTE_CAP, CapExceeded, TreeQuery, f_recurrence_check,
-                    run_query, verify_conjecture)
+from .trees import (BRUTE_CAP, CapExceeded, TreeQuery, _as_chain,
+                    f_recurrence_check, run_query, verify_conjecture)
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -113,10 +113,6 @@ def load_input(spec: str):
         return ChainComplex.from_json_dict(data)
     except (ChainError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"invalid complex in {spec}: {e}")
-
-
-def _as_chain(x) -> ChainComplex:
-    return x.to_chain() if isinstance(x, CubicalComplex) else x
 
 
 def _need_cubical(x) -> CubicalComplex:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex
 from .cubical import cube, weight_vars, weighted_total_laplacian, xi_weight
-from .exact import IntMatrix, IntPoly, LaurentPoly, char_poly, gen_binom
+from .exact import IntMatrix, LaurentPoly, char_poly, gen_binom
 from .trees import cst_target_size, is_cst
 
 FACE_CAP = 4096
@@ -338,18 +338,17 @@ def _weighted_tot_fraction(c: ChainComplex, i: int, wt_by_dim: dict):
     return tot
 
 
-def _char_poly_scaled(m, scale: int) -> IntPoly:
-    n = len(m)
-    rows = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            v = m[r][s] * scale
-            if v.denominator != 1:
-                raise ArithmeticError("scale does not clear denominators")
-            row.append(int(v))
-        rows.append(row)
-    return char_poly(IntMatrix(rows, ncols=n))
+def frac_char_poly(m) -> list:
+    """Characteristic polynomial of a square Fraction matrix, ascending
+    Fraction coefficients, via integer scaling: if N = D*M then
+    chi_M(y) = chi_N(D*y) / D^size."""
+    size = len(m)
+    d = 1
+    for row in m:
+        for v in row:
+            d = d * v.denominator // math.gcd(d, v.denominator)
+    chi = char_poly(IntMatrix([[int(v * d) for v in row] for row in m], ncols=size))
+    return [Fraction(chi.coeff(j), d ** (size - j)) for j in range(size + 1)]
 
 
 def weighted_duality_check(n: int = 2, trials: int = 3, seed: int = 0) -> bool:
@@ -374,11 +373,6 @@ def weighted_duality_check(n: int = 2, trials: int = 3, seed: int = 0) -> bool:
             lq = weighted_total_laplacian(qx, k)
             mq = [[e.subs(assign) for e in row] for row in lq]
             mx = _weighted_tot_fraction(xc, i, x_wt)
-            den = 1
-            for mat in (mq, mx):
-                for row in mat:
-                    for v in row:
-                        den = den * v.denominator // math.gcd(den, v.denominator)
-            if _char_poly_scaled(mq, den) != _char_poly_scaled(mx, den):
+            if frac_char_poly(mq) != frac_char_poly(mx):
                 return False
     return True

@@ -11,17 +11,16 @@ in the sizes).
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 from .chain import ChainComplex
-from .colorful import colorful_complex
+from .colorful import colorful_complex, frac_char_poly
 from .cubical import (CubicalComplex, algebraic_boundary, cube,
                       cube_weighted_tot_eigenvalues, laurent_is_zero,
                       laurent_matmul, mirror, weight_vars,
                       weighted_total_laplacian)
-from .exact import IntMatrix, char_poly
+from .exact import IntMatrix
 
 
 def rp2() -> ChainComplex:
@@ -250,20 +249,6 @@ def cube_algebraic_dd_zero(n: int) -> bool:
     return True
 
 
-def _frac_charpoly(m) -> list:
-    """Characteristic polynomial of a Fraction matrix, ascending
-    Fraction coefficients, via integer scaling: if N = D*M then
-    chi_M(y) = chi_N(D*y) / D^size."""
-    size = len(m)
-    d = 1
-    for row in m:
-        for v in row:
-            d = d * v.denominator // math.gcd(d, v.denominator)
-    scaled = IntMatrix([[int(v * d) for v in row] for row in m], ncols=size)
-    chi = char_poly(scaled)
-    return [Fraction(chi.coeff(j), d ** (size - j)) for j in range(size + 1)]
-
-
 def _mul_linear(coeffs, r):
     """Ascending-coefficient product with (y - r)."""
     out = [Fraction(0)] * (len(coeffs) + 1)
@@ -287,7 +272,7 @@ def cube_weighted_spectrum_check(n: int, trials: int = 3, seed: int = 0) -> bool
         for i in range(n + 1):
             lap = weighted_total_laplacian(x, i)
             m = [[e.subs(assign) for e in row] for row in lap]
-            got = _frac_charpoly(m)
+            got = frac_char_poly(m)
             want = [Fraction(1)]
             for form, mult in cube_weighted_tot_eigenvalues(n, i):
                 r = form.subs(assign)

@@ -2,9 +2,11 @@
 
 Everything in this module is exact: arbitrary-precision integers,
 rationals, integer polynomials and Laurent polynomials.  No floating
-point enters any computation; numpy is used only for word-size modular
-arithmetic inside the CRT characteristic-polynomial kernel (and to pack
-the keys of its memo).  Its int64 intermediates are exact at every
+point enters any computation.  numpy is used only for word-size
+modular arithmetic inside the characteristic-polynomial kernel (the
+Hessenberg passes mod p, the candidate-root scan and the matrix
+products that certify an integral char poly, see char_poly) and to
+pack the keys of its memo.  Its int64 intermediates are exact at every
 side: residues are below 2^27, so each product is below 2^54, and every
 dot product sums at most 511 such products before it is reduced mod p
 (_dot_mod), which stays below 2^63.
@@ -628,11 +630,35 @@ def _memo_key(m: IntMatrix):
 def char_poly(m: IntMatrix) -> IntPoly:
     """det(yI - m), computed exactly.
 
-    Runs the Hessenberg algorithm modulo enough fixed word-size primes
-    and recombines by CRT; the prime budget is driven by the rigorous
-    bound |c_{n-k}| <= C(n,k) R^k with R the largest absolute row sum
-    (every eigenvalue lies in a Gershgorin disc of radius <= R).  Inside
-    a char_poly_memo block a matrix seen before is not recomputed.
+    Let R be the largest absolute row sum, so every eigenvalue lies in
+    a Gershgorin disc of radius <= R.  The Hessenberg algorithm runs
+    modulo the fixed word-size primes p_0 = _prime(0), p_1, ..., and CRT
+    recombines the results; the prime budget comes from the rigorous
+    bound |c_{n-k}| <= C(n,k) R^k.
+
+    Where the input shows it is cheap, chi is first certified from p_0
+    alone as a product of integer linear factors (_split_char_poly).
+    Take the integers lam in [-R, R] that are roots of chi mod p_0, with
+    their multiplicities m_lam mod p_0.  If the m_lam add up to n and
+    M = prod_lam (m - lam I) is zero over Z, then chi = prod (y -
+    lam)^m_lam.  Proof: M = 0 means the minimal polynomial divides
+    prod (y - lam), so chi = prod (y - lam)^e_lam over Z.  The lam are
+    distinct mod p_0 because p_0 > 2R, so unique factorisation in
+    F_p0[y] gives e_lam = m_lam.  Every entry of M is at most
+    B = prod ||m - lam I||_inf in absolute value, so M is zero once it
+    vanishes modulo primes whose product exceeds 2B.
+
+    The certificate is tried only when 2R < p_0 (so every entry fits
+    int64), 2R < n^2 (so the scan of the 2R + 1 candidates costs no
+    more than one Hessenberg pass), CRT needs more than one prime, and
+    the check's (roots - 1) matrix products per prime, times the primes
+    2B asks for, are fewer than the CRT primes left.  Otherwise, or when
+    the certificate fails (a non-integral spectrum, or a defective
+    integer eigenvalue), CRT goes on from the residues mod p_0 already
+    computed.
+
+    Inside a char_poly_memo block a matrix seen before is not
+    recomputed.
     """
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -646,46 +672,107 @@ def char_poly(m: IntMatrix) -> IntPoly:
     return chi
 
 
+def _primes_over(x: int) -> list[int]:
+    """The fewest leading primes _prime(0), _prime(1), ... whose product
+    exceeds x."""
+    primes, acc = [], 1
+    while acc <= x:
+        primes.append(_prime(len(primes)))
+        acc *= primes[-1]
+    return primes
+
+
 def _char_poly(m: IntMatrix) -> IntPoly:
     n = m.nrows
     if n == 0:
         return IntPoly([1])
     rows = m.rows
-    R = max((sum(abs(v) for v in r) for r in rows), default=0)
+    R = max(sum(abs(v) for v in r) for r in rows)
     if R == 0:
         return IntPoly([0] * n + [1])
-    bound = 1
-    for k in range(n + 1):
-        b = gen_binom(n, k) * R**k
-        if b > bound:
-            bound = b
-    target = 2 * bound + 1
-    pre = None
-    if m.max_abs() < 2**31:
-        pre = np.array(rows, dtype=np.int64)
-    residues = []
-    primes = []
-    acc = 1
-    i = 0
-    while acc <= target:
-        p = _prime(i)
-        i += 1
-        residues.append(_charpoly_mod(rows, n, p, pre=pre))
-        primes.append(p)
-        acc *= p
-    # CRT with symmetric lift
+    bound = max(gen_binom(n, k) * R**k for k in range(n + 1))
+    primes = _primes_over(2 * bound + 1)
+    pre = np.array(rows, dtype=np.int64) if m.max_abs() < 2**31 else None
+    residues = [_charpoly_mod(rows, n, primes[0], pre=pre)]
+    # 2R < p_0 < 2^27 bounds every entry, so pre is set
+    if len(primes) > 1 and 2 * R < min(primes[0], n * n):
+        chi = _split_char_poly(pre, R, residues[0], primes[0], len(primes) - 1)
+        if chi is not None:
+            return chi
+    residues += [_charpoly_mod(rows, n, p, pre=pre) for p in primes[1:]]
+    return _crt(residues, primes)
+
+
+def _crt(residues, primes) -> IntPoly:
+    """The polynomial with the given coefficient residues modulo each
+    prime, lifted to the symmetric range."""
     coeffs = []
-    for k in range(n + 1):
+    for k in range(len(residues[0])):
         x, mod = 0, 1
         for res, p in zip(residues, primes):
-            r = res[k]
-            t = (r - x) * pow(mod, -1, p) % p
+            t = (res[k] - x) * pow(mod, -1, p) % p
             x += mod * t
             mod *= p
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
+        coeffs.append(x - mod if x > mod // 2 else x)
     return IntPoly(coeffs)
+
+
+def _split_char_poly(a, R: int, chi: list, p: int, budget: int):
+    """det(yI - a) over Z certified from its residues chi mod p, or None.
+
+    a is an n x n int64 array whose largest absolute row sum is R, with
+    2R < p; chi holds det(yI - a) mod p, ascending.  Returns
+    prod (y - lam)^m_lam when the roots lam of chi mod p among the
+    integers in [-R, R] have multiplicities m_lam adding up to n and
+    prod (a - lam I) is zero over Z (char_poly gives the proof).
+    Returns None when they do not, or when that check would take budget
+    or more matrix products.
+    """
+    n = a.shape[0]
+    cands = np.arange(-R, R + 1, dtype=np.int64)
+    x = cands % p
+    val = np.zeros_like(x)
+    for c in reversed(chi):  # Horner at every candidate at once
+        val = (val * x + c) % p
+    roots, mults, rem = [], [], chi
+    for lam in cands[val == 0].tolist():
+        mult = 0
+        while len(rem) > 1:  # synthetic division by (y - lam) mod p
+            out, acc = [], 0
+            for c in reversed(rem):
+                acc = (acc * lam + c) % p
+                out.append(acc)
+            if out.pop():
+                break
+            rem = out[::-1]
+            mult += 1
+        roots.append(lam)
+        mults.append(mult)
+    if sum(mults) != n:
+        return None
+    diag = np.diagonal(a)
+    off = np.abs(a).sum(axis=1) - np.abs(diag)
+    B = math.prod(int((off + np.abs(diag - lam)).max()) for lam in roots)
+    check = _primes_over(2 * B)
+    if (len(roots) - 1) * len(check) >= budget:
+        return None
+    if not all(_product_vanishes_mod(a, roots, q) for q in check):
+        return None
+    return IntPoly.from_roots(zip(roots, mults))
+
+
+def _product_vanishes_mod(a, roots, q: int) -> bool:
+    """Whether prod_lam (a - lam I) over the given roots is zero mod q."""
+    aq = a % q
+    d = np.arange(a.shape[0])
+    m = aq.copy()
+    m[d, d] = (m[d, d] - roots[0]) % q
+    for lam in roots[1:]:
+        if not m.any():
+            break
+        # m (a - lam I); |lam| < 2^26, so lam * m stays below 2^53
+        m = (_dot_mod(m, aq, q) - lam * m) % q
+    return not m.any()
 
 
 def char_poly_interpolate(m: IntMatrix) -> IntPoly:

@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cellspan import exact
+from cellspan.cubical import cube
 from cellspan.exact import (
     IntMatrix,
     IntPoly,
@@ -480,3 +482,149 @@ def test_char_poly_memo_is_dropped_on_exit_and_on_raise():
             char_poly(IntMatrix([[1]]))
             raise RuntimeError
     assert exact._MEMO.get() is None
+
+
+# ---------------------------------------------------------------------------
+# the char poly certified from one prime, against CRT alone and interpolation
+
+
+def _crt_only(m):
+    with mock.patch.object(exact, "_split_char_poly", return_value=None):
+        return exact._char_poly(m)
+
+
+def _split(m, p=None, budget=10**9):
+    """_split_char_poly on m from its char poly mod p (default p_0),
+    with no budget to stop it."""
+    p = exact._prime(0) if p is None else p
+    n = m.nrows
+    a = np.array(m.rows, dtype=np.int64).reshape(n, n)
+    R = max(sum(abs(v) for v in r) for r in m.rows)
+    chi = exact._charpoly_mod(m.rows, n, p)
+    return exact._split_char_poly(a, R, chi, p, budget)
+
+
+@st.composite
+def nonsymmetric_int_matrices(draw, max_side=8):
+    """Upper triangular matrices with a few distinct diagonal values
+    (integer spectra, often with repeated eigenvalues, defective or
+    not), or unconstrained ones; sides 1..max_side."""
+    n = draw(st.integers(1, max_side))
+    if draw(st.booleans()):
+        diag = [draw(st.sampled_from((-3, 0, 2, 5))) for _ in range(n)]
+        return IntMatrix([[diag[i] if i == j else
+                           (draw(st.sampled_from((0, 0, 1, -2))) if j > i else 0)
+                           for j in range(n)] for i in range(n)], ncols=n)
+    return IntMatrix([[draw(st.integers(-4, 4)) for _ in range(n)]
+                      for _ in range(n)], ncols=n)
+
+
+def _integer_root_count(chi, R):
+    """Number of roots of chi in [-R, R], with multiplicity, by exact
+    division over Z."""
+    count = 0
+    rem = chi
+    for lam in range(-R, R + 1):
+        while rem.degree > 0:
+            q, r = rem.divide_linear(lam)
+            if r:
+                break
+            rem, count = q, count + 1
+    return count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(psd_int_matrices().filter(lambda m: m.nrows > 0),
+                 nonsymmetric_int_matrices()))
+def test_split_char_poly_against_crt_and_interpolation(m):
+    """Whenever the one-prime route returns, it is the char poly; on a
+    symmetric matrix it returns exactly when the spectrum is integral,
+    since a symmetric matrix has no defective eigenvalue."""
+    want = char_poly_interpolate(m)
+    assert _crt_only(m) == want
+    assert char_poly(m) == want
+    got = _split(m)
+    if got is not None:
+        assert got == want
+    if m.is_symmetric():
+        R = max(sum(abs(v) for v in r) for r in m.rows)
+        assert (got is not None) == (_integer_root_count(want, R) == m.nrows)
+
+
+def test_split_char_poly_needs_the_product_check():
+    """chi = y^2 - 20 does not split over Z, but mod 101 it is
+    (y - 11)(y + 11) with 11 in [-R, R] = [-20, 20].  Only the check
+    prod (m - lam I) = -101 I != 0 stops the one-prime route."""
+    m = IntMatrix([[0, 20], [1, 0]])
+    assert exact._charpoly_mod(m.rows, 2, 101) == [v % 101 for v in (-121, 0, 1)]
+    assert _split(m, p=101) is None
+    assert char_poly(m) == IntPoly([-20, 0, 1])
+    # the same prime certifies a split matrix
+    assert _split(IntMatrix([[3, 0], [0, -5]]), p=101) == IntPoly.from_roots([(3, 1), (-5, 1)])
+
+
+def _spied(m):
+    """char_poly(m), with the arguments and the results of the
+    _split_char_poly calls it made."""
+    calls, returned = [], []
+    real = exact._split_char_poly
+
+    def spy(*args):
+        calls.append(args)
+        returned.append(real(*args))
+        return returned[-1]
+
+    with mock.patch.object(exact, "_split_char_poly", spy):
+        chi = char_poly(m)
+    return chi, calls, returned
+
+
+def test_defective_eigenvalue_falls_back_to_crt():
+    """40 I + E_01 on side 12: one eigenvalue, 40, with a Jordan block
+    of size 2.  The route is tried (2R = 82 < 144, CRT needs three
+    primes) and fails, since m - 40 I != 0; CRT gives (y - 40)^12.
+    40 I itself is certified."""
+    n = 12
+    jordan = IntMatrix([[40 * (i == j) + ((i, j) == (0, 1)) for j in range(n)]
+                        for i in range(n)])
+    assert jordan.entry(0, 1) == 1 and jordan.entry(1, 1) == 40
+    chi, calls, returned = _spied(jordan)
+    assert len(calls) == 1 and returned == [None]
+    assert chi == IntPoly.from_roots([(40, n)]) == char_poly_interpolate(jordan)
+    diag = IntMatrix([[40 * (i == j) for j in range(n)] for i in range(n)])
+    chi, calls, returned = _spied(diag)
+    assert returned == [chi] == [IntPoly.from_roots([(40, n)])]
+
+
+@st.composite
+def wide_range_matrices(draw, max_side=6):
+    """Matrices with 2R >= n^2: small entries off a diagonal of at
+    least n^2, up to 2^20 beyond it."""
+    n = draw(st.integers(1, max_side))
+    diag = n * n + draw(st.integers(0, 2**20))
+    return IntMatrix([[diag if i == j else draw(st.integers(-3, 3)) for j in range(n)]
+                      for i in range(n)], ncols=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_range_matrices())
+# only 2R = 2000 >= 16 keeps this one out: 2R < p_0, and CRT needs two
+# primes for the bound 1000^4
+@example(IntMatrix([[1000 * (i == j) for j in range(4)] for i in range(4)]))
+def test_wide_candidate_range_skips_the_one_prime_route(m):
+    """With 2R >= n^2 the candidate scan would cost more than a
+    Hessenberg pass, so the route is never tried."""
+    chi, calls, _ = _spied(m)
+    assert calls == []
+    assert chi == _crt_only(m) == char_poly_interpolate(m)
+
+
+def test_cube_laplacians_are_certified_from_one_prime():
+    """The cube:5 Laplacians in dimensions 1..3 (sides 80, 80, 40) take
+    the one-prime route and agree with CRT alone."""
+    c = cube(5).to_chain()
+    for i in (1, 2, 3):
+        for fam in ("ud", "du", "tot"):
+            lap = c.laplacian(i, fam)
+            chi, calls, returned = _spied(lap)
+            assert returned == [chi] == [_crt_only(lap)]
