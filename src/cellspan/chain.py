@@ -24,6 +24,7 @@ from .exact import (
     integer_roots,
     rank_exact,
     smith_normal_form,
+    sparse_columns,
 )
 
 FAMILIES = ("ud", "du", "tot")
@@ -204,13 +205,22 @@ class ChainComplex:
         if self.empty_cell and 0 not in self.bnd and self.n_cells(0):
             raise ChainError("empty cell present but no augmentation row stored")
         lo = 0 if self.empty_cell else 1
+        cols = [sparse_columns(self.boundary(i)) for i in range(lo, self.dim + 2)]
         for i in range(lo, self.dim + 1):
-            prod = self.boundary(i) * self.boundary(i + 1)
-            if not prod.is_zero():
-                for r in range(prod.nrows):
-                    for c in range(prod.ncols):
-                        if prod.entry(r, c):
-                            return (i, r, c)
+            below, above = cols[i - lo], cols[i - lo + 1]
+            # column c of the product, summed over the nonzeros of
+            # column c of the upper boundary; keep the least (row, col)
+            bad = None
+            for c, col in enumerate(above):
+                acc: dict = {}
+                for k, a in col.items():
+                    for r, b in below[k].items():
+                        acc[r] = acc.get(r, 0) + a * b
+                r = min((r for r, v in acc.items() if v), default=None)
+                if r is not None and (bad is None or r < bad[0]):
+                    bad = (r, c)
+            if bad is not None:
+                return (i,) + bad
         return None
 
     # -- homology
@@ -413,7 +423,7 @@ class ChainComplex:
         for key, rows in data.get("boundary", {}).items():
             i = int(key)
             ncols = len(cells.get(i, ())) if i != -1 else 0
-            bnd[i] = IntMatrix([[int(v) for v in row] for row in rows], ncols=ncols)
+            bnd[i] = IntMatrix(rows, ncols=ncols)
         return cls(cells, bnd, empty_cell=bool(data.get("empty_cell", False)), check=check)
 
     @classmethod

@@ -2,20 +2,31 @@
 
 Everything in this module is exact: arbitrary-precision integers,
 rationals, integer polynomials and Laurent polynomials.  No floating
-point enters any computation.  numpy is used only for word-size
-modular arithmetic inside the characteristic-polynomial kernel (the
-Hessenberg passes mod p, the candidate-root scan and the matrix
-products that certify an integral char poly, see char_poly) and to
-pack the keys of its memo.  Its int64 intermediates are exact at every
-side: residues are below 2^27, so each product is below 2^54, and every
-dot product sums at most 511 such products before it is reduced mod p
-(_dot_mod), which stays below 2^63.
+point enters any computation.
+
+Ranks and Smith forms start with a sparse elimination of +-1 pivots in
+Markowitz order (_eliminate_units), each pivot one invariant factor 1,
+and finish the rest with the dense gcd routines (_rank_dense,
+_smith_dense).  The elimination is a sequence of unimodular row and
+column operations, which keep the rank and the Smith form, and a +-1
+pivot keeps every entry an integer.  The dense routines are also the
+tests' oracles for the sparse path.
+
+numpy is used only for word-size modular arithmetic inside the
+characteristic-polynomial kernel (the Hessenberg passes mod p, the
+candidate-root scan and the matrix products that certify an integral
+char poly, see char_poly) and to pack the keys of its memo.  Its int64
+intermediates are exact at every side: residues are below 2^27, so each
+product is below 2^54, and every dot product sums at most 511 such
+products before it is reduced mod p (_dot_mod), which stays below 2^63.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import heapq
+import itertools
 import math
 from fractions import Fraction
 
@@ -32,6 +43,7 @@ __all__ = [
     "det_ring",
     "rank_exact",
     "smith_normal_form",
+    "sparse_columns",
     "char_poly",
     "char_poly_interpolate",
     "char_poly_memo",
@@ -73,7 +85,7 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols", "row_labels", "col_labels")
 
     def __init__(self, rows, row_labels=None, col_labels=None, ncols: int | None = None):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(tuple(map(int, row)) for row in rows)
         self.rows = rs
         self.nrows = len(rs)
         if rs:
@@ -128,9 +140,6 @@ class IntMatrix:
             return False
         r = self.rows
         return all(r[i][j] == r[j][i] for i in range(self.nrows) for j in range(i))
-
-    def is_zero(self) -> bool:
-        return all(not any(r) for r in self.rows)
 
     def max_abs(self) -> int:
         m = 0
@@ -231,8 +240,111 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def sparse_columns(m: IntMatrix, rows=None) -> list:
+    """Columns of m as {row: value} dicts of their nonzero entries,
+    restricted to the given rows (renumbered in order) when rows is not
+    None."""
+    pos = range(m.nrows) if rows is None else rows
+    cols = [{} for _ in range(m.ncols)]
+    idx = range(m.ncols)
+    for r, i in enumerate(pos):
+        row = m.rows[i]
+        for j in itertools.compress(idx, row):
+            cols[j][r] = row[j]
+    return cols
+
+
+def _eliminate_units(m: IntMatrix):
+    """(units, rest): m reduced by unit pivots, in Markowitz order.
+
+    On the sparse rows and columns of m, repeatedly take a +-1 entry of
+    least cost (r - 1)(c - 1), r and c the nonzero counts of its row and
+    column; clear its column by adding integer multiples of its row to
+    the others, then drop its row and column.  The heap holds every unit
+    entry with its cost when pushed; a popped entry that is no longer a
+    unit is skipped, and one whose cost has grown goes back in.  units
+    counts the pivots; rest is the dense matrix left on the rows and
+    columns that still hold a nonzero entry.
+
+    Each step is a unimodular row operation; the pivot row, alone in
+    its column, is then cleared by column operations that change nothing
+    else.  So m is equivalent over Z to diag(+-1, ..., +-1) plus rest as
+    a block sum, and every entry stays an integer, because the
+    multiplier of each row operation is an entry times the pivot.
+    """
+    cols = sparse_columns(m)
+    rows = [{} for _ in range(m.nrows)]
+    for j, col in enumerate(cols):
+        for i, a in col.items():
+            rows[i][j] = a
+    heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j)
+            for j, col in enumerate(cols) for i, a in col.items() if a == 1 or a == -1]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    units = 0
+    while heap:
+        cost, r, c = pop(heap)
+        row = rows[r]
+        p = row.get(c)
+        if p != 1 and p != -1:
+            continue
+        col = cols[c]
+        now = (len(row) - 1) * (len(col) - 1)
+        if now > cost:
+            push(heap, (now, r, c))
+            continue
+        units += 1
+        del row[c], col[r]
+        for i, a in col.items():
+            # row_i -= a p row_r clears (i, c), as p * p = 1
+            f = a * p
+            ri = rows[i]
+            del ri[c]
+            for j, b in row.items():
+                cj = cols[j]
+                x = ri.get(j, 0) - f * b
+                if x:
+                    ri[j] = cj[i] = x
+                    if x == 1 or x == -1:
+                        push(heap, ((len(ri) - 1) * (len(cj) - 1), i, j))
+                else:
+                    del ri[j], cj[i]
+        for j in row:
+            del cols[j][r]
+        row.clear()
+        col.clear()
+    live = [i for i, row in enumerate(rows) if row]
+    keep = sorted({j for i in live for j in rows[i]})
+    rest = IntMatrix([[rows[i].get(j, 0) for j in keep] for i in live], ncols=len(keep))
+    return units, rest
+
+
 def rank_exact(m: IntMatrix) -> int:
-    """Rank over Q via integer row echelon with gcd normalization."""
+    """Rank over Q: the unit pivots of _eliminate_units plus the rank
+    of what they leave (_rank_dense).  The elimination is a sequence of
+    row and column operations over Z, which keep the rank."""
+    units, rest = _eliminate_units(m)
+    return units + _rank_dense(rest)
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """Positive invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    _eliminate_units turns m, by unimodular row and column operations,
+    into diag(+-1, ..., +-1) plus a rest as a block sum.  Unimodular
+    operations keep the Smith form, and 1 divides every factor, so the
+    factors are one 1 per unit pivot followed by the factors of the rest
+    (_smith_dense).  Boundaries of cubical and simplicial complexes have
+    +-1 entries and few nonzeros per column, so the rest is small.
+    """
+    units, rest = _eliminate_units(m)
+    return (1,) * units + _smith_dense(rest)
+
+
+def _rank_dense(m: IntMatrix) -> int:
+    """Rank over Q via integer row echelon with gcd normalization.
+    rank_exact's solver for the rest after unit pivots, and the tests'
+    oracle for rank_exact."""
     rows = [list(r) for r in m.rows if any(r)]
     ncols = m.ncols
     rank = 0
@@ -268,8 +380,10 @@ def rank_exact(m: IntMatrix) -> int:
     return rank
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
-    """Positive invariant factors d_1 | d_2 | ... of an integer matrix.
+def _smith_dense(m: IntMatrix) -> tuple[int, ...]:
+    """Positive invariant factors d_1 | d_2 | ... of an integer matrix,
+    densely: smith_normal_form's solver for the rest after unit pivots,
+    and the tests' oracle for smith_normal_form.
 
     Gcd-pivot reduction: repeatedly move a smallest nonzero entry of the
     trailing submatrix to the pivot, clear its row and column by exact

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
                       weight_vars, xi_weight)
-from .exact import LaurentPoly, det_exact, det_ring, gen_binom
+from .exact import LaurentPoly, det_exact, det_ring, gen_binom, sparse_columns
 
 BRUTE_CAP = 10 ** 6
 MATRIX_SIDE_CAP = 4096
@@ -35,8 +35,11 @@ METHODS = ("brute", "matrix-tree", "alternating-product", "closed-form")
 
 
 class CapExceeded(RuntimeError):
-    def __init__(self, needed, cap):
-        super().__init__(f"needs {needed} steps, cap is {cap}")
+    """A computation would need more work than a cap allows; `what`
+    names the cap."""
+
+    def __init__(self, needed, cap, what: str):
+        super().__init__(f"{what}: needs {needed}, cap is {cap}")
         self.needed = needed
         self.cap = cap
 
@@ -207,25 +210,13 @@ class _Echelon:
         self.pivots.pop()
 
 
-def _sparse_columns(b, rows=None) -> list:
-    """Columns of an IntMatrix as {row: value}, restricted to the given
-    rows (renumbered in order) when rows is not None."""
-    pos = range(b.nrows) if rows is None else rows
-    cols = [{} for _ in range(b.ncols)]
-    for r, i in enumerate(pos):
-        for j, a in enumerate(b.rows[i]):
-            if a:
-                cols[j][r] = a
-    return cols
-
-
 def _pivot_columns(b) -> list:
     """Indices of the lexicographically first basis of the column space
     of an IntMatrix: one incremental elimination in column order keeps
     each column that is independent of those before it."""
     ech = _Echelon()
     picked: list = []
-    for j, col in enumerate(_sparse_columns(b)):
+    for j, col in enumerate(sparse_columns(b)):
         v = ech.reduce(col)
         if v:
             ech.push(v)
@@ -268,14 +259,14 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
     n = len(labels)
     needed = math.comb(n, target)
     if needed > q.cap:
-        raise CapExceeded(needed, q.cap)
+        raise CapExceeded(needed, q.cap, "brute-force subset cap")
     b = xs.homology_boundary(q.k)
     picked, u_labels = _greedy_u(xs, q.k)
     t_x, t_u = _torsions(xs, q.k, [u_labels[j] for j in picked])
     ubar = sorted(set(range(b.nrows)) - set(picked))
     if len(ubar) != target:
         raise ArithmeticError("complement of U does not match the tree size")
-    cols = _sparse_columns(b, ubar)
+    cols = sparse_columns(b, ubar)
     if q.weighted:
         weights = [xi_weight(q.complex.universe, f) for f in labels]
         vs = weight_vars(q.complex.universe)
@@ -329,7 +320,8 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
         n0 = xs.n_cells(0)
         return TreeReport(n0, "matrix-tree", trees=n0, u_cells=(), u_size_ok=True)
     if xs.n_cells(k - 1) > MATRIX_SIDE_CAP:
-        raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP)
+        raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP,
+                          "matrix-tree side cap (MATRIX_SIDE_CAP)")
     picked, labels = _greedy_u(xs, k)
     u_size_ok = len(labels) - len(picked) == xs.n_cells(k) - xs.betti(k)
     lu = xs.laplacian(k - 1, "ud").delete_rows_cols(picked)

@@ -1,7 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cellspan import exact
+from cellspan.colorful import colorful_complex
+from cellspan.corpus import identity_corpus, mirror_corpus
+from cellspan.corpus import rp2 as rp2_model
+from cellspan.cubical import cube, mirror
 from cellspan.chain import (
     ChainComplex,
     ChainError,
@@ -14,7 +20,7 @@ from cellspan.chain import (
     tot_split_holds,
     ud_du_shift_holds,
 )
-from cellspan.exact import LaurentPoly, NotIntegral
+from cellspan.exact import IntMatrix, LaurentPoly, NotIntegral
 
 
 def edge():
@@ -74,8 +80,8 @@ def test_laplacians_of_an_edge():
     c = edge()
     assert c.laplacian(0, "ud").rows == ((1, -1), (-1, 1))
     assert c.laplacian(1, "du").rows == ((2,),)
-    assert c.laplacian(0, "du").is_zero()
-    assert c.laplacian(1, "ud").is_zero()
+    assert c.laplacian(0, "du") == IntMatrix.zeros(2, 2)
+    assert c.laplacian(1, "ud") == IntMatrix.zeros(1, 1)
     assert c.laplacian(0, "tot").rows == ((1, -1), (-1, 1))
 
 
@@ -151,7 +157,7 @@ def test_empty_cell_augmentation():
 def test_dim0_convention_split():
     # homology sees the implicit augmentation; L^du_0 does not
     c = disjoint_union(edge(), ChainComplex({0: ("w",)}, {}))
-    assert c.laplacian(0, "du").is_zero()
+    assert c.laplacian(0, "du") == IntMatrix.zeros(3, 3)
     assert c.homology(0).betti == 1
 
 
@@ -283,3 +289,85 @@ def test_pi_works_on_non_integral_spectra():
                      {1: [[-1, 0], [1, -2], [0, 2]]})
     # L^ud_0 eigenvalues: 0, 5 +- sqrt(13); product of nonzero ones = 12
     assert c.pi(1) == 12
+
+
+# ---------------------------------------------------------------------------
+# the sparse boundary check and the unit-pivot homology against dense oracles
+
+
+def _dense_first_offence(c):
+    """First nonzero entry of boundary(i) * boundary(i+1), by plain dense
+    products: i upward, then (row, col) in row-major order."""
+    lo = 0 if c.empty_cell else 1
+    for i in range(lo, c.dim + 1):
+        a, b = c.boundary(i).rows, c.boundary(i + 1)
+        for r, row in enumerate(a):
+            for col in range(b.ncols):
+                if sum(x * b.rows[k][col] for k, x in enumerate(row)):
+                    return (i, r, col)
+    return None
+
+
+VALIDATE_BASES = (cube(3).to_chain(), colorful_complex((1, 2, 2)), rp2_model(),
+                  mirror(4, [(1, 2, 3, 4)]).to_chain())
+
+
+@st.composite
+def corrupted_complexes(draw):
+    """A valid complex with one boundary entry changed by -2..2 (not 0)."""
+    c = draw(st.sampled_from(VALIDATE_BASES))
+    i = draw(st.sampled_from(sorted(k for k, m in c.bnd.items() if m.nrows and m.ncols)))
+    m = c.bnd[i]
+    r, col = draw(st.integers(0, m.nrows - 1)), draw(st.integers(0, m.ncols - 1))
+    rows = [list(row) for row in m.rows]
+    rows[r][col] += draw(st.sampled_from((-2, -1, 1, 2)))
+    bnd = dict(c.bnd)
+    bnd[i] = rows
+    return c.cells, bnd, c.empty_cell
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_complexes())
+def test_validate_matches_a_dense_scan(parts):
+    cells, bnd, empty = parts
+    c = ChainComplex(cells, bnd, empty_cell=empty, check=False)
+    want = _dense_first_offence(c)
+    assert c.validate() == want
+    if want is None:
+        ChainComplex(cells, bnd, empty_cell=empty)
+    else:
+        with pytest.raises(ChainError) as e:
+            ChainComplex(cells, bnd, empty_cell=empty)
+        assert e.value.location == want
+
+
+def test_validate_reports_the_least_row_then_column():
+    # two bad entries in the product of dimension 1: (1, 0) and (0, 1)
+    cells = {0: ("a", "b"), 1: ("e", "f"), 2: ("F", "G")}
+    c = ChainComplex(cells, {1: [[1, 0], [0, 1]], 2: [[0, 1], [1, 0]]}, check=False)
+    assert c.validate() == _dense_first_offence(c) == (1, 0, 1)
+
+
+def _dense_homology(c, i):
+    """Reduced homology from the dense rank and Smith form alone."""
+    rank = lambda j: exact._rank_dense(c.homology_boundary(j))
+    factors = exact._smith_dense(c.homology_boundary(i + 1))
+    torsion = 1
+    for f in factors:
+        torsion *= f
+    return HomologySummary(i, c.n_cells(i) - rank(i) - rank(i + 1), torsion)
+
+
+def test_homology_of_the_corpus_matches_the_dense_oracle():
+    """Every complex of identity_corpus, whose mirrors are those of
+    mirror_corpus(4), against dense ranks and Smith forms."""
+    items = identity_corpus()
+    names = {name for name, _ in items}
+    assert {name for name, _f, _x in mirror_corpus(4)} <= names
+    torsion_seen = False
+    for name, c in items:
+        for i in c.homology_range():
+            h = c.homology(i)
+            assert h == _dense_homology(c, i), (name, i)
+            torsion_seen |= h.torsion > 1
+    assert torsion_seen

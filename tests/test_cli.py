@@ -205,6 +205,26 @@ def test_validation_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([["x"], [1]], "invalid literal for int() with base 10: 'x'"),
+    ([[None], [1]], "int() argument must be a string, a bytes-like object "
+                    "or a real number, not 'NoneType'"),
+    ([[1, 2], [1]], "ragged rows"),
+    ([[1], [1]], None),
+])
+def test_malformed_boundary_entries_exit_2(capsys, tmp_path, rows, message):
+    """Entries are converted once, by IntMatrix; a bad one still exits 2
+    and names what is wrong.  The last boundary is well formed but its
+    composition with the 2-cell's boundary is not zero."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"cells": [["a", "b"], ["e"], ["F"]],
+                             "boundary": {"1": rows, "2": [[1]]}}))
+    rc, _, err = run(capsys, "homology", "--input", str(p))
+    assert rc == 2
+    want = message or "boundary composition fails at (1, 0, 0)"
+    assert err == f"error: invalid complex in {p}: {want}\n"
+
+
 def test_cap_exceeded_exits_3(capsys):
     rc, _, err = run(capsys, "trees", "--input", "cube:3", "--k", "1",
                      "--method", "brute", "--cap", "5")
@@ -274,11 +294,20 @@ def test_verify_json_format(capsys):
 # determinism through a real process boundary
 
 
+def _subprocess_env() -> dict:
+    """The environment with this checkout's cellspan first on the path."""
+    src = os.path.dirname(os.path.dirname(cellspan.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def test_repeated_runs_are_byte_identical():
     cmd = [sys.executable, "-m", "cellspan.cli", "colorful",
            "--input", "colorful:3,2,2"]
-    a = subprocess.run(cmd, capture_output=True, check=True)
-    b = subprocess.run(cmd, capture_output=True, check=True)
+    env = _subprocess_env()
+    a = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert a.stdout == b.stdout and a.stdout
 
 
@@ -292,11 +321,8 @@ def test_verify_identities_twice_in_one_process_prints_identical_bytes(capsys):
 
 def test_python_dash_m_cellspan_matches_main(capsys):
     argv = ["verify", "shifted", "--format", "json"]
-    src = os.path.dirname(os.path.dirname(cellspan.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-m", "cellspan", *argv],
-                          capture_output=True, env=env)
+                          capture_output=True, env=_subprocess_env())
     rc, out, _ = run(capsys, *argv)
     assert proc.returncode == rc == 4
     assert proc.stdout.decode() == out and out

@@ -66,7 +66,7 @@ def test_matrix_product_and_transpose():
     assert e.shape == (0, 3)
     prod = e.transpose() * e
     assert prod.shape == (3, 3)
-    assert prod.is_zero()
+    assert prod == IntMatrix.zeros(3, 3)
 
 
 def test_matrix_product_big_entries():
@@ -354,6 +354,88 @@ def test_rank_is_the_number_of_invariant_factors(m):
     assert rank_exact(m) == len(factors)
     if m.nrows == m.ncols:
         assert abs(det_exact(m)) == (math.prod(factors) if len(factors) == m.nrows else 0)
+
+
+@st.composite
+def sparse_int_matrices(draw, max_side=9):
+    """Integer matrices of 0..max_side rows and columns with entries in
+    -3..3, most of them zero at low densities, so that unit pivots,
+    fill-in and torsion all occur."""
+    nr, nc = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    density = draw(st.sampled_from((0.15, 0.35, 0.7, 1.0)))
+    rows = [[draw(st.integers(-3, 3)) if draw(st.floats(0, 1)) < density else 0
+             for _ in range(nc)] for _ in range(nr)]
+    return IntMatrix(rows, ncols=nc)
+
+
+NO_UNIT_ENTRY = (IntMatrix([[2, 0], [0, 2]]), IntMatrix([[2, 3]]),
+                 IntMatrix([[2, 3, 0], [0, 2, 3], [3, 0, 2]]),
+                 IntMatrix([[-2, 2], [2, 2], [3, -3]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices())
+@example(IntMatrix([], ncols=0))
+@example(IntMatrix([], ncols=4))
+@example(IntMatrix([[], [], []], ncols=0))
+@example(IntMatrix.zeros(3, 2))
+@example(NO_UNIT_ENTRY[0])
+@example(NO_UNIT_ENTRY[1])
+@example(NO_UNIT_ENTRY[2])
+@example(NO_UNIT_ENTRY[3])
+def test_unit_pivots_against_dense_smith_and_rank(m):
+    """smith_normal_form and rank_exact (unit pivots, then the dense
+    routines on the rest) against the dense routines on the whole
+    matrix."""
+    assert smith_normal_form(m) == exact._smith_dense(m)
+    assert rank_exact(m) == exact._rank_dense(m)
+
+
+def test_matrices_without_a_unit_entry_keep_their_torsion():
+    assert [smith_normal_form(m) for m in NO_UNIT_ENTRY] == [(2, 2), (1,), (1, 1, 35), (1, 4)]
+    for m in NO_UNIT_ENTRY:
+        units, rest = exact._eliminate_units(m)
+        assert units == 0 and rest == m
+
+
+def test_unit_elimination_pivots_on_fill_in():
+    """[[1, 2], [2, 3]] has one unit entry; clearing its column turns
+    the 3 into -1, a unit pivot that only fill-in creates."""
+    units, rest = exact._eliminate_units(IntMatrix([[1, 2], [2, 3]]))
+    assert units == 2 and rest.shape == (0, 0)
+    # two unit pivots, each changing the row of the 2, leave [[3]]
+    m = IntMatrix([[1, 1, 0], [0, 1, 1], [2, 0, 1]])
+    units, rest = exact._eliminate_units(m)
+    assert units == 2 and rest.rows in (((3,),), ((-3,),))
+    assert smith_normal_form(m) == exact._smith_dense(m) == (1, 1, 3)
+
+
+def test_unit_elimination_leaves_only_live_rows_and_columns():
+    """Rows and columns cleared by the pivots are not in the rest; the
+    entries left are the Schur complement of the pivots."""
+    m = IntMatrix([[1, 1, 0], [1, 3, 0], [0, 0, 0], [0, 0, 4]])
+    units, rest = exact._eliminate_units(m)
+    assert units == 1 and rest.rows == ((2, 0), (0, 4))
+    assert smith_normal_form(m) == (1, 2, 4)
+
+
+def test_unit_elimination_on_cube_boundaries_leaves_nothing():
+    """Cube boundaries are torsion free: every invariant factor is a
+    unit pivot, and their count is the rank."""
+    c = cube(5).to_chain()
+    for i in range(1, 6):
+        b = c.boundary(i)
+        units, rest = exact._eliminate_units(b)
+        assert rest.shape == (0, 0)
+        assert units == exact._rank_dense(b)
+        assert smith_normal_form(b) == (1,) * units
+
+
+def test_sparse_columns_with_and_without_a_row_restriction():
+    m = IntMatrix([[0, 2, 0], [1, 0, 0], [0, -1, 5]])
+    assert exact.sparse_columns(m) == [{1: 1}, {0: 2, 2: -1}, {2: 5}]
+    assert exact.sparse_columns(m, [2, 0]) == [{}, {0: -1, 1: 2}, {0: 5}]
+    assert exact.sparse_columns(IntMatrix([], ncols=2)) == [{}, {}]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellspan import trees
 from cellspan.chain import ChainComplex
 from cellspan.colorful import colorful_complex
 from cellspan.corpus import identity_corpus, mirror_corpus
@@ -118,6 +119,15 @@ def test_brute_cap():
     with pytest.raises(CapExceeded) as e:
         enumerate_trees(TreeQuery(cube(3), 1, cap=10))
     assert e.value.needed == 792
+    assert str(e.value) == "brute-force subset cap: needs 792, cap is 10"
+
+
+def test_matrix_side_cap_names_itself(monkeypatch):
+    monkeypatch.setattr(trees, "MATRIX_SIDE_CAP", 10)
+    with pytest.raises(CapExceeded) as e:
+        tau_matrix_tree(cube(3), 2)
+    assert (e.value.needed, e.value.cap) == (12, 10)
+    assert str(e.value) == "matrix-tree side cap (MATRIX_SIDE_CAP): needs 12, cap is 10"
 
 
 def test_matrix_tree_values():
