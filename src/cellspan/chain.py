@@ -21,6 +21,7 @@ from .exact import (
     LaurentPoly,
     NotIntegral,
     char_poly,
+    char_polys,
     integer_roots,
     rank_exact,
     smith_normal_form,
@@ -28,6 +29,13 @@ from .exact import (
 )
 
 FAMILIES = ("ud", "du", "tot")
+
+# JSON values that parse to Python numbers but are not integers.
+_NOT_INTEGERS = frozenset((float, bool))
+
+# char_polynomials holds Laplacians with at most about this many entries
+# in all before it computes their char polys together.
+_PENDING_ENTRIES = 2**15
 
 
 class ChainError(ValueError):
@@ -423,6 +431,12 @@ class ChainComplex:
         for key, rows in data.get("boundary", {}).items():
             i = int(key)
             ncols = len(cells.get(i, ())) if i != -1 else 0
+            for row in rows:
+                # int() would truncate 1.5 and true to 1, and overflow on
+                # 1e400; decimal strings, as to_json_dict writes, stay
+                if not _NOT_INTEGERS.isdisjoint(map(type, row)):
+                    v = next(v for v in row if type(v) in _NOT_INTEGERS)
+                    raise ChainError(f"boundary {key} entry {v!r} is not an integer")
             bnd[i] = IntMatrix(rows, ncols=ncols)
         return cls(cells, bnd, empty_cell=bool(data.get("empty_cell", False)), check=check)
 
@@ -535,6 +549,32 @@ def isomorphic_under(c1: ChainComplex, c2: ChainComplex, label_map) -> bool:
                 if b1.entry(r, c) != b2.entry(rmap[r] if i > 0 else r, cmap[c]):
                     return False
     return True
+
+
+def char_polynomials(complexes) -> None:
+    """Fill the char poly cache of each complex for every dimension and
+    family, as ChainComplex.char_polynomial would, but computing the char
+    polys of many Laplacians together (exact.char_polys).  Laplacians
+    wait in batches of at most about _PENDING_ENTRIES entries."""
+    slots, laps, entries = [], [], 0
+    for c in complexes:
+        for i in c.homology_range():
+            for family in FAMILIES:
+                if (i, family) in c._chi:
+                    continue
+                lap = c.laplacian(i, family)
+                slots.append((c, (i, family)))
+                laps.append(lap)
+                entries += lap.nrows ** 2
+                if entries > _PENDING_ENTRIES:
+                    _fill(slots, laps)
+                    slots, laps, entries = [], [], 0
+    _fill(slots, laps)
+
+
+def _fill(slots, laps) -> None:
+    for (c, key), chi in zip(slots, char_polys(laps)):
+        c._chi[key] = chi
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ char poly, see char_poly) and to pack the keys of its memo.  Its int64
 intermediates are exact at every side: residues are below 2^27, so each
 product is below 2^54, and every dot product sums at most 511 such
 products before it is reduced mod p (_dot_mod), which stays below 2^63.
+The Hessenberg passes of many matrices of one side run stacked, at most
+_STACK_ENTRIES = 2^14 entries a stack (or one larger matrix), each layer
+with its own prime and pivots; the bounds above hold layer by layer,
+since no operation mixes two layers.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "smith_normal_form",
     "sparse_columns",
     "char_poly",
+    "char_polys",
     "char_poly_interpolate",
     "char_poly_memo",
     "integer_roots",
@@ -74,6 +79,16 @@ def gen_binom(a: int, b: int) -> int:
 # matrices
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _int_row(row) -> tuple:
+    """A row as a tuple of Python ints.  A row of ints is kept as it is:
+    scanning the entry types costs half of calling int() on each."""
+    t = tuple(row)
+    return t if _INT_ONLY.issuperset(map(type, t)) else tuple(map(int, t))
+
+
 class IntMatrix:
     """Immutable dense integer matrix with optional row/column labels.
 
@@ -85,7 +100,7 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols", "row_labels", "col_labels")
 
     def __init__(self, rows, row_labels=None, col_labels=None, ncols: int | None = None):
-        rs = tuple(tuple(map(int, row)) for row in rows)
+        rs = tuple(map(_int_row, rows))
         self.rows = rs
         self.nrows = len(rs)
         if rs:
@@ -654,61 +669,105 @@ def _prime(i: int) -> int:
 # residue stay below 2^63, the int64 limit.
 _DOT_BLOCK = 511
 
+# A stacked Hessenberg pass holds at most this many matrix entries, or
+# one matrix when a single one is larger: enough small matrices to share
+# numpy's per-call cost, few enough that the stack stays in cache.
+_STACK_ENTRIES = 2**14
 
-def _dot_mod(a, b, p: int):
-    """(a @ b) % p for int64 arrays of residues mod p < 2^27, exact at
-    any inner length: the inner dimension (last of a, first of b) is
-    summed in blocks of at most _DOT_BLOCK terms, reduced between
-    blocks."""
+
+def _dot_mod(a, b, p, acc=0):
+    """(acc + a @ b) % p for int64 arrays of residues below 2^27, exact at
+    any inner length: the inner axis (the last of a; the only one of a
+    1-D b, else its second to last) is summed in blocks of at most
+    _DOT_BLOCK terms, reduced between blocks.  p is a prime, or an array
+    of primes, one per layer of a stack, that broadcasts against the
+    product; so does acc."""
     k = a.shape[-1]
     if k <= _DOT_BLOCK:
-        return (a @ b) % p
-    out = (a[..., :_DOT_BLOCK] @ b[:_DOT_BLOCK]) % p
-    for s in range(_DOT_BLOCK, k, _DOT_BLOCK):
-        out = (out + a[..., s:s + _DOT_BLOCK] @ b[s:s + _DOT_BLOCK]) % p
-    return out
+        return (acc + a @ b) % p
+
+    def block(s):
+        cut = slice(s, s + _DOT_BLOCK)
+        return a[..., cut] @ (b[cut] if b.ndim == 1 else b[..., cut, :])
+
+    for s in range(0, k, _DOT_BLOCK):
+        acc = (acc + block(s)) % p
+    return acc
+
+
+def _charpoly_stack(h, p):
+    """det(yI - h[b]) mod p[b] for each layer b of a stack, by the
+    Hessenberg method; a (B, n + 1) int64 array of ascending coefficients.
+
+    h is a (B, n, n) int64 array whose layer b holds residues mod the
+    prime p[b] < 2^27, and is overwritten; p is a (B,) int64 array.
+    Every layer takes its own pivots and is reduced mod its own prime,
+    so the int64 bounds of _dot_mod hold layer by layer.
+    """
+    B, n = h.shape[0], h.shape[1]
+    primes = p.tolist()
+    if len(set(primes)) == 1:
+        p1 = p2 = p[:1].reshape(())  # a 0-d array: numpy's cheapest operand
+    else:
+        p1, p2 = p[:, None], p[:, None, None]
+    # similarity reduction to upper Hessenberg form
+    for k in range(n - 2):
+        piv = h[:, k + 1, k].tolist()
+        if 0 in piv:
+            # the first nonzero below the diagonal moves up to row k + 1;
+            # a layer without one keeps f = 0 and is left unchanged
+            r = (h[:, k + 1:, k] != 0).argmax(axis=1)
+            swap = np.flatnonzero(r)
+            if swap.size:
+                pair = np.stack((np.full(swap.size, k + 1), r[swap] + (k + 1)), axis=1)
+                layer, back = swap[:, None], pair[:, ::-1]
+                h[layer, pair] = h[layer, back]
+                h[layer, :, pair] = h[layer, :, back]
+                piv = h[:, k + 1, k].tolist()
+            if not any(piv):
+                continue
+        inv = np.array([pow(x, -1, q) if x else 0 for x, q in zip(piv, primes)],
+                       dtype=np.int64)
+        f = (h[:, k + 2:, k] * inv[:, None]) % p1
+        if not np.count_nonzero(f):  # cheaper than f.any() on small arrays
+            continue
+        rows = h[:, k + 2:, k:]
+        rows -= f[:, :, None] * h[:, k + 1, None, k:]
+        rows %= p2
+        h[:, :, k + 1] = _dot_mod(h[:, :, k + 2:], f[:, :, None], p2,
+                                  acc=h[:, :, k + 1, None])[..., 0]
+    # p_m(y) = y p_{m-1}(y) + sum_{i<m} h[i,m-1] w_m[i] p_i(y), where
+    # w_m[i] = -prod_{i<j<m} h[j,j-1] mod p (so the i = m - 1 term is
+    # -h[m-1,m-1] p_{m-1}): w_m is w_{m-1} times h[m-1,m-2], then -1
+    P = np.zeros((B, n + 1, n + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
+    w = np.full((B, n), -1, dtype=np.int64)
+    for m in range(1, n + 1):
+        if m >= 2:
+            s = w[:, :m - 1]
+            s *= h[:, m - 1, m - 2, None]
+            s %= p1
+        coef = (h[:, :m, m - 1] * w[:, :m]) % p1
+        pm = P[:, m, :m + 1]
+        pm[:, 1:] = P[:, m - 1, :m]
+        if np.count_nonzero(coef):
+            pm[:] = _dot_mod(coef[:, None, :], P[:, :m, :m + 1], p2, acc=pm[:, None])[:, 0]
+    return P[:, n]
+
+
+def _residues(rows, n: int, p: int, pre=None):
+    """An n x n integer matrix mod p as an int64 array, from its int64
+    entries pre, or from its rows when pre is None."""
+    if pre is not None:
+        return pre % p
+    return np.array([[e % p for e in r] for r in rows], dtype=np.int64).reshape(n, n)
 
 
 def _charpoly_mod(rows, n: int, p: int, pre=None) -> list[int]:
-    """char poly of an n x n integer matrix mod p (Hessenberg method)."""
-    if pre is not None:
-        h = pre % p
-    else:
-        h = np.array([[e % p for e in r] for r in rows], dtype=np.int64)
-    # similarity reduction to upper Hessenberg form
-    for k in range(n - 2):
-        col = h[k + 1:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        r = k + 1 + int(nz[0])
-        if r != k + 1:
-            h[[k + 1, r]] = h[[r, k + 1]]
-            h[:, [k + 1, r]] = h[:, [r, k + 1]]
-        inv = pow(int(h[k + 1, k]), p - 2, p)
-        f = (h[k + 2:, k] * inv) % p
-        if f.any():
-            h[k + 2:, k:] = (h[k + 2:, k:] - f[:, None] * h[k + 1, k:]) % p
-            h[:, k + 1] = (h[:, k + 1] + _dot_mod(h[:, k + 2:], f, p)) % p
-    # p_m(y) = (y - h[m-1,m-1]) p_{m-1} - sum_i h[i-1,m-1] (prod subdiag) p_{i-1}
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    for m in range(1, n + 1):
-        pm = np.zeros(n + 1, dtype=np.int64)
-        pm[1:m + 1] = P[m - 1, 0:m]
-        pm[0:m] = (pm[0:m] - int(h[m - 1, m - 1]) * P[m - 1, 0:m]) % p
-        if m >= 2:
-            beta = np.ones(m - 1, dtype=np.int64)
-            acc = 1
-            for i in range(m - 1, 0, -1):
-                acc = (acc * int(h[i, i - 1])) % p
-                beta[i - 1] = acc
-            coef = (h[0:m - 1, m - 1] * beta) % p
-            if coef.any():
-                corr = _dot_mod(coef, P[0:m - 1, 0:m + 1], p)
-                pm[0:m + 1] = (pm[0:m + 1] - corr) % p
-        P[m] = pm
-    return [int(v) for v in P[n]]
+    """char poly of an n x n integer matrix mod p: one layer of
+    _charpoly_stack."""
+    h = _residues(rows, n, p, pre)[None]
+    return _charpoly_stack(h, np.array([p], dtype=np.int64))[0].tolist()
 
 
 # The memo of the innermost active char_poly_memo block, or None.
@@ -731,7 +790,8 @@ def char_poly_memo():
 
 def _memo_key(m: IntMatrix):
     """Shape plus entries, packed as int8 bytes when every entry fits,
-    else as int64 bytes, else the rows themselves."""
+    else as int64 bytes, else the rows themselves.  The packing is the
+    one int64 conversion of the entries; _unpacked reads them back."""
     try:
         a = np.array(m.rows, dtype=np.int64)
     except OverflowError:
@@ -739,6 +799,16 @@ def _memo_key(m: IntMatrix):
     if a.size and (a.min() < -128 or a.max() > 127):
         return m.shape, "int64", a.tobytes()
     return m.shape, "int8", a.astype(np.int8).tobytes()
+
+
+def _unpacked(key):
+    """The entries packed in a memo key as an n x n int64 array, or None
+    for a key that holds the rows."""
+    (n, _), kind, data = key
+    if kind == "rows":
+        return None
+    return np.frombuffer(data, dtype=np.int8 if kind == "int8" else np.int64
+                         ).astype(np.int64).reshape(n, n)
 
 
 def char_poly(m: IntMatrix) -> IntPoly:
@@ -771,19 +841,39 @@ def char_poly(m: IntMatrix) -> IntPoly:
     integer eigenvalue), CRT goes on from the residues mod p_0 already
     computed.
 
+    char_polys computes many char polys at once: matrices of one side
+    share stacked Hessenberg passes (_charpoly_stack), at most
+    _STACK_ENTRIES = 2^14 entries each, every layer with its own prime
+    and its own pivots, so the int64 bounds above hold in each layer.
+    char_poly(m) is char_polys([m])[0], a stack of one.
+
     Inside a char_poly_memo block a matrix seen before is not
     recomputed.
     """
-    if m.nrows != m.ncols:
+    return char_polys([m])[0]
+
+
+def char_polys(ms) -> list[IntPoly]:
+    """[char_poly(m) for m in ms], computed together.
+
+    Equal matrices are computed once, and inside a char_poly_memo block
+    so is every matrix seen before.  The rest go through the p_0 passes,
+    the one-prime certificate and CRT (see char_poly) as one batch: each
+    stage runs stacked passes over the matrices of one side.  A
+    non-square input raises ValueError before any work is done.
+    """
+    ms = list(ms)
+    if any(m.nrows != m.ncols for m in ms):
         raise ValueError("characteristic polynomial of a non-square matrix")
     memo = _MEMO.get()
-    if memo is None:
-        return _char_poly(m)
-    key = _memo_key(m)
-    chi = memo.get(key)
-    if chi is None:
-        chi = memo[key] = _char_poly(m)
-    return chi
+    known = {} if memo is None else memo
+    keys = [_memo_key(m) for m in ms]
+    todo = {}
+    for key, m in zip(keys, ms):
+        if key not in known:
+            todo.setdefault(key, m)
+    known.update(zip(todo, _char_polys(list(todo.items()))))
+    return [known[key] for key in keys]
 
 
 def _primes_over(x: int) -> list[int]:
@@ -796,25 +886,74 @@ def _primes_over(x: int) -> list[int]:
     return primes
 
 
-def _char_poly(m: IntMatrix) -> IntPoly:
-    n = m.nrows
-    if n == 0:
-        return IntPoly([1])
-    rows = m.rows
-    R = max(sum(abs(v) for v in r) for r in rows)
-    if R == 0:
-        return IntPoly([0] * n + [1])
-    bound = max(gen_binom(n, k) * R**k for k in range(n + 1))
-    primes = _primes_over(2 * bound + 1)
-    pre = np.array(rows, dtype=np.int64) if m.max_abs() < 2**31 else None
-    residues = [_charpoly_mod(rows, n, primes[0], pre=pre)]
-    # 2R < p_0 < 2^27 bounds every entry, so pre is set
-    if len(primes) > 1 and 2 * R < min(primes[0], n * n):
-        chi = _split_char_poly(pre, R, residues[0], primes[0], len(primes) - 1)
-        if chi is not None:
-            return chi
-    residues += [_charpoly_mod(rows, n, p, pre=pre) for p in primes[1:]]
-    return _crt(residues, primes)
+class _Job:
+    """A matrix in char_polys: its side, rows, int64 entries (None
+    unless every entry is below 2^31 in absolute value), largest
+    absolute row sum R and the CRT primes its coefficient bound asks
+    for."""
+
+    __slots__ = ("n", "rows", "pre", "R", "primes")
+
+    def __init__(self, m: IntMatrix, a):
+        self.n = n = m.nrows
+        self.rows = m.rows
+        if a is not None and -2**31 < a.min() and a.max() < 2**31:
+            self.pre = a
+            self.R = int(np.abs(a).sum(axis=1).max())
+        else:
+            self.pre = None
+            self.R = max(sum(map(abs, r)) for r in m.rows)
+        bound = max(gen_binom(n, k) * self.R**k for k in range(n + 1))
+        self.primes = _primes_over(2 * bound + 1)
+
+
+def _char_polys(items) -> list[IntPoly]:
+    """char polys of the matrices of (memo key, matrix) pairs with
+    distinct keys."""
+    out = [None] * len(items)
+    jobs = []
+    for idx, (key, m) in enumerate(items):
+        if m.nrows == 0:
+            out[idx] = IntPoly([1])
+            continue
+        job = _Job(m, _unpacked(key))
+        if job.R == 0:
+            out[idx] = IntPoly([0] * job.n + [1])
+        else:
+            jobs.append((idx, job))
+    p0 = _prime(0)
+    first = _passes([(job, p0) for _, job in jobs])
+    crt = []
+    for (idx, job), chi in zip(jobs, first):
+        # 2R < p_0 < 2^27 bounds every entry, so job.pre is set
+        if len(job.primes) > 1 and 2 * job.R < min(p0, job.n ** 2):
+            out[idx] = _split_char_poly(job.pre, job.R, chi, p0, len(job.primes) - 1)
+        if out[idx] is None:
+            crt.append((idx, job, chi))
+    rest = iter(_passes([(job, p) for _, job, _ in crt for p in job.primes[1:]]))
+    for idx, job, chi in crt:
+        out[idx] = _crt([chi] + [next(rest) for _ in job.primes[1:]], job.primes)
+    return out
+
+
+def _passes(pairs) -> list:
+    """det(yI - m) mod p, ascending, for each (job, p) pair, in order.
+    The pairs of one side run together, in stacked passes of at most
+    _STACK_ENTRIES entries or of one matrix."""
+    out = [None] * len(pairs)
+    sides: dict = {}
+    for idx, (job, _) in enumerate(pairs):
+        sides.setdefault(job.n, []).append(idx)
+    for n, idxs in sides.items():
+        step = max(1, _STACK_ENTRIES // (n * n))
+        for s in range(0, len(idxs), step):
+            part = idxs[s:s + step]
+            chunk = [pairs[i] for i in part]
+            h = np.stack([_residues(job.rows, n, p, job.pre) for job, p in chunk])
+            primes = np.array([p for _, p in chunk], dtype=np.int64)
+            for i, chi in zip(part, _charpoly_stack(h, primes).tolist()):
+                out[i] = chi
+    return out
 
 
 def _crt(residues, primes) -> IntPoly:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .chain import (alternating_ud_holds, euler_identity_holds, product,
-                    tot_split_holds, ud_du_shift_holds)
+from .chain import (alternating_ud_holds, char_polynomials,
+                    euler_identity_holds, product, tot_split_holds,
+                    ud_du_shift_holds)
 from .colorful import (colorful_complex, colorful_etot, colorful_omega,
                        colorful_tree_count, cross_polytope_cube_duality,
                        weighted_duality_check)
@@ -65,6 +66,7 @@ def _agg(name: str, failures: list, scope: str, hard: bool = True) -> Check:
 
 def spectral_identity_failures(items) -> list:
     bad = []
+    char_polynomials([c for _, c in items])
     for name, c in items:
         lo = -1 if c.empty_cell else 0
         for i in range(lo, c.dim + 1):

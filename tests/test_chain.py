@@ -9,10 +9,12 @@ from cellspan.corpus import identity_corpus, mirror_corpus
 from cellspan.corpus import rp2 as rp2_model
 from cellspan.cubical import cube, mirror
 from cellspan.chain import (
+    FAMILIES,
     ChainComplex,
     ChainError,
     HomologySummary,
     alternating_ud_holds,
+    char_polynomials,
     disjoint_union,
     euler_identity_holds,
     isomorphic_under,
@@ -20,7 +22,7 @@ from cellspan.chain import (
     tot_split_holds,
     ud_du_shift_holds,
 )
-from cellspan.exact import IntMatrix, LaurentPoly, NotIntegral
+from cellspan.exact import IntMatrix, LaurentPoly, NotIntegral, char_poly_memo
 
 
 def edge():
@@ -371,3 +373,15 @@ def test_homology_of_the_corpus_matches_the_dense_oracle():
             assert h == _dense_homology(c, i), (name, i)
             torsion_seen |= h.torsion > 1
     assert torsion_seen
+
+
+def test_char_polynomials_match_char_polynomial_on_the_corpus():
+    """The batched fill, outside any memo and over several flushes, leaves
+    the same char polys as char_polynomial on fresh copies."""
+    items = identity_corpus()
+    char_polynomials([c for _, c in items])
+    with char_poly_memo():
+        for (name, c), (_, fresh) in zip(items, identity_corpus()):
+            want = {(i, fam): fresh.char_polynomial(i, fam)
+                    for i in fresh.homology_range() for fam in FAMILIES}
+            assert c._chi == want, name

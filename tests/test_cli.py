@@ -225,6 +225,21 @@ def test_malformed_boundary_entries_exit_2(capsys, tmp_path, rows, message):
     assert err == f"error: invalid complex in {p}: {want}\n"
 
 
+@pytest.mark.parametrize("command", [("homology",), ("spectrum", "--dim", "0")])
+@pytest.mark.parametrize("literal, shown", [("1.5", "1.5"), ("true", "True"),
+                                            ("1e400", "inf")])
+def test_non_integer_boundary_entries_exit_2(capsys, tmp_path, command, literal, shown):
+    """A JSON float or boolean is no boundary entry: 1.5 and true are
+    not truncated to 1, and 1e400 (a float infinity) does not crash."""
+    p = tmp_path / "bad.json"
+    p.write_text('{"cells": [["a", "b"], ["e"]], '
+                 f'"boundary": {{"1": [["-1"], [{literal}]]}}}}')
+    rc, out, err = run(capsys, command[0], "--input", str(p), *command[1:])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: invalid complex in {p}: "
+                   f"boundary 1 entry {shown} is not an integer\n")
+
+
 def test_cap_exceeded_exits_3(capsys):
     rc, _, err = run(capsys, "trees", "--input", "cube:3", "--k", "1",
                      "--method", "brute", "--cap", "5")

@@ -469,6 +469,25 @@ def test_dot_mod_short_sums_are_one_product():
     assert int(exact._dot_mod(a, a, p)) == int((a @ a) % p) == 511 * (p - 1) ** 2 % p
 
 
+def test_dot_mod_stacks_with_a_prime_per_layer():
+    """Three layers, each with its own prime, inner length 1100: the
+    unblocked int64 sums wrap, the blocked ones agree with Python ints
+    layer by layer (blocks cut the inner axis, not the stack)."""
+    primes = [exact._prime(i) for i in range(3)]
+    rng = random.Random(11)
+    a = np.array([[[rng.choice((q - 1, rng.randrange(q))) for _ in range(1100)]
+                   for _ in range(2)] for q in primes], dtype=np.int64)
+    b = np.array([[[q - 1, rng.randrange(q)] for _ in range(1100)] for q in primes],
+                 dtype=np.int64)
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    want = [[[sum(x * y for x, y in zip(row, col)) % q for col in zip(*bl.tolist())]
+             for row in al.tolist()] for al, bl, q in zip(a, b, primes)]
+    assert ((a @ b) % p).tolist() != want
+    assert exact._dot_mod(a, b, p).tolist() == want
+    # a stack of vectors times a stack of matrices, as the Hessenberg pass uses it
+    assert exact._dot_mod(a[:, :1], b, p).tolist() == [w[:1] for w in want]
+
+
 @st.composite
 def symmetric_int_matrices(draw, max_side=8):
     """Symmetric integer matrices of side 0..max_side; some entries
@@ -567,12 +586,153 @@ def test_char_poly_memo_is_dropped_on_exit_and_on_raise():
 
 
 # ---------------------------------------------------------------------------
+# char_polys: many char polys in stacked passes, against one at a time and
+# interpolation
+
+
+def _sparse_square(draw, n, density=3):
+    """An n x n matrix with entries in -3..3, about one in density
+    nonzero, so that pivots and zero columns vary from matrix to matrix."""
+    return IntMatrix([[draw(st.integers(-3, 3)) if draw(st.integers(0, density - 1)) == 0
+                       else 0 for _ in range(n)] for _ in range(n)], ncols=n)
+
+
+@st.composite
+def char_poly_batches(draw):
+    """Mixed batches: sides 0..7, sparse and symmetric matrices, zero
+    matrices, an entry of 2^31 or more (no int64 set-up), and duplicates."""
+    batch = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("sparse", "symmetric", "zero", "wide")))
+        n = draw(st.integers(0, 7))
+        if kind == "sparse":
+            m = _sparse_square(draw, n)
+        elif kind == "symmetric":
+            m = draw(symmetric_int_matrices(max_side=7))
+        elif kind == "zero":
+            m = IntMatrix.zeros(n, n)
+        else:
+            m = _sparse_square(draw, max(n, 1))
+            rows = [list(r) for r in m.rows]
+            rows[0][-1] = draw(st.sampled_from((2**31, -2**31, 2**40 + 1)))
+            m = IntMatrix(rows)
+        batch.append(m)
+    dups = draw(st.lists(st.sampled_from(range(len(batch))), max_size=4))
+    return batch + [IntMatrix(batch[i].rows, ncols=batch[i].ncols) for i in dups]
+
+
+@settings(max_examples=60, deadline=None)
+@given(char_poly_batches(), st.booleans())
+# side 0, a zero matrix, an entry of 2^31 and a duplicate, in one batch
+@example([IntMatrix([], ncols=0), IntMatrix.zeros(3, 3), IntMatrix([[2**31, 1], [0, 2]]),
+          IntMatrix([[1, 2], [3, 4]]), IntMatrix([[1, 2], [3, 4]])], True)
+def test_char_polys_against_interpolation(batch, memo):
+    want = [char_poly_interpolate(m) for m in batch]
+    if memo:
+        with char_poly_memo():
+            char_poly(batch[-1])
+            got = exact.char_polys(batch)
+            assert exact.char_polys(batch) == got
+    else:
+        got = exact.char_polys(batch)
+    assert got == want
+    assert exact.char_polys([]) == []
+
+
+def _stack_shapes(fn):
+    """fn(), with the shapes of the stacks _charpoly_stack was given."""
+    shapes = []
+    real = exact._charpoly_stack
+
+    def spy(h, p):
+        shapes.append(h.shape)
+        return real(h, p)
+
+    with mock.patch.object(exact, "_charpoly_stack", spy):
+        out = fn()
+    return out, shapes
+
+
+def test_char_polys_cross_the_stack_bound():
+    """70 distinct matrices of side 16 fill a stack of 2^14 / 16^2 = 64
+    and start another; side 130 (over 2^14 entries) runs one at a time.
+    Every result equals the one-at-a-time char poly."""
+    rng = random.Random(3)
+    small = [IntMatrix([[rng.choice((0, 0, 1, -1, 2)) for _ in range(16)] for _ in range(16)])
+             for _ in range(70)]
+    large = [IntMatrix([[rng.choice((0, 0, 0, 1)) for _ in range(130)] for _ in range(130)])
+             for _ in range(2)]
+    batch = small + large
+    got, shapes = _stack_shapes(lambda: exact.char_polys(batch))
+    assert (64, 16, 16) in shapes and (6, 16, 16) in shapes
+    assert max(b * n * n for b, n, _ in shapes if b > 1) <= exact._STACK_ENTRIES
+    assert {s for s in shapes if s[1] == 130} == {(1, 130, 130)}
+    assert got == [char_poly(m) for m in batch]
+
+
+def test_char_polys_stack_layers_with_their_own_primes():
+    """One CRT stack holds the second and third primes of different
+    matrices of one side; each layer is reduced mod its own prime."""
+    rng = random.Random(8)
+    batch = [IntMatrix([[rng.randrange(-10**e, 10**e + 1) for _ in range(5)] for _ in range(5)])
+             for e in (1, 3, 5, 7)]
+    got, shapes = _stack_shapes(lambda: exact.char_polys(batch))
+    assert shapes[0] == (4, 5, 5) and len(shapes) == 2 and shapes[1][0] > 4
+    assert got == [char_poly_interpolate(m) for m in batch]
+
+
+def test_stacked_pass_pivots_each_layer_on_its_own():
+    """Layer 0 needs no swap, layer 1 swaps rows 1 and 2, layer 2 rows 1
+    and 3, layer 3 has a zero first column; each layer has its own prime.
+    Swapping any layer by another's pivot row leaves a zero pivot above
+    a nonzero, so every layer must match its pass on its own."""
+    cols = ([4, 3, 0, 0, 1], [4, 0, 5, 0, 1], [4, 0, 0, 7, 1], [0, 0, 0, 0, 0])
+    mats = []
+    for layer, col in enumerate(cols):
+        rows = [[col[i] if j == 0 else (i + 2 * j + layer) % 5 - 2 for j in range(5)]
+                for i in range(5)]
+        mats.append(IntMatrix(rows))
+    primes = [exact._prime(i) for i in (0, 1, 2, 0)]
+    h = np.array([[[v % q for v in r] for r in m.rows] for m, q in zip(mats, primes)],
+                 dtype=np.int64)
+    got = exact._charpoly_stack(h, np.array(primes, dtype=np.int64)).tolist()
+    for m, q, chi in zip(mats, primes, got):
+        assert chi == exact._charpoly_mod(m.rows, 5, q)
+        assert chi == [c % q for c in char_poly_interpolate(m).coeffs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stacked_pass_against_interpolation(data):
+    """Random sparse matrices of one side, stacked with random primes:
+    each layer equals det(yI - m) mod its prime."""
+    n = data.draw(st.integers(1, 7))
+    mats = [_sparse_square(data.draw, n) for _ in range(data.draw(st.integers(1, 6)))]
+    primes = [data.draw(st.sampled_from((exact._prime(0), exact._prime(3), 101, 7)))
+              for _ in mats]
+    h = np.array([[[v % q for v in r] for r in m.rows] for m, q in zip(mats, primes)],
+                 dtype=np.int64).reshape(len(mats), n, n)
+    got = exact._charpoly_stack(h, np.array(primes, dtype=np.int64)).tolist()
+    assert got == [[c % q for c in char_poly_interpolate(m).coeffs]
+                   for m, q in zip(mats, primes)]
+
+
+def test_char_polys_rejects_a_non_square_input_before_any_work():
+    spy = mock.Mock(side_effect=exact._charpoly_stack)
+    with char_poly_memo(), mock.patch.object(exact, "_charpoly_stack", spy):
+        with pytest.raises(ValueError, match="non-square"):
+            exact.char_polys([IntMatrix([[2, 1], [1, 2]]), IntMatrix([[1, 2]])])
+        assert exact._MEMO.get() == {}
+    assert spy.call_count == 0
+
+
+# ---------------------------------------------------------------------------
 # the char poly certified from one prime, against CRT alone and interpolation
 
 
 def _crt_only(m):
     with mock.patch.object(exact, "_split_char_poly", return_value=None):
-        return exact._char_poly(m)
+        return char_poly(m)
 
 
 def _split(m, p=None, budget=10**9):
