@@ -38,6 +38,14 @@ _NOT_INTEGERS = frozenset((float, bool))
 _PENDING_ENTRIES = 2**15
 
 
+def as_int(v, what: str) -> int:
+    """int(v), refusing floats and booleans (as JSON numbers give
+    them): int() would truncate 1.5 and true to 1."""
+    if type(v) in _NOT_INTEGERS:
+        raise ValueError(f"{what} {v!r} is not an integer")
+    return int(v)
+
+
 class ChainError(ValueError):
     """Boundary composition or shape failure; carries (i, row, col)."""
 
@@ -68,9 +76,8 @@ class SpectrumGF:
     """Exact spectrum of one Laplacian: eigenvalue -> multiplicity.
 
     When the spectrum is not integral, `eigs` is a NotIntegral marker
-    carrying the characteristic polynomial; every comparison method
-    falls back to characteristic polynomials so non-integral spectra
-    are first-class values, never errors.
+    carrying the characteristic polynomial, so non-integral spectra are
+    first-class values, never errors.
     """
 
     __slots__ = ("dim", "family", "eigs", "size", "_chi")
@@ -88,10 +95,6 @@ class SpectrumGF:
     def charpoly(self) -> IntPoly:
         return self._chi
 
-    def stripped_charpoly(self) -> IntPoly:
-        """Characteristic polynomial with all zero roots removed."""
-        return self._chi.strip_valuation()
-
     def items(self):
         if not self.is_integral():
             raise ValueError("spectrum is not integral")
@@ -106,18 +109,6 @@ class SpectrumGF:
 
     def nonzero_multiset(self) -> tuple:
         return tuple(x for x in self.multiset() if x)
-
-    def q_poly(self) -> LaurentPoly:
-        """Sum of q^eigenvalue over the spectrum, multiplicities counted."""
-        return LaurentPoly(("q",), {(lam,): m for lam, m in self.items()})
-
-    def q_poly_nonzero(self) -> LaurentPoly:
-        p = self.q_poly()
-        return LaurentPoly(("q",), {e: c for e, c in p.terms.items() if e != (0,)})
-
-    def dot_equal(self, other: "SpectrumGF") -> bool:
-        """Equality of nonzero eigenvalue multisets (works non-integrally)."""
-        return self.stripped_charpoly() == other.stripped_charpoly()
 
     def __repr__(self):
         tag = f"s^{self.family}_{self.dim}"
@@ -272,9 +263,6 @@ class ChainComplex:
     def is_apc(self) -> bool:
         """All reduced Betti numbers vanish below the top dimension."""
         return all(self.betti(j) == 0 for j in self.homology_range() if j < self.dim)
-
-    def apc_below(self, k: int) -> bool:
-        return all(self.betti(j) == 0 for j in self.homology_range() if j < k)
 
     def z_apc_below(self, k: int) -> bool:
         """Vanishing integer homology (Betti and torsion) below k."""
@@ -454,6 +442,30 @@ class ChainComplex:
 # constructions
 
 
+def simplicial(faces_by_dim: dict, empty_cell: bool) -> ChainComplex:
+    """Chain complex of a simplicial complex given as {dim: vertex
+    tuples}.  The stored order of the tuples is the cell order and the
+    orientation: dropping the r-th vertex (0-based) enters the boundary
+    with sign (-1)^r, and a cell's label joins its vertices with '-'.
+    With empty_cell the (-1)-cell and its augmentation row are stored."""
+    cells = {d: tuple("-".join(map(str, f)) for f in fs)
+             for d, fs in faces_by_dim.items()}
+    bnd = {}
+    if empty_cell:
+        bnd[0] = IntMatrix([[1] * len(faces_by_dim[0])])
+    for d in sorted(faces_by_dim):
+        if d == 0:
+            continue
+        rows_idx = {f: r for r, f in enumerate(faces_by_dim[d - 1])}
+        cols = faces_by_dim[d]
+        rows = [[0] * len(cols) for _ in rows_idx]
+        for ci, face in enumerate(cols):
+            for r in range(len(face)):
+                rows[rows_idx[face[:r] + face[r + 1:]]][ci] = -1 if r % 2 else 1
+        bnd[d] = IntMatrix(rows, ncols=len(cols))
+    return ChainComplex(cells, bnd, empty_cell=empty_cell)
+
+
 def disjoint_union(c1: ChainComplex, c2: ChainComplex) -> ChainComplex:
     """Block sum.  Only defined for complexes without (-1)-cells (two
     empty cells cannot coexist in one complex)."""
@@ -559,10 +571,14 @@ def char_polynomials(complexes) -> None:
     slots, laps, entries = [], [], 0
     for c in complexes:
         for i in c.homology_range():
+            made: dict = {}
             for family in FAMILIES:
                 if (i, family) in c._chi:
                     continue
-                lap = c.laplacian(i, family)
+                # tot is ud + du; add the two just built, if both were
+                lap = (made["ud"] + made["du"] if len(made) == 2
+                       else c.laplacian(i, family))
+                made[family] = lap
                 slots.append((c, (i, family)))
                 laps.append(lap)
                 entries += lap.nrows ** 2

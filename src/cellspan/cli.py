@@ -13,12 +13,12 @@ import json
 import os
 import sys
 
-from .chain import ChainComplex, ChainError
+from .chain import ChainComplex, ChainError, as_int
 from .colorful import (colorful_complex, colorful_etot, colorful_omega,
                        colorful_spec_poly, colorful_tree_count,
                        cross_polytope_cube_duality, weighted_duality_check)
 from .corpus import rp2
-from .cubical import CubicalComplex, cube, mirror, shifted_spectrum
+from .cubical import CubicalComplex, cube, mirror, shifted_spectrum, spectrum_direct
 from .trees import (BRUTE_CAP, CapExceeded, TreeQuery, _as_chain,
                     f_recurrence_check, run_query, verify_conjecture)
 from .verify import SUITES
@@ -71,8 +71,8 @@ def _read_json(path: str) -> dict:
 
 def _mirror_from_dict(data: dict) -> CubicalComplex:
     try:
-        n = int(data["vertices"])
-        facets = [tuple(int(v) for v in f) for f in data["facets"]]
+        n = as_int(data["vertices"], "vertex count")
+        facets = [tuple(as_int(v, "facet vertex") for v in f) for f in data["facets"]]
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"mirror input needs vertices and facets: {e}")
     try:
@@ -322,14 +322,12 @@ def cmd_dual(args) -> int:
 
 def cmd_shifted_check(args) -> int:
     x = _need_cubical(load_input(args.input))
-    c = x.to_chain()
     out = {"is_shifted": x.is_shifted(), "pure": x.is_pure()}
-    if c.dim >= 1:
-        s = c.spectrum(c.dim - 1, "ud")
-        out["direct"] = (sorted(s.nonzero_multiset(), reverse=True)
-                         if s.is_integral() else None)
-    else:
-        out["direct"] = []
+    try:
+        out["direct"] = list(spectrum_direct(x))
+    except ValueError:
+        # a non-integral spectrum has no integer sequence
+        out["direct"] = None
     try:
         rec = list(shifted_spectrum(x))
         out["recursion"] = rec

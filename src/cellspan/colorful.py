@@ -13,9 +13,9 @@ import math
 import random
 from fractions import Fraction
 
-from .chain import ChainComplex
+from .chain import ChainComplex, simplicial
 from .cubical import cube, weight_vars, weighted_total_laplacian, xi_weight
-from .exact import IntMatrix, LaurentPoly, char_poly, gen_binom
+from .exact import IntMatrix, LaurentPoly, char_poly, gen_binom, ring_laplacian
 from .trees import cst_target_size, is_cst
 
 FACE_CAP = 4096
@@ -58,10 +58,6 @@ class ColorfulSpec:
                      for j in range(1, self.a[i - 1] + 1))
 
 
-def _face_label(vs) -> str:
-    return "-".join(vs)
-
-
 def colorful_complex(a, cap: int = FACE_CAP) -> ChainComplex:
     """Simplicial chain complex with the empty cell stored, so all
     homology is reduced and the bottom Laplacian sees the augmentation."""
@@ -79,18 +75,7 @@ def colorful_complex(a, cap: int = FACE_CAP) -> ChainComplex:
             for js in itertools.product(*[range(1, spec.a[k - 1] + 1) for k in ks]):
                 faces.append(tuple(spec.vertex(k, j) for k, j in zip(ks, js)))
         by_dim[d] = faces
-    cells = {d: tuple(_face_label(f) for f in fs) for d, fs in by_dim.items()}
-    bnd = {0: IntMatrix([[1] * len(by_dim[0])], ncols=len(by_dim[0]))}
-    for d in range(1, spec.n):
-        rows_idx = {f: r for r, f in enumerate(by_dim[d - 1])}
-        cols = by_dim[d]
-        rows = [[0] * len(cols) for _ in rows_idx]
-        for ci, face in enumerate(cols):
-            for r in range(len(face)):
-                sub = face[:r] + face[r + 1:]
-                rows[rows_idx[sub]][ci] = -1 if r % 2 else 1
-        bnd[d] = IntMatrix(rows, ncols=len(cols))
-    return ChainComplex(cells, bnd, empty_cell=True)
+    return simplicial(by_dim, empty_cell=True)
 
 
 def colorful_spec_poly(a) -> LaurentPoly:
@@ -188,9 +173,8 @@ def colorful_gf_identity_holds(a) -> bool:
 def cube_face_to_simplex(spec: ColorfulSpec, f: str) -> str:
     """Pinned coordinates pick one vertex per class: 0 the first, 1 the
     second.  The all-star face maps to the empty cell (empty label)."""
-    vs = [spec.vertex(pos + 1, int(c) + 1)
-          for pos, c in enumerate(f) if c != "*"]
-    return _face_label(vs)
+    return "-".join(spec.vertex(pos + 1, int(c) + 1)
+                    for pos, c in enumerate(f) if c != "*")
 
 
 def _sign_consistent_pairing(qc: ChainComplex, xc: ChainComplex, n: int,
@@ -253,6 +237,22 @@ def _sign_consistent_pairing(qc: ChainComplex, xc: ChainComplex, n: int,
     return True
 
 
+def unrank_combination(n: int, k: int, index: int) -> tuple:
+    """The k-subset of range(n) at the given position (0-based) in
+    itertools.combinations order."""
+    out = []
+    x = 0
+    while len(out) < k:
+        # subsets with the next element x come before those without it
+        c = math.comb(n - x - 1, k - len(out) - 1)
+        if index < c:
+            out.append(x)
+        else:
+            index -= c
+        x += 1
+    return tuple(out)
+
+
 def cross_polytope_cube_duality(n: int, tree_samples: int = 200,
                                 seed: int = 0, cap: int = 5) -> dict:
     """Spectra, the explicit face pairing, and tree complementation
@@ -282,10 +282,15 @@ def cross_polytope_cube_duality(n: int, tree_samples: int = 200,
             continue
         q_cells = qc.labels(k)
         size = cst_target_size(qc.skeleton(k), k)
-        all_t = list(itertools.combinations(range(len(q_cells)), size))
-        if len(all_t) > tree_samples:
-            all_t = rng.sample(all_t, tree_samples)
-        for idx in all_t:
+        total = math.comb(len(q_cells), size)
+        if total > tree_samples:
+            # the positions random.sample draws from the list of all
+            # subsets, without building it
+            picks = [unrank_combination(len(q_cells), size, j)
+                     for j in rng.sample(range(total), tree_samples)]
+        else:
+            picks = itertools.combinations(range(len(q_cells)), size)
+        for idx in picks:
             chosen = set(idx)
             t_cells = [q_cells[j] for j in idx]
             rest = [face_map[q_cells[j]] for j in range(len(q_cells))
@@ -303,21 +308,10 @@ def cross_polytope_cube_duality(n: int, tree_samples: int = 200,
 # weighted duality at rational points
 
 
-def _frac_matmul(a, b):
-    return [[sum(a[r][t] * b[t][c] for t in range(len(b)))
-             for c in range(len(b[0]))] for r in range(len(a))]
-
-
-def _frac_transpose(a):
-    return [[a[r][c] for r in range(len(a))] for c in range(len(a[0]))]
-
-
 def _weighted_tot_fraction(c: ChainComplex, i: int, wt_by_dim: dict):
     """Total Laplacian with algebraic cell weights given as Fractions
     per dimension (lists aligned with stored labels)."""
     lo = -1 if c.empty_cell else 0
-    size = c.n_cells(i)
-    tot = [[Fraction(0)] * size for _ in range(size)]
 
     def wb(j):
         b = c.boundary(j)
@@ -325,17 +319,9 @@ def _weighted_tot_fraction(c: ChainComplex, i: int, wt_by_dim: dict):
         return [[Fraction(b.entry(r, s)) * wc[s] / wr[r]
                  for s in range(b.ncols)] for r in range(b.nrows)]
 
-    if i + 1 <= c.dim:
-        up = wb(i + 1)
-        ut = _frac_transpose(up)
-        p = _frac_matmul(up, ut)
-        tot = [[tot[r][s] + p[r][s] for s in range(size)] for r in range(size)]
-    if i >= lo + 1:
-        down = wb(i)
-        dt = _frac_transpose(down)
-        p = _frac_matmul(dt, down)
-        tot = [[tot[r][s] + p[r][s] for s in range(size)] for r in range(size)]
-    return tot
+    return ring_laplacian(c.n_cells(i), Fraction(0),
+                          wb(i + 1) if i + 1 <= c.dim else None,
+                          wb(i) if i >= lo + 1 else None)
 
 
 def frac_char_poly(m) -> list:

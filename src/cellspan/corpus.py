@@ -14,13 +14,12 @@ import itertools
 import random
 from fractions import Fraction
 
-from .chain import ChainComplex
+from .chain import ChainComplex, simplicial
 from .colorful import colorful_complex, frac_char_poly
 from .cubical import (CubicalComplex, algebraic_boundary, cube,
-                      cube_weighted_tot_eigenvalues, laurent_is_zero,
-                      laurent_matmul, mirror, weight_vars,
-                      weighted_total_laplacian)
-from .exact import IntMatrix
+                      cube_weighted_tot_eigenvalues, laurent_is_zero, mirror,
+                      mirror_on, weight_vars, weighted_total_laplacian)
+from .exact import IntMatrix, ring_matmul
 
 
 def rp2() -> ChainComplex:
@@ -100,23 +99,7 @@ def simplicial_chain(family, empty_cell: bool = True) -> ChainComplex:
         by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
     for fs in by_dim.values():
         fs.sort()
-    cells = {d: tuple("-".join(map(str, f)) for f in fs)
-             for d, fs in by_dim.items()}
-    bnd = {}
-    if empty_cell and 0 in by_dim:
-        bnd[0] = IntMatrix([[1] * len(by_dim[0])], ncols=len(by_dim[0]))
-    for d in sorted(by_dim):
-        if d == 0:
-            continue
-        rows_idx = {f: r for r, f in enumerate(by_dim[d - 1])}
-        cols = by_dim[d]
-        rows = [[0] * len(cols) for _ in rows_idx]
-        for ci, face in enumerate(cols):
-            for r in range(len(face)):
-                sub = face[:r] + face[r + 1:]
-                rows[rows_idx[sub]][ci] = -1 if r % 2 else 1
-        bnd[d] = IntMatrix(rows, ncols=len(cols))
-    return ChainComplex(cells, bnd, empty_cell=empty_cell and 0 in by_dim)
+    return simplicial(by_dim, empty_cell and 0 in by_dim)
 
 
 def is_dominance_closed(family, n: int) -> bool:
@@ -135,19 +118,6 @@ def shifted_families(n: int) -> list:
     singles = [frozenset((v,)) for v in range(1, n + 1)]
     return [f for f in simplicial_families(n)
             if all(s in f for s in singles) and is_dominance_closed(f, n)]
-
-
-def mirror_on(universe, family) -> CubicalComplex:
-    """Mirror over an arbitrary direction universe; the empty set is
-    always a direction set, so every 0/1 word appears."""
-    u = tuple(universe)
-    fs = set()
-    for s in set(family) | {frozenset()}:
-        free = [d for d in u if d not in s]
-        for bits in itertools.product("01", repeat=len(free)):
-            pin = dict(zip(free, bits))
-            fs.add("".join("*" if d in s else pin[d] for d in u))
-    return CubicalComplex(u, fs, closed=True)
 
 
 def mirror_corpus(nmax: int = 4) -> list:
@@ -243,8 +213,8 @@ def identity_corpus(mirror_max: int = 4, colorful_max: int = 9,
 def cube_algebraic_dd_zero(n: int) -> bool:
     x = cube(n)
     for i in range(1, n):
-        if not laurent_is_zero(laurent_matmul(algebraic_boundary(x, i),
-                                              algebraic_boundary(x, i + 1))):
+        if not laurent_is_zero(ring_matmul(algebraic_boundary(x, i),
+                                           algebraic_boundary(x, i + 1))):
             return False
     return True
 

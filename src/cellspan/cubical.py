@@ -12,10 +12,15 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 
-from .chain import ChainComplex
-from .exact import IntMatrix, IntPoly, LaurentPoly, gen_binom
+from .chain import ChainComplex, as_int
+from .exact import (IntMatrix, IntPoly, LaurentPoly, gen_binom, ring_laplacian,
+                    ring_matmul)
 
 _RANK = {"0": 0, "1": 1, "*": 2}
+
+# Most faces a complex built from a face list or a mirror may have: those
+# of the 10-cube, the largest cube the command line builds.
+FACE_CAP = 3 ** 10
 
 
 def face_key(f: str):
@@ -26,20 +31,59 @@ def face_dim(f: str) -> int:
     return f.count("*")
 
 
+def pinned_once(faces) -> set:
+    """Every face with one star pinned to 0 or to 1: the faces that lie
+    in a larger face."""
+    out = set()
+    for g in faces:
+        for j, c in enumerate(g):
+            if c == "*":
+                out.add(g[:j] + "0" + g[j + 1:])
+                out.add(g[:j] + "1" + g[j + 1:])
+    return out
+
+
 def closure_of(faces) -> frozenset:
     """Downward closure: every * may be pinned to 0 or to 1."""
-    seen = set()
-    stack = list(faces)
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        for j, c in enumerate(f):
+    seen = new = frozenset(faces)
+    while new:
+        new = pinned_once(new) - seen
+        seen |= new
+    return seen
+
+
+def _check_face_bound(bound: int) -> None:
+    if bound > FACE_CAP:
+        raise ValueError(f"up to {bound} faces exceed cap {FACE_CAP}")
+
+
+def dirset_faces(universe, dirs):
+    """The cube faces over the universe whose stars are exactly the
+    given directions: every 0/1 pinning of the other directions."""
+    free = [d for d in universe if d not in dirs]
+    for bits in itertools.product("01", repeat=len(free)):
+        pin = dict(zip(free, bits))
+        yield "".join("*" if d in dirs else pin[d] for d in universe)
+
+
+def _boundary_rows(x, i: int, zero, units) -> list:
+    """Rows of the boundary from the i-faces to the (i-1)-faces of x,
+    over the ring of `zero`.  Pinning the j-th star of g (1-based), in
+    universe position pos, to 0 or to 1 enters (-1)^j e0 or -(-1)^j e1,
+    where (e0, e1) = units[pos]."""
+    rows_idx = {f: r for r, f in enumerate(x.faces_of_dim(i - 1))}
+    cols = x.faces_of_dim(i)
+    rows = [[zero] * len(cols) for _ in rows_idx]
+    for ci, g in enumerate(cols):
+        j = 0
+        for pos, c in enumerate(g):
             if c == "*":
-                stack.append(f[:j] + "0" + f[j + 1:])
-                stack.append(f[:j] + "1" + f[j + 1:])
-    return frozenset(seen)
+                j += 1
+                s = -1 if j % 2 else 1
+                e0, e1 = units[pos]
+                rows[rows_idx[g[:pos] + "0" + g[pos + 1:]]][ci] = s * e0
+                rows[rows_idx[g[:pos] + "1" + g[pos + 1:]]][ci] = -s * e1
+    return rows
 
 
 def sign(f: str, g: str) -> int:
@@ -73,16 +117,21 @@ class CubicalComplex:
     """Immutable set of cube faces closed under pinning stars."""
 
     def __init__(self, universe, faces, closed: bool = False):
-        u = tuple(sorted(set(int(d) for d in universe)))
+        """Without closed, the faces are closed downward here, to at
+        most FACE_CAP faces.  The bound, checked before building, sums
+        3^stars over the given faces, leaving out each that is another
+        given face with one star pinned."""
+        u = tuple(sorted({as_int(d, "universe entry") for d in universe}))
         if any(d <= 0 for d in u):
             raise ValueError("directions are positive integers")
         self.universe = u
         fs = set()
         for f in faces:
-            f = str(f)
-            if len(f) != len(u) or any(c not in _RANK for c in f):
+            if not isinstance(f, str) or len(f) != len(u) or any(c not in _RANK for c in f):
                 raise ValueError(f"malformed face {f!r} for universe {u}")
             fs.add(f)
+        if not closed:
+            _check_face_bound(sum(3 ** face_dim(f) for f in fs - pinned_once(fs)))
         self.faces = frozenset(fs) if closed else closure_of(fs)
         self._by_dim: dict = {}
         self._chain = None
@@ -127,12 +176,7 @@ class CubicalComplex:
 
     def facets(self) -> tuple:
         """Maximal faces, sorted by dimension then cell order."""
-        non_max = set()
-        for g in self.faces:
-            for j, c in enumerate(g):
-                if c == "*":
-                    non_max.add(g[:j] + "0" + g[j + 1:])
-                    non_max.add(g[:j] + "1" + g[j + 1:])
+        non_max = pinned_once(self.faces)
         out = [f for f in self.faces if f not in non_max]
         return tuple(sorted(out, key=lambda f: (face_dim(f), face_key(f))))
 
@@ -145,20 +189,9 @@ class CubicalComplex:
                 fs = self.faces_of_dim(i)
                 if fs:
                     cells[i] = fs
-            bnd = {}
-            for i in range(1, self.dim + 1):
-                rows_idx = {f: r for r, f in enumerate(self.faces_of_dim(i - 1))}
-                cols = self.faces_of_dim(i)
-                rows = [[0] * len(cols) for _ in rows_idx]
-                for ci, g in enumerate(cols):
-                    j = 0
-                    for pos, c in enumerate(g):
-                        if c == "*":
-                            j += 1
-                            s = -1 if j % 2 else 1
-                            rows[rows_idx[g[:pos] + "0" + g[pos + 1:]]][ci] = s
-                            rows[rows_idx[g[:pos] + "1" + g[pos + 1:]]][ci] = -s
-                bnd[i] = IntMatrix(rows, ncols=len(cols))
+            units = [(1, 1)] * len(self.universe)
+            bnd = {i: IntMatrix(_boundary_rows(self, i, 0, units), ncols=self.n_faces(i))
+                   for i in range(1, self.dim + 1)}
             self._chain = ChainComplex(cells, bnd, check=False)
         return self._chain
 
@@ -218,24 +251,12 @@ class CubicalComplex:
     # -- global predicates
 
     def is_shifted(self) -> bool:
-        n = len(self.universe)
-        # (1) every vertex and every edge of the ambient cube
-        for v in itertools.product("01", repeat=n):
-            if "".join(v) not in self.faces:
-                return False
-        for p in range(n):
-            for rest in itertools.product("01", repeat=n - 1):
-                e = "".join(rest[:p]) + "*" + "".join(rest[p:])
-                if e not in self.faces:
-                    return False
-        # (2) membership depends only on the direction set
-        ds = self.dirsets()
-        for s in ds:
-            stars = set(s)
-            free = [d for d in self.universe if d not in stars]
-            if any(self._face_from(s, dict(zip(free, bits))) not in self.faces
-                   for bits in itertools.product("01", repeat=len(free))):
-                return False
+        # (1) every vertex and every edge of the ambient cube, and (2)
+        # membership depends only on the direction set; once both hold,
+        # ds is the set of direction sets
+        ds = self.dirsets() | {()} | {(d,) for d in self.universe}
+        if any(f not in self.faces for s in ds for f in dirset_faces(self.universe, s)):
+            return False
         # (3) direction sets form an ideal in componentwise order
         for s in ds:
             k = len(s)
@@ -246,22 +267,12 @@ class CubicalComplex:
                     return False
         return True
 
-    def _face_from(self, stars, pinned: dict) -> str:
-        stars = set(stars)
-        return "".join("*" if d in stars else pinned[d] for d in self.universe)
-
     def pure_skeleton(self, j: int) -> "CubicalComplex":
         return CubicalComplex(self.universe, closure_of(self.faces_of_dim(j)), closed=True)
 
     def boundary_complex(self) -> "CubicalComplex":
         """All non-maximal faces."""
-        non_max = set()
-        for g in self.faces:
-            for j, c in enumerate(g):
-                if c == "*":
-                    non_max.add(g[:j] + "0" + g[j + 1:])
-                    non_max.add(g[:j] + "1" + g[j + 1:])
-        return CubicalComplex(self.universe, non_max & self.faces, closed=True)
+        return CubicalComplex(self.universe, pinned_once(self.faces) & self.faces, closed=True)
 
     # -- serialization
 
@@ -304,12 +315,6 @@ def cube(n: int, cap: int = 6) -> CubicalComplex:
         raise ValueError(f"cube({n}) exceeds cap {cap}")
     u = tuple(range(1, n + 1))
     return CubicalComplex(u, closure_of({"*" * n}), closed=True)
-
-
-def is_near_prism(x: CubicalComplex, i: int) -> NearPrism:
-    """Truthy exactly when x decomposes as two copies of its deletion
-    glued to the prism over its link in direction i."""
-    return x.near_prism(i)
 
 
 def prism_tot_identity_holds(x: CubicalComplex) -> bool:
@@ -367,18 +372,24 @@ def simplicial_closure(facets) -> set:
 
 def mirror(n: int, facets) -> CubicalComplex:
     """Cubical complex whose faces are the cube faces with direction
-    set in the given simplicial complex on [n]."""
-    delta = simplicial_closure(facets)
-    for s in delta:
-        if any(not (1 <= v <= n) for v in s):
-            raise ValueError(f"facet vertex outside [1, {n}]")
+    set in the given simplicial complex on [n].  With no facets that
+    complex is void, not {empty set}, and so is its mirror.  At most
+    FACE_CAP faces: a facet F spans at most 3^|F| 2^(n-|F|) of them."""
+    facets = [set(f) for f in facets]
+    if any(not (1 <= v <= n) for f in facets for v in f):
+        raise ValueError(f"facet vertex outside [1, {n}]")
+    _check_face_bound(sum(3 ** len(f) * 2 ** (n - len(f)) for f in facets))
     u = tuple(range(1, n + 1))
-    fs = set()
-    for s in delta:
-        free = [d for d in u if d not in s]
-        for bits in itertools.product("01", repeat=len(free)):
-            pin = dict(zip(free, bits))
-            fs.add("".join("*" if d in s else pin[d] for d in u))
+    if not facets:
+        return CubicalComplex(u, (), closed=True)
+    return mirror_on(u, simplicial_closure(facets))
+
+
+def mirror_on(universe, family) -> CubicalComplex:
+    """Mirror over an arbitrary direction universe; the empty set is
+    always a direction set, so every 0/1 word appears."""
+    u = tuple(universe)
+    fs = {f for s in set(family) | {frozenset()} for f in dirset_faces(u, s)}
     return CubicalComplex(u, fs, closed=True)
 
 
@@ -396,7 +407,10 @@ def _merge(a, b) -> tuple:
     return tuple(sorted(tuple(a) + tuple(b), reverse=True))
 
 
-def _spectrum_direct(x: CubicalComplex) -> tuple:
+def spectrum_direct(x: CubicalComplex) -> tuple:
+    """Nonzero eigenvalues of the top up-down Laplacian, weakly
+    decreasing, from its characteristic polynomial; ValueError when
+    they are not all integers."""
     if x.dim < 1:
         return ()
     s = x.to_chain().spectrum(x.dim - 1, "ud")
@@ -418,7 +432,7 @@ def _s_recursive(x: CubicalComplex) -> tuple:
             sl = _s_recursive(np.link)
             return _merge(sd, _add_two_to_first(ell, _merge(sd, sl)))
     # subcomplexes met in the recursion need not stay in the family
-    return _spectrum_direct(x)
+    return spectrum_direct(x)
 
 
 def shifted_spectrum(x: CubicalComplex) -> tuple:
@@ -473,113 +487,52 @@ def weight_vars(universe) -> tuple:
     return tuple(out)
 
 
-def xi_weight(universe, f: str, vars=None) -> LaurentPoly:
-    vs = weight_vars(universe) if vars is None else vars
+def xi_weight(universe, f: str) -> LaurentPoly:
     powers = {}
     for d, c in zip(universe, f):
         powers["xyq"[_RANK[c]] + str(d)] = 1
-    return LaurentPoly.monomial(vs, powers)
+    return LaurentPoly.monomial(weight_vars(universe), powers)
 
 
-def algebraic_boundary(x: CubicalComplex, i: int, vars=None):
+def algebraic_boundary(x: CubicalComplex, i: int):
     """Boundary matrix whose (f, g) entry is sign(f, g) times the
     weight ratio of g over f; each entry is a single Laurent monomial
     of the form +-q/x or +-q/y in one direction."""
-    vs = weight_vars(x.universe) if vars is None else vars
-    rows_idx = {f: r for r, f in enumerate(x.faces_of_dim(i - 1))}
-    cols = x.faces_of_dim(i)
-    zero = LaurentPoly(vs)
-    rows = [[zero] * len(cols) for _ in rows_idx]
-    for ci, g in enumerate(cols):
-        j = 0
-        for pos, c in enumerate(g):
-            if c == "*":
-                j += 1
-                s = -1 if j % 2 else 1
-                d = x.universe[pos]
-                f0 = g[:pos] + "0" + g[pos + 1:]
-                f1 = g[:pos] + "1" + g[pos + 1:]
-                rows[rows_idx[f0]][ci] = LaurentPoly.monomial(vs, {f"q{d}": 1, f"x{d}": -1}, s)
-                rows[rows_idx[f1]][ci] = LaurentPoly.monomial(vs, {f"q{d}": 1, f"y{d}": -1}, -s)
-    return rows
-
-
-def laurent_transpose(rows):
-    if not rows:
-        return []
-    return [[rows[r][c] for r in range(len(rows))] for c in range(len(rows[0]))]
-
-
-def laurent_matmul(a, b):
-    if not a or not b:
-        return []
-    nr, inner, nc = len(a), len(b), len(b[0])
-    out = []
-    for r in range(nr):
-        row = []
-        ar = a[r]
-        for c in range(nc):
-            acc = None
-            for k in range(inner):
-                if ar[k].is_zero() or b[k][c].is_zero():
-                    continue
-                t = ar[k] * b[k][c]
-                acc = t if acc is None else acc + t
-            row.append(acc if acc is not None else ar[0] * 0)
-        out.append(row)
-    return out
-
-
-def laurent_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    vs = weight_vars(x.universe)
+    units = [(LaurentPoly.monomial(vs, {f"q{d}": 1, f"x{d}": -1}),
+              LaurentPoly.monomial(vs, {f"q{d}": 1, f"y{d}": -1})) for d in x.universe]
+    return _boundary_rows(x, i, LaurentPoly(vs), units)
 
 
 def laurent_is_zero(rows) -> bool:
     return all(e.is_zero() for r in rows for e in r)
 
 
-def weighted_total_laplacian(x: CubicalComplex, i: int, vars=None):
+def weighted_total_laplacian(x: CubicalComplex, i: int):
     """Total Laplacian of the algebraically weighted boundary maps, a
     square Laurent-polynomial matrix on the i-faces."""
-    vs = weight_vars(x.universe) if vars is None else vars
-    n = x.n_faces(i)
-    tot = [[LaurentPoly(vs)] * n for _ in range(n)]
-    if i + 1 <= x.dim and x.n_faces(i + 1):
-        up = algebraic_boundary(x, i + 1, vars=vs)
-        tot = laurent_add(tot, laurent_matmul(up, laurent_transpose(up)))
-    if i >= 1 and x.n_faces(i - 1):
-        down = algebraic_boundary(x, i, vars=vs)
-        tot = laurent_add(tot, laurent_matmul(laurent_transpose(down), down))
-    return tot
+    up = algebraic_boundary(x, i + 1) if x.n_faces(i + 1) else None
+    down = algebraic_boundary(x, i) if x.n_faces(i - 1) else None
+    return ring_laplacian(x.n_faces(i), LaurentPoly(weight_vars(x.universe)), up, down)
 
 
-def weighted_diag_laplacian(x: CubicalComplex, k: int, vars=None):
+def weighted_diag_laplacian(x: CubicalComplex, k: int):
     """The matrix on (k-1)-faces obtained by weighting each k-face
-    column of the integer boundary by its monomial weight: entry (r, s)
-    is the sum over k-faces g of bnd[r,g] bnd[s,g] xi_g.  This is the
-    engine matrix for weighted tree enumeration; the weighted boundary
-    itself composes to zero only in the algebraic mode above."""
-    vs = weight_vars(x.universe) if vars is None else vars
+    column of the integer boundary by its monomial weight: B diag(xi) B^T,
+    whose entry (r, s) is the sum over k-faces g of bnd[r,g] bnd[s,g] xi_g.
+    This is the engine matrix for weighted tree enumeration; the
+    weighted boundary itself composes to zero only in the algebraic
+    mode above."""
     b = x.to_chain().boundary(k)
-    weights = [xi_weight(x.universe, g, vars=vs) for g in x.faces_of_dim(k)]
-    n = b.nrows
-    out = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            acc = LaurentPoly(vs)
-            for c, w in enumerate(weights):
-                e = b.entry(r, c) * b.entry(s, c)
-                if e:
-                    acc = acc + w * e
-            row.append(acc)
-        out.append(row)
-    return out
+    weights = [xi_weight(x.universe, g) for g in x.faces_of_dim(k)]
+    zero = LaurentPoly(weight_vars(x.universe))
+    bw = [[w * e if e else zero for e, w in zip(row, weights)] for row in b.rows]
+    return ring_matmul(bw, b.transpose().rows)
 
 
-def u_form(universe, subset, vars=None) -> LaurentPoly:
+def u_form(universe, subset) -> LaurentPoly:
     """Sum over directions in the subset of q^2/x^2 + q^2/y^2."""
-    vs = weight_vars(universe) if vars is None else vars
+    vs = weight_vars(universe)
     acc = LaurentPoly(vs)
     for d in subset:
         acc = acc + LaurentPoly.monomial(vs, {f"q{d}": 2, f"x{d}": -2})
@@ -587,16 +540,15 @@ def u_form(universe, subset, vars=None) -> LaurentPoly:
     return acc
 
 
-def cube_weighted_tot_eigenvalues(n: int, i: int, vars=None):
+def cube_weighted_tot_eigenvalues(n: int, i: int):
     """Predicted spectrum of the weighted total Laplacian of the full
     cube in dimension i: one form per direction subset A, with
     multiplicity C(|A|, i)."""
     u = tuple(range(1, n + 1))
-    vs = weight_vars(u) if vars is None else vars
     out = []
     for r in range(n + 1):
         for subset in itertools.combinations(u, r):
             m = gen_binom(r, i)
             if m > 0:
-                out.append((u_form(u, subset, vars=vs), m))
+                out.append((u_form(u, subset), m))
     return out

@@ -54,7 +54,9 @@ __all__ = [
     "char_poly_memo",
     "integer_roots",
     "integer_spectrum",
-    "poly_eval",
+    "ring_laplacian",
+    "ring_matmul",
+    "ring_transpose",
 ]
 
 
@@ -90,16 +92,16 @@ def _int_row(row) -> tuple:
 
 
 class IntMatrix:
-    """Immutable dense integer matrix with optional row/column labels.
+    """Immutable dense integer matrix.
 
     Entries are plain Python ints, so nothing ever overflows.  Zero-row
     and zero-column shapes are allowed (pass ncols for an empty row
-    list).  Labels, when present, name the cells indexing each side.
+    list).
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "row_labels", "col_labels")
+    __slots__ = ("rows", "nrows", "ncols")
 
-    def __init__(self, rows, row_labels=None, col_labels=None, ncols: int | None = None):
+    def __init__(self, rows, ncols: int | None = None):
         rs = tuple(map(_int_row, rows))
         self.rows = rs
         self.nrows = len(rs)
@@ -113,21 +115,12 @@ class IntMatrix:
             self.ncols = w
         else:
             self.ncols = 0 if ncols is None else int(ncols)
-        for labels, n, side in ((row_labels, self.nrows, "row"), (col_labels, self.ncols, "col")):
-            if labels is not None and len(labels) != n:
-                raise ValueError(f"{side} label count mismatch")
-        self.row_labels = tuple(row_labels) if row_labels is not None else None
-        self.col_labels = tuple(col_labels) if col_labels is not None else None
 
     # -- constructors
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
         return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- basic queries
 
@@ -143,9 +136,6 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
-
-    def column(self, j: int):
-        return tuple(r[j] for r in self.rows)
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
@@ -169,7 +159,7 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         t = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return IntMatrix(t, row_labels=self.col_labels, col_labels=self.row_labels, ncols=self.nrows)
+        return IntMatrix(t, ncols=self.nrows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -183,20 +173,10 @@ class IntMatrix:
             a = np.array(self.rows, dtype=np.int64)
             b = np.array(other.rows, dtype=np.int64)
             c = a @ b
-            return IntMatrix(c.tolist(), row_labels=self.row_labels, col_labels=other.col_labels)
+            return IntMatrix(c.tolist())
         bt = other.transpose().rows
         out = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.rows]
-        return IntMatrix(out, row_labels=self.row_labels, col_labels=other.col_labels, ncols=m)
-
-    def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * v for v in r] for r in self.rows],
-                         self.row_labels, self.col_labels, ncols=self.ncols)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-                         ncols=self.ncols)
+        return IntMatrix(out, ncols=m)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
@@ -208,9 +188,7 @@ class IntMatrix:
         row_idx = list(row_idx)
         col_idx = list(col_idx)
         rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        rl = [self.row_labels[i] for i in row_idx] if self.row_labels else None
-        cl = [self.col_labels[j] for j in col_idx] if self.col_labels else None
-        return IntMatrix(rows, rl, cl, ncols=len(col_idx))
+        return IntMatrix(rows, ncols=len(col_idx))
 
     def columns_subset(self, col_idx) -> "IntMatrix":
         return self.submatrix(range(self.nrows), col_idx)
@@ -1201,6 +1179,47 @@ def det_ring(rows):
     return full if full is not None else rows[0][0] * 0
 
 
+def ring_transpose(rows) -> list:
+    """Transpose of a matrix given as a list of rows, over any ring."""
+    return [list(col) for col in zip(*rows)]
+
+
+def ring_matmul(a, b) -> list:
+    """Product of two matrices over a commutative ring, each a list of
+    rows of ints, Fractions or LaurentPoly.  Zero entries, tested by
+    truthiness, are skipped; an empty sum is the zero of a's ring."""
+    ncols = len(b[0]) if b else 0
+    out = []
+    for ar in a:
+        zero = ar[0] * 0 if ar else 0
+        nz = [(v, b[k]) for k, v in enumerate(ar) if v]
+        row = []
+        for c in range(ncols):
+            acc = zero
+            for v, br in nz:
+                if br[c]:
+                    acc = acc + v * br[c]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def ring_laplacian(n: int, zero, up, down) -> list:
+    """up*up^T + down^T*down over a ring, on n cells: `up` is the
+    boundary into them (n rows), `down` the boundary out of them (n
+    columns), either None when it is zero.  Every entry is a sum
+    starting from `zero`, the zero of the ring."""
+    out = [[zero] * n for _ in range(n)]
+    parts = []
+    if up is not None:
+        parts.append(ring_matmul(up, ring_transpose(up)))
+    if down is not None:
+        parts.append(ring_matmul(ring_transpose(down), down))
+    for p in parts:
+        out = [[x + y for x, y in zip(ro, rp)] for ro, rp in zip(out, p)]
+    return out
+
+
 def det_fraction(rows) -> Fraction:
     """Determinant over Q by ordinary Gaussian elimination."""
     n = len(rows)
@@ -1438,8 +1457,3 @@ class LaurentPoly:
     def from_json_dict(cls, d: dict) -> "LaurentPoly":
         return cls(tuple(d["vars"]),
                    {tuple(t["exp"]): int(t["coef"]) for t in d["terms"]})
-
-
-def poly_eval(p: LaurentPoly, assignment: dict):
-    """Evaluate a Laurent polynomial at rational values, exactly."""
-    return p.subs(assignment)

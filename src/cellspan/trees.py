@@ -448,15 +448,7 @@ def conjecture_rhs(n: int, k: int) -> LaurentPoly:
         b2 = gen_binom(i - 1, k - 2)
         assert b1 >= 0 and b2 >= 0
         e += b1 * b2
-    poly = LaurentPoly.monomial(vs, {f"q{d}": e for d in dirs})
-    for r in range(k + 1, n + 1):
-        ex = gen_binom(r - 2, k - 1)
-        assert ex >= 0
-        if ex == 0:
-            continue
-        for subset in itertools.combinations(dirs, r):
-            poly = poly * _bracket(vs, subset, True) ** ex
-    return poly
+    return LaurentPoly.monomial(vs, {f"q{d}": e for d in dirs}) * _f_poly(vs, dirs, k, True)
 
 
 def verify_conjecture(n: int, k: int, cap: int = BRUTE_CAP) -> dict:
@@ -480,8 +472,9 @@ def verify_conjecture(n: int, k: int, cap: int = BRUTE_CAP) -> dict:
     return out
 
 
-def _f_poly(vs, dirs, k: int) -> LaurentPoly:
-    """Conjecture product at q = 1, restricted to a direction subset."""
+def _f_poly(vs, dirs, k: int, with_q: bool) -> LaurentPoly:
+    """The conjecture's product of brackets over a direction subset;
+    without q it is the product at q = 1."""
     poly = LaurentPoly.constant(vs, 1)
     for r in range(k + 1, len(dirs) + 1):
         ex = gen_binom(r - 2, k - 1)
@@ -489,7 +482,7 @@ def _f_poly(vs, dirs, k: int) -> LaurentPoly:
         if ex == 0:
             continue
         for subset in itertools.combinations(dirs, r):
-            poly = poly * _bracket(vs, subset, False) ** ex
+            poly = poly * _bracket(vs, subset, with_q) ** ex
     return poly
 
 
@@ -500,13 +493,13 @@ def f_recurrence_check(n: int, k: int) -> dict:
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n}, k={k}")
     dirs = tuple(range(1, n + 1))
     vs = weight_vars(dirs)
-    lhs = _f_poly(vs, dirs, k)
+    lhs = _f_poly(vs, dirs, k, False)
     rhs = LaurentPoly.constant(vs, 1)
     for subset in itertools.combinations(dirs, n - 1):
-        rhs = rhs * _f_poly(vs, subset, k)
+        rhs = rhs * _f_poly(vs, subset, k, False)
     e = gen_binom(n - 2, k - 1)
     assert e >= 0
-    rhs = rhs * _f_poly(vs, dirs, n - 1) ** e
+    rhs = rhs * _f_poly(vs, dirs, n - 1, False) ** e
     return {"n": n, "k": k, "holds": lhs == rhs}
 
 
@@ -526,7 +519,7 @@ def cmtt_pi_identity_holds(x, d: int | None = None) -> bool:
     return lhs == rhs
 
 
-def submatrix_det_properties(x, k: int, sample: int = 0, seed: int = 0) -> dict:
+def submatrix_det_properties(x, k: int) -> dict:
     """Square submatrices of the top boundary detect tree pairs: the
     determinant is nonzero exactly when the chosen columns are the
     facets of a k-tree and the complementary rows of a (k-1)-tree, and
@@ -544,10 +537,6 @@ def submatrix_det_properties(x, k: int, sample: int = 0, seed: int = 0) -> dict:
     col_sets = list(itertools.combinations(range(len(k_labels)), size))
     row_sets = list(itertools.combinations(range(len(r_labels)), size))
     pairs = [(rs, cs) for rs in row_sets for cs in col_sets]
-    if sample:
-        import random
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, min(sample, len(pairs)))
     cert_t: dict = {}
     cert_s: dict = {}
     checked = 0

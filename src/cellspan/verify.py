@@ -24,7 +24,7 @@ from .corpus import (colorful_corpus, colorful_sizes,
                      identity_corpus, mirror_circle, mirror_corpus,
                      mirror_matroid_example, rp2, shifted_corpus)
 from .cubical import (cube, near_prism_betti_check, prism_tot_identity_holds,
-                      prism_ud_identity_holds, shifted_spectrum)
+                      prism_ud_identity_holds, shifted_spectrum, spectrum_direct)
 from .exact import LaurentPoly, char_poly_memo
 from .trees import (BRUTE_CAP, CapExceeded, TreeQuery, cmtt_pi_identity_holds,
                     cst_target_size, f_recurrence_check, run_query,
@@ -281,16 +281,6 @@ def suite_duality(cap=None, seed: int = 0, tree_samples: int = 200) -> list:
 # shifted
 
 
-def _direct_sud(x) -> tuple:
-    c = x.to_chain()
-    if c.dim < 1:
-        return ()
-    s = c.spectrum(c.dim - 1, "ud")
-    if not s.is_integral():
-        raise ArithmeticError("non-integral")
-    return tuple(sorted(s.nonzero_multiset(), reverse=True))
-
-
 def shifted_recursion_failures(nmax: int = 4) -> list:
     bad = []
     for name, x in shifted_corpus(nmax):
@@ -299,7 +289,7 @@ def shifted_recursion_failures(nmax: int = 4) -> list:
             continue
         if not x.is_pure():
             continue
-        if shifted_spectrum(x) != _direct_sud(x):
+        if shifted_spectrum(x) != spectrum_direct(x):
             bad.append(f"{name} recursion != direct")
     return bad
 

@@ -155,6 +155,16 @@ def test_dual_n2(capsys):
         "weighted_match": True}
 
 
+def test_dual_n4_samples_subsets_without_listing_them(capsys):
+    """The 1-trees of the 4-cube are 15 of its 32 edges: C(32, 15) is
+    about 5.7e8 subsets, of which 200 are sampled."""
+    rc, out, _ = run(capsys, "dual", "--n", "4")
+    assert rc == 0
+    assert out == ('{"complementation_checked":424,"complementation_holds":true,'
+                   '"n":4,"pairing_consistent":true,"spectra_match":true,'
+                   '"weighted_match":null}\n')
+
+
 def test_shifted_check_cube2(capsys):
     rc, out, _ = run(capsys, "shifted-check", "--input", "cube:2")
     assert rc == 0
@@ -185,6 +195,15 @@ def test_mirror_generator_feeds_other_commands(capsys, tmp_path):
                      "--dim", "1", "--family", "ud")
     assert rc == 0
     assert json.loads(out) == {"spectrum": [[0, 8], [2, 1], [4, 2], [6, 1]]}
+
+
+def test_shifted_check_reports_a_nonintegral_direct_spectrum_as_null(capsys, tmp_path):
+    p = tmp_path / "path.json"
+    p.write_text('{"vertices": 4, "facets": [[1, 2], [1, 3], [2, 4]]}')
+    rc, out, _ = run(capsys, "shifted-check", "--input", "mirror:" + str(p))
+    assert rc == 0
+    d = json.loads(out)
+    assert d["direct"] is None and d["recursion"] is None and d["match"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +257,67 @@ def test_non_integer_boundary_entries_exit_2(capsys, tmp_path, command, literal,
     assert (rc, out) == (2, "")
     assert err == (f"error: invalid complex in {p}: "
                    f"boundary 1 entry {shown} is not an integer\n")
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"universe": [1.5, 2], "faces": ["**"]}, "universe entry 1.5 is not an integer"),
+    ({"universe": [True, 2], "faces": ["**"]}, "universe entry True is not an integer"),
+    ({"universe": [1, 2], "faces": [10]}, "malformed face 10 for universe (1, 2)"),
+])
+def test_non_integer_cubical_json_exits_2(capsys, tmp_path, data, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "homology", "--input", str(p))
+    assert (rc, out) == (2, "")
+    assert err == f"error: invalid complex in {p}: {message}\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"vertices": 2.9, "facets": [[1, 2]]}, "vertex count 2.9 is not an integer"),
+    ({"vertices": True, "facets": [[1]]}, "vertex count True is not an integer"),
+    ({"vertices": 2, "facets": [[1.7, 2]]}, "facet vertex 1.7 is not an integer"),
+])
+def test_non_integer_mirror_json_exits_2(capsys, tmp_path, data, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    for spec in (str(p), "mirror:" + str(p)):
+        rc, out, err = run(capsys, "homology", "--input", spec)
+        assert (rc, out) == (2, "")
+        assert err == f"error: mirror input needs vertices and facets: {message}\n"
+
+
+def test_oversized_mirror_json_exits_2(capsys, tmp_path):
+    # 2^16 vertices alone; the bound is 3 * 2^15
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"vertices": 16, "facets": [[1]]}))
+    rc, out, err = run(capsys, "homology", "--input", str(p))
+    assert (rc, out) == (2, "")
+    assert err == "error: up to 98304 faces exceed cap 59049\n"
+
+
+def test_oversized_cubical_json_exits_2(capsys, tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"universe": list(range(1, 13)), "faces": ["*" * 12]}))
+    rc, out, err = run(capsys, "homology", "--input", str(p))
+    assert (rc, out) == (2, "")
+    assert err == f"error: invalid complex in {p}: up to 531441 faces exceed cap 59049\n"
+
+
+def test_cubical_json_face_cap_is_the_10_cube(capsys, tmp_path):
+    """The cap counts faces lying in no other listed face, so the
+    mirror command's own output, which lists every face, reads back."""
+    p = tmp_path / "q10.json"
+    p.write_text(json.dumps({"universe": list(range(1, 11)), "faces": ["*" * 10]}))
+    rc, out, _ = run(capsys, "mirror", "--input", str(p))
+    assert rc == 0 and len(json.loads(out)["faces"]) == 3 ** 10
+    m = tmp_path / "simplex7.json"
+    m.write_text(json.dumps({"vertices": 7, "facets": [list(range(1, 8))]}))
+    rc, out, _ = run(capsys, "mirror", "--input", str(m))
+    assert rc == 0 and len(json.loads(out)["faces"]) == 3 ** 7
+    q7 = tmp_path / "q7.json"
+    q7.write_text(out)
+    rc, out, _ = run(capsys, "homology", "--input", str(q7), "--dim", "6")
+    assert rc == 0
 
 
 def test_cap_exceeded_exits_3(capsys):

@@ -1,9 +1,13 @@
 import pytest
 
+import itertools
+import math
+import random
+
 from cellspan.colorful import (ColorfulSpec, colorful_complex, colorful_etot,
                                colorful_gf_identity_holds, colorful_omega,
                                colorful_spec_poly, colorful_tree_count,
-                               cross_polytope_cube_duality,
+                               cross_polytope_cube_duality, unrank_combination,
                                weighted_duality_check)
 from cellspan.exact import LaurentPoly
 from cellspan.trees import TreeQuery, run_query
@@ -137,6 +141,24 @@ def test_duality_n3():
     assert rep["complementation_holds"]
     # exhaustive k=0 and k=2, sampled k=1
     assert rep["complementation_checked"] == 8 + 200 + 6
+
+
+def test_unrank_combination_matches_itertools_order():
+    for n in range(9):
+        for k in range(n + 1):
+            got = [unrank_combination(n, k, j) for j in range(math.comb(n, k))]
+            assert got == list(itertools.combinations(range(n), k))
+
+
+@pytest.mark.parametrize("n, k", [(12, 6), (16, 5)])
+def test_sampled_positions_match_sampling_the_list(n, k):
+    """random.sample draws the same positions from range(N) as from a
+    list of length N, so the duality check samples the subsets it
+    sampled when it built the list of all of them."""
+    picks = [unrank_combination(n, k, j)
+             for j in random.Random(7).sample(range(math.comb(n, k)), 200)]
+    want = random.Random(7).sample(list(itertools.combinations(range(n), k)), 200)
+    assert picks == want
 
 
 def test_weighted_duality():

@@ -1,5 +1,6 @@
 import pytest
 
+from cellspan import cubical
 from cellspan.chain import isomorphic_under, product
 from cellspan.cubical import (
     CubicalComplex,
@@ -8,10 +9,9 @@ from cellspan.cubical import (
     cube,
     cube_weighted_tot_eigenvalues,
     face_key,
-    is_near_prism,
     laurent_is_zero,
-    laurent_matmul,
     mirror,
+    mirror_on,
     near_prism_betti_check,
     prism_tot_identity_holds,
     prism_ud_identity_holds,
@@ -24,7 +24,7 @@ from cellspan.cubical import (
     xi_weight,
     u_form,
 )
-from cellspan.exact import LaurentPoly
+from cellspan.exact import LaurentPoly, ring_matmul
 from fractions import Fraction
 
 
@@ -110,7 +110,7 @@ def test_near_prism_square_boundary():
     x = cube(2).boundary_complex()
     assert sorted(x.faces) == sorted(
         {"00", "01", "10", "11", "0*", "1*", "*0", "*1"})
-    np = is_near_prism(x, 1)
+    np = x.near_prism(1)
     assert np.holds and bool(np)
     assert np.deletion.faces == {"*", "0", "1"}
     assert np.link.faces == {"0", "1"}
@@ -121,7 +121,7 @@ def test_near_prism_fails_for_lone_edge():
     # the edge (*,0): its deletion in direction 2 is a full segment
     # but the link is empty, so boundary containment fails
     x = CubicalComplex((1, 2), {"*0"})
-    np = is_near_prism(x, 2)
+    np = x.near_prism(2)
     assert not np.holds
     assert np.link.faces == frozenset()
     # in its own direction the edge is an honest prism
@@ -154,6 +154,24 @@ def test_mirror_basic():
     assert m.n_faces(0) == 8 and m.n_faces(2) == 4
     with pytest.raises(ValueError):
         mirror(2, [[1, 5]])
+
+
+def test_mirror_checks_vertices_before_building_the_closure(monkeypatch):
+    # a facet on k vertices has 2^k subsets; a bad one is refused first
+    def closure(facets):
+        raise AssertionError("closure built before the vertex check")
+    monkeypatch.setattr(cubical, "simplicial_closure", closure)
+    with pytest.raises(ValueError, match=r"facet vertex outside \[1, 3\]"):
+        mirror(3, [range(1, 41)])
+
+
+def test_mirror_of_no_facets_is_void_but_mirror_on_has_every_vertex():
+    # no facets: the void complex, whose mirror has no faces; a family
+    # for mirror_on always holds the empty set, so every 0/1 word
+    for n in range(4):
+        assert len(mirror(n, [])) == 0
+        m = mirror_on(tuple(range(1, n + 1)), frozenset())
+        assert m.n_faces(0) == len(m) == 2 ** n
 
 
 def test_mirror_circle_not_apc():
@@ -283,8 +301,8 @@ def test_algebraic_boundary_composes_to_zero():
     for n in (2, 3):
         x = cube(n)
         for i in range(2, n + 1):
-            prod = laurent_matmul(algebraic_boundary(x, i - 1),
-                                  algebraic_boundary(x, i))
+            prod = ring_matmul(algebraic_boundary(x, i - 1),
+                               algebraic_boundary(x, i))
             assert laurent_is_zero(prod)
 
 
