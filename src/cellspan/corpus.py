@@ -91,15 +91,16 @@ def boundary_family(family):
     return frozenset(s for s in family if any(s < t for t in family))
 
 
-def simplicial_chain(family, empty_cell: bool = True) -> ChainComplex:
+def simplicial_chain(family) -> ChainComplex:
     """Chain complex of a family of nonempty vertex sets (downward
-    closed), standard alternating signs over sorted vertex tuples."""
+    closed), standard alternating signs over sorted vertex tuples, with
+    the empty cell when the family has a vertex."""
     by_dim: dict = {}
     for s in family:
         by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
     for fs in by_dim.values():
         fs.sort()
-    return simplicial(by_dim, empty_cell and 0 in by_dim)
+    return simplicial(by_dim, 0 in by_dim)
 
 
 def is_dominance_closed(family, n: int) -> bool:

@@ -375,6 +375,8 @@ def mirror(n: int, facets) -> CubicalComplex:
     set in the given simplicial complex on [n].  With no facets that
     complex is void, not {empty set}, and so is its mirror.  At most
     FACE_CAP faces: a facet F spans at most 3^|F| 2^(n-|F|) of them."""
+    if n < 0:
+        raise ValueError(f"mirror vertex count {n} is negative")
     facets = [set(f) for f in facets]
     if any(not (1 <= v <= n) for f in facets for v in f):
         raise ValueError(f"facet vertex outside [1, {n}]")

@@ -33,6 +33,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -1248,20 +1249,69 @@ def det_fraction(rows) -> Fraction:
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
+# Bits per exponent slot of a packed monomial; exponents must stay
+# below _HALF = 2^(_W - 1) in absolute value.
+_W = 32
+_HALF = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+
+
+def _pack(exps) -> int:
+    """The exponent vector e as one int, sum of e_i * 2^(_W * i)."""
+    return sum(x << (_W * i) for i, x in enumerate(exps))
+
+
+def _unpack(v: int, width: int) -> tuple:
+    """Inverse of _pack for `width` slots, each below _HALF in absolute
+    value: the low _W bits of v are e_0 mod 2^_W, read as a signed
+    slot, and (v - e_0) >> _W packs the rest."""
+    out = []
+    for _ in range(width):
+        d = v & _MASK
+        if d >= _HALF:
+            d -= 1 << _W
+        out.append(d)
+        v = (v - d) >> _W
+    return tuple(out)
+
+
+def _checked(bound: int) -> int:
+    """The exponent bound itself, once it is known to be below _HALF."""
+    if bound >= _HALF:
+        raise OverflowError(f"Laurent exponent bound {bound} reaches 2^{_W - 1}")
+    return bound
+
 
 class LaurentPoly:
     """Sparse multivariate Laurent polynomial with integer coefficients.
 
-    Terms map exponent tuples (one slot per variable, negative allowed)
-    to nonzero integer coefficients.  All operands of an arithmetic
+    Each monomial is stored as one int: the exponent vector e (one slot
+    per variable, negative allowed) packed as sum of e_i * 2^(W i), with
+    W = _W = 32 and signed slots.  Multiplying two monomials is then
+    one integer addition, and the term dict hashes ints.  Every
+    polynomial carries a bound on max |e_i| over its terms: the
+    constructor sets it, + and - take the max, * and ** add.  An
+    operation whose bound would reach 2^(W-1) raises OverflowError, so
+    every slot stays in (-2^(W-1), 2^(W-1)), where this signed-digit
+    packing is injective and the sum of two packed monomials is the
+    packed sum of their exponents: a product never aliases silently.
+    The command line stays far below the bound: its largest exponents
+    are q-degrees of colorful spectrum series, below the face cap 3^10;
+    weighted cube determinants (side at most 20, entries of bound at
+    most 2) stay at most 40, and the conjecture's products (n at most
+    6) at most 175.
+
+    `terms` is a read-only view {exponent tuple: coefficient}, decoded
+    from the packed keys on each access.  All operands of an arithmetic
     operation must share the same variable tuple.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_packed", "_bound")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        cleaned = {}
+        packed = {}
+        bound = 0
         if terms:
             width = len(self.vars)
             for exp, coef in terms.items():
@@ -1271,15 +1321,26 @@ class LaurentPoly:
                 e = tuple(int(x) for x in exp)
                 if len(e) != width:
                     raise ValueError("exponent arity mismatch")
-                cleaned[e] = c
-        self.terms = cleaned
+                if e:
+                    bound = max(bound, max(map(abs, e)))
+                packed[_pack(e)] = c
+        self._bound = _checked(bound)
+        self._packed = packed
+
+    @classmethod
+    def _make(cls, vars, packed: dict, bound: int) -> "LaurentPoly":
+        r = cls.__new__(cls)
+        r.vars = vars
+        r._packed = packed
+        r._bound = bound
+        return r
 
     # -- constructors
 
     @classmethod
     def constant(cls, vars, c: int) -> "LaurentPoly":
-        z = (0,) * len(tuple(vars))
-        return cls(vars, {z: c} if c else {})
+        c = int(c)
+        return cls._make(tuple(vars), {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, vars, name: str, power: int = 1) -> "LaurentPoly":
@@ -1296,22 +1357,45 @@ class LaurentPoly:
             e[vs.index(name)] += p
         return cls(vs, {tuple(e): coef})
 
+    @classmethod
+    def linear_combination(cls, vars, pairs) -> "LaurentPoly":
+        """Sum of c * p over the (p, c) pairs, p a LaurentPoly over
+        `vars` and c an int, accumulated in one term dict."""
+        vs = tuple(vars)
+        out: dict = {}
+        get = out.get
+        bound = 0
+        for p, c in pairs:
+            if p.vars != vs:
+                raise ValueError("mixed variable tables")
+            bound = max(bound, p._bound)
+            for e, v in p._packed.items():
+                out[e] = get(e, 0) + v * c
+        return cls._make(vs, {e: v for e, v in out.items() if v}, bound)
+
     # -- structure
 
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient}, decoded from the
+        packed monomials."""
+        width = len(self.vars)
+        return MappingProxyType({_unpack(e, width): c for e, c in self._packed.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other):
         if isinstance(other, int):
             return self == LaurentPoly.constant(self.vars, other)
         return (isinstance(other, LaurentPoly) and self.vars == other.vars
-                and self.terms == other.terms)
+                and self._packed == other._packed)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self._packed.items())))
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -1331,25 +1415,23 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
+        a, b = self._packed, o._packed
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for e, c in b.items():
             v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
                 out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.vars = self.vars
-        r.terms = out
-        return r
+        return LaurentPoly._make(self.vars, out, max(self._bound, o._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.vars = self.vars
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return LaurentPoly._make(self.vars, {e: -c for e, c in self._packed.items()},
+                                 self._bound)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -1364,36 +1446,37 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return LaurentPoly(self.vars)
-            r = LaurentPoly.__new__(LaurentPoly)
-            r.vars = self.vars
-            r.terms = {e: c * other for e, c in self.terms.items()}
-            return r
+            return LaurentPoly._make(self.vars, {e: c * other for e, c in self._packed.items()},
+                                     self._bound)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: dict = {}
-        if len(self.terms) < len(o.terms):
-            a, b = self.terms, o.terms
+        bound = _checked(self._bound + o._bound)
+        if len(self._packed) < len(o._packed):
+            a, b = self._packed, o._packed
         else:
-            a, b = o.terms, self.terms
-        for e1, c1 in a.items():
+            a, b = o._packed, self._packed
+        if not a:
+            return LaurentPoly(self.vars)
+        # the first monomial of a shifts b injectively: no collisions
+        it = iter(a.items())
+        e1, c1 = next(it)
+        out = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
+        if len(a) == 1:
+            return LaurentPoly._make(self.vars, out, bound)
+        get = out.get
+        for e1, c1 in it:
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.vars = self.vars
-        r.terms = out
-        return r
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._make(self.vars, {e: v for e, v in out.items() if v}, bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers of a general Laurent polynomial")
+        _checked(self._bound * k)
         result = LaurentPoly.constant(self.vars, 1)
         base = self
         while k:
@@ -1402,6 +1485,17 @@ class LaurentPoly:
             base = base * base if k > 1 else base
             k >>= 1
         return result
+
+    def divide_exact(self, d: int) -> "LaurentPoly":
+        """self / d for a nonzero int d dividing every coefficient;
+        ArithmeticError if one is not divisible."""
+        out = {}
+        for e, c in self._packed.items():
+            q, r = divmod(c, d)
+            if r:
+                raise ArithmeticError(f"{d} does not divide the coefficient {c}")
+            out[e] = q
+        return LaurentPoly._make(self.vars, out, self._bound)
 
     # -- evaluation / display
 
@@ -1421,10 +1515,10 @@ class LaurentPoly:
         return total
 
     def subs_ones(self) -> int:
-        return sum(self.terms.values())
+        return sum(self._packed.values())
 
     def __str__(self):
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for e, c in self.sorted_terms():

@@ -271,7 +271,7 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
         weights = [xi_weight(q.complex.universe, f) for f in labels]
         vs = weight_vars(q.complex.universe)
         prefix = [LaurentPoly.constant(vs, 1)]   # weight of each prefix
-        terms: dict = {}
+        leaves = []                              # (weight, t^2) of each tree
     tau = 0
     per_tree = []
     ech = _Echelon()
@@ -285,8 +285,7 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
                 raise ArithmeticError("torsion ratio did not divide the determinant")
             per_tree.append((tuple(labels[i] for i in path), t))
             if q.weighted:
-                for e, c in prefix[-1].terms.items():
-                    terms[e] = terms.get(e, 0) + c * t * t
+                leaves.append((prefix[-1], t * t))
             else:
                 tau += t * t
         if d == target or j > n - target + d:
@@ -305,7 +304,7 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
                 prefix.append(prefix[-1] * weights[j])
         j += 1
     if q.weighted:
-        tau = LaurentPoly(vs, terms)
+        tau = LaurentPoly.linear_combination(vs, leaves)
     return TreeReport(tau, "brute", trees=len(per_tree), per_tree=per_tree)
 
 
@@ -391,14 +390,10 @@ def weighted_tau_matrix_tree(x: CubicalComplex, k: int) -> LaurentPoly:
     t_x, t_u = _torsions(xs, k, [labels[j] for j in picked])
     if t_x == t_u:
         return det
-    num, den = t_x * t_x, t_u * t_u
-    terms = {}
-    for e, cf in det.terms.items():
-        q = Fraction(cf * num, den)
-        if q.denominator != 1:
-            raise ArithmeticError("torsion ratio did not divide the determinant")
-        terms[e] = int(q)
-    return LaurentPoly(vs, terms)
+    try:
+        return (det * (t_x * t_x)).divide_exact(t_u * t_u)
+    except ArithmeticError:
+        raise ArithmeticError("torsion ratio did not divide the determinant") from None
 
 
 def run_query(q: TreeQuery) -> TreeReport:
@@ -461,10 +456,10 @@ def verify_conjecture(n: int, k: int, cap: int = BRUTE_CAP) -> dict:
         out["equal"] = True
         return out
     out["equal"] = False
-    exps = sorted(set(lhs.tau.terms) | set(rhs.terms))
-    for ex in exps:
-        a = lhs.tau.terms.get(ex, 0)
-        b = rhs.terms.get(ex, 0)
+    lhs_terms, rhs_terms = lhs.tau.terms, rhs.terms
+    for ex in sorted(set(lhs_terms) | set(rhs_terms)):
+        a = lhs_terms.get(ex, 0)
+        b = rhs_terms.get(ex, 0)
         if a != b:
             out["first_difference"] = {
                 "exp": list(ex), "brute": str(a), "conjecture": str(b)}

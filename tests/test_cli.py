@@ -286,6 +286,16 @@ def test_non_integer_mirror_json_exits_2(capsys, tmp_path, data, message):
         assert err == f"error: mirror input needs vertices and facets: {message}\n"
 
 
+def test_negative_mirror_vertex_count_exits_2(capsys, tmp_path):
+    p = tmp_path / "neg.json"
+    p.write_text(json.dumps({"vertices": -3, "facets": [[]]}))
+    for cmd in ("mirror", "homology"):
+        for spec in (str(p), "mirror:" + str(p)):
+            rc, out, err = run(capsys, cmd, "--input", spec)
+            assert (rc, out) == (2, "")
+            assert err == "error: mirror vertex count -3 is negative\n"
+
+
 def test_oversized_mirror_json_exits_2(capsys, tmp_path):
     # 2^16 vertices alone; the bound is 3 * 2^15
     p = tmp_path / "big.json"

@@ -277,6 +277,122 @@ def test_laurent_sorted_terms_are_ordered():
     assert exps == sorted(exps)
 
 
+# ---------------------------------------------------------------------------
+# LaurentPoly against a tuple-key oracle
+
+
+def _o_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _o_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _o_clean(out)
+
+
+def _o_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _o_clean(out)
+
+
+def _o_subs(a, vals):
+    return sum((c * math.prod(Fraction(v) ** p for v, p in zip(vals, e))
+                for e, c in a.items()), Fraction(0))
+
+
+@st.composite
+def laurent_pairs(draw):
+    """A variable tuple of 1-12 names and two term dicts over it, with
+    negative exponents, some far from zero, and zero coefficients."""
+    width = draw(st.integers(1, 12))
+    exp = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    terms = st.dictionaries(st.tuples(*[exp] * width), st.integers(-4, 4), max_size=5)
+    return tuple(f"v{i}" for i in range(width)), draw(terms), draw(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_pairs(), st.integers(0, 3), st.integers(-3, 3))
+def test_laurent_against_a_tuple_key_oracle(case, k, c):
+    vs, ta, tb = case
+    a, b = LaurentPoly(vs, ta), LaurentPoly(vs, tb)
+    oa, ob = _o_clean(ta), _o_clean(tb)
+    assert dict(a.terms) == oa and dict(b.terms) == ob
+    assert dict((a + b).terms) == _o_add(oa, ob)
+    assert dict((a - b).terms) == _o_add(oa, {e: -v for e, v in ob.items()})
+    assert dict((a * b).terms) == _o_mul(oa, ob)
+    assert dict((a * c).terms) == _o_clean({e: v * c for e, v in oa.items()})
+    power = {(0,) * len(vs): 1}
+    for _ in range(k):
+        power = _o_mul(power, oa)
+    assert dict((a ** k).terms) == power
+    both = LaurentPoly.linear_combination(vs, [(a, c), (b, 2)])
+    assert dict(both.terms) == _o_add({e: v * c for e, v in oa.items()},
+                                      {e: 2 * v for e, v in ob.items()})
+    assert (a == b) == (oa == ob)
+    assert (a == LaurentPoly(vs, dict(ta))) and hash(a) == hash(LaurentPoly(vs, dict(ta)))
+    assert (a * b == b * a) and hash(a * b) == hash(b * a)
+    assert a.sorted_terms() == sorted(oa.items())
+    assert a.to_json_dict() == {"vars": list(vs), "terms": [
+        {"exp": list(e), "coef": str(v)} for e, v in sorted(oa.items())]}
+    assert LaurentPoly.from_json_dict(a.to_json_dict()) == a
+    vals = [(-1) ** i * (i % 3 + 1) for i in range(len(vs))]
+    small = {e: v for e, v in oa.items() if max(map(abs, e)) <= 3}
+    assert LaurentPoly(vs, small).subs(dict(zip(vs, vals))) == _o_subs(small, vals)
+
+
+def test_laurent_terms_is_a_read_only_view():
+    p = LaurentPoly(("x", "y"), {(1, -2): 3})
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = 1
+    assert dict(p.terms) == {(1, -2): 3}
+
+
+def test_laurent_exponents_at_the_packing_bound_round_trip():
+    top = (1 << (exact._W - 1)) - 1
+    vs = ("a", "b", "c")
+    for e in [(top, -top, 0), (-top, top, -top), (top, top, top), (-1, top, -1)]:
+        p = LaurentPoly(vs, {e: -5, (0, 0, 0): 2})
+        assert dict(p.terms) == {e: -5, (0, 0, 0): 2}
+        assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
+    # two products that end exactly on the bound
+    half = LaurentPoly(vs, {(top // 2, -(top // 2), 1): 1})
+    rest = LaurentPoly(vs, {(top - top // 2, -(top - top // 2), -1): 1})
+    assert dict((half * rest).terms) == {(top, -top, 0): 1}
+
+
+def test_laurent_past_the_packing_bound_raises_instead_of_aliasing():
+    top = (1 << (exact._W - 1)) - 1
+    vs = ("a", "b")
+    a = LaurentPoly(vs, {(top, 0): 1})
+    one_more = LaurentPoly.variable(vs, "a")
+    with pytest.raises(OverflowError):
+        a * one_more
+    with pytest.raises(OverflowError):
+        LaurentPoly(vs, {(0, -(top + 1)): 1})
+    with pytest.raises(OverflowError):
+        LaurentPoly.variable(vs, "b", 1 << (exact._W // 2)) ** (1 << (exact._W // 2 - 1))
+    # the bound is carried, not read off the terms: the sum cancels the
+    # large term, yet its bound stays at top, and top + 1 reaches 2^(W-1)
+    cancelled = (a + one_more) - a
+    assert cancelled == one_more
+    with pytest.raises(OverflowError):
+        cancelled * one_more
+
+
+def test_laurent_divide_exact():
+    vs = ("x",)
+    p = LaurentPoly(vs, {(1,): 6, (-2,): -4})
+    assert p.divide_exact(2) == LaurentPoly(vs, {(1,): 3, (-2,): -2})
+    with pytest.raises(ArithmeticError):
+        p.divide_exact(4)
+
+
 def test_det_ring_laurent_matrix():
     vs = ("t",)
     t = LaurentPoly.variable(vs, "t")

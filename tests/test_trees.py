@@ -233,6 +233,28 @@ def test_weighted_specializes_to_counts():
     assert weighted_tau_matrix_tree(cube(3), 1).subs_ones() == 384
 
 
+def test_weighted_matrix_tree_scales_by_the_torsion_ratio(monkeypatch):
+    base = weighted_tau_matrix_tree(cube(2), 1)
+    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (2, 1))
+    assert weighted_tau_matrix_tree(cube(2), 1) == base * 4
+    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (6, 3))
+    assert weighted_tau_matrix_tree(cube(2), 1) == base * 4
+    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (1, 2))
+    with pytest.raises(ArithmeticError, match="torsion ratio did not divide"):
+        weighted_tau_matrix_tree(cube(2), 1)
+
+
+def test_verify_conjecture_reports_the_first_difference(monkeypatch):
+    vs = weight_vars((1, 2))
+    rhs = conjecture_rhs
+    monkeypatch.setattr(trees, "conjecture_rhs",
+                        lambda n, k: rhs(n, k) + LaurentPoly.monomial(vs, {"x1": -1}, 2))
+    out = verify_conjecture(2, 1)
+    assert out["equal"] is False
+    assert out["first_difference"] == {"exp": [0, -1, 0, 0, 0, 0], "brute": "0",
+                                       "conjecture": "2"}
+
+
 def test_verify_conjecture_small():
     assert verify_conjecture(2, 1)["equal"]
     assert verify_conjecture(2, 2)["equal"]
