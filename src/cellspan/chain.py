@@ -1,8 +1,9 @@
 """Chain complexes over the integers.
 
 A complex stores ordered cell labels per dimension and integer boundary
-matrices.  An optional (-1)-dimensional cell turns on an explicit
-augmentation row, stored as the dimension-0 boundary.
+matrices, each as sparse columns (exact.SparseMatrix).  An optional
+(-1)-dimensional cell turns on an explicit augmentation row, stored as
+the dimension-0 boundary.
 
 The one convention that everything downstream leans on: reduced
 homology in dimension 0 is always computed against an augmentation (the
@@ -20,18 +21,20 @@ from .exact import (
     IntPoly,
     LaurentPoly,
     NotIntegral,
+    SparseMatrix,
     char_poly,
     char_polys,
     integer_roots,
+    outer_sum,
     rank_exact,
     smith_normal_form,
-    sparse_columns,
 )
 
 FAMILIES = ("ud", "du", "tot")
 
 # JSON values that parse to Python numbers but are not integers.
 _NOT_INTEGERS = frozenset((float, bool))
+_INTS = frozenset((int,))
 
 # char_polynomials holds Laplacians with at most about this many entries
 # in all before it computes their char polys together.
@@ -118,12 +121,18 @@ class SpectrumGF:
 
 
 class ChainComplex:
-    """Immutable chain complex with ordered, labeled cells."""
+    """Immutable chain complex with ordered, labeled cells.
+
+    Each boundary is stored as a SparseMatrix, one {row: value} dict of
+    Python ints per column (`bnd`); a cube boundary column has 2 dim
+    nonzeros.  Homology, the tree engines and the Laplacians read this
+    form; boundary(i) builds a dense IntMatrix on each call.
+    """
 
     def __init__(self, cells, boundaries, empty_cell: bool = False, check: bool = True):
-        """cells: {dim: labels}; boundaries: {i: IntMatrix or rows} for
-        1 <= i <= d, plus key 0 holding the augmentation row when
-        empty_cell is set."""
+        """cells: {dim: labels}; boundaries: {i: SparseMatrix, IntMatrix
+        or rows} for 1 <= i <= d, plus key 0 holding the augmentation
+        row when empty_cell is set."""
         cleaned = {}
         for d, labels in dict(cells).items():
             labels = tuple(str(x) for x in labels)
@@ -136,9 +145,9 @@ class ChainComplex:
         bnd = {}
         for i, m in dict(boundaries).items():
             i = int(i)
-            if not isinstance(m, IntMatrix):
+            if not isinstance(m, (IntMatrix, SparseMatrix)):
                 m = IntMatrix(m, ncols=len(cleaned.get(i, ())))
-            bnd[i] = m
+            bnd[i] = m.sparse()
         self.bnd = bnd
         self._spec: dict = {}
         self._chi: dict = {}
@@ -168,23 +177,26 @@ class ChainComplex:
         lo = -1 if self.empty_cell else 0
         return [i for i in range(lo, self.dim + 1) if self.n_cells(i)]
 
-    def boundary(self, i: int) -> IntMatrix:
+    def sparse_boundary(self, i: int) -> SparseMatrix:
         """Stored boundary C_i -> C_{i-1}; correctly-shaped zero matrix
         out of range.  Without a (-1)-cell the dimension-0 boundary is
         the zero map."""
         m = self.bnd.get(i)
         if m is not None:
             return m
-        nr, nc = self.n_cells(i - 1), self.n_cells(i)
-        return IntMatrix([()] * nr, ncols=nc) if nc == 0 else IntMatrix.zeros(nr, nc)
+        return SparseMatrix([{} for _ in range(self.n_cells(i))], self.n_cells(i - 1))
 
-    def homology_boundary(self, i: int) -> IntMatrix:
+    def boundary(self, i: int) -> IntMatrix:
+        """sparse_boundary(i) as a dense IntMatrix, built on each call."""
+        return self.sparse_boundary(i).dense()
+
+    def homology_boundary(self, i: int) -> SparseMatrix:
         """Boundary used for reduced homology: dimension 0 gets the
         implicit all-ones augmentation when no (-1)-cell is stored."""
         if i == 0 and not self.empty_cell:
             n0 = self.n_cells(0)
-            return IntMatrix([[1] * n0]) if n0 else IntMatrix([], ncols=0)
-        return self.boundary(i)
+            return SparseMatrix([{0: 1} for _ in range(n0)], 1 if n0 else 0)
+        return self.sparse_boundary(i)
 
     # -- validation
 
@@ -204,7 +216,7 @@ class ChainComplex:
         if self.empty_cell and 0 not in self.bnd and self.n_cells(0):
             raise ChainError("empty cell present but no augmentation row stored")
         lo = 0 if self.empty_cell else 1
-        cols = [sparse_columns(self.boundary(i)) for i in range(lo, self.dim + 2)]
+        cols = [self.sparse_boundary(i).cols for i in range(lo, self.dim + 2)]
         for i in range(lo, self.dim + 1):
             below, above = cols[i - lo], cols[i - lo + 1]
             # column c of the product, summed over the nonzeros of
@@ -278,17 +290,18 @@ class ChainComplex:
 
     # -- Laplacians and spectra
 
-    def laplacian(self, i: int, family: str) -> IntMatrix:
+    def laplacian(self, i: int, family: str) -> SparseMatrix:
+        """L^ud_i = B B^T with B = sparse_boundary(i + 1), L^du_i = B^T B
+        with B = sparse_boundary(i), or L^tot_i, their sum, each by
+        exact.outer_sum: O(sum of nnz^2) exact Python-int work."""
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         self._check_dim(i)
-        if family == "ud":
-            b = self.boundary(i + 1)
-            return b * b.transpose()
-        if family == "du":
-            b = self.boundary(i)
-            return b.transpose() * b
-        return self.laplacian(i, "ud") + self.laplacian(i, "du")
+        if family == "tot":
+            return self.laplacian(i, "ud") + self.laplacian(i, "du")
+        b = self.sparse_boundary(i + 1) if family == "ud" else self.sparse_boundary(i).transpose()
+        out = outer_sum(self.n_cells(i), ((v, v) for v in b.cols))
+        return SparseMatrix([{r: v for r, v in col.items() if v} for col in out], len(out))
 
     def char_polynomial(self, i: int, family: str) -> IntPoly:
         key = (i, family)
@@ -363,7 +376,8 @@ class ChainComplex:
         cells[k] = tuple(labels[j] for j in idx)
         bnd = {i: m for i, m in self.bnd.items() if i < k}
         if k in self.bnd or idx:
-            bnd[k] = self.boundary(k).columns_subset(idx)
+            b = self.sparse_boundary(k)
+            bnd[k] = SparseMatrix([b.cols[j] for j in idx], b.nrows)
         return ChainComplex(cells, bnd, empty_cell=self.empty_cell, check=False)
 
     def dual_pairing(self) -> int:
@@ -394,7 +408,7 @@ class ChainComplex:
         bnd = {}
         top = d - lo
         for j in range(0 if empty else 1, top + 1):
-            m = self.boundary(d - j + 1).transpose()
+            m = self.sparse_boundary(d - j + 1).transpose()
             if m.nrows or m.ncols:
                 bnd[j] = m
         return ChainComplex(cells, bnd, empty_cell=empty, check=False)
@@ -406,7 +420,7 @@ class ChainComplex:
         cells = [list(self.labels(i)) for i in range(d + 1)]
         boundary = {}
         for i in sorted(self.bnd):
-            boundary[str(i)] = [[str(v) for v in row] for row in self.bnd[i].rows]
+            boundary[str(i)] = [[str(v) for v in row] for row in self.bnd[i].dense().rows]
         return {"dims": d, "cells": cells, "boundary": boundary, "empty_cell": self.empty_cell}
 
     def to_json(self) -> str:
@@ -419,13 +433,15 @@ class ChainComplex:
         for key, rows in data.get("boundary", {}).items():
             i = int(key)
             ncols = len(cells.get(i, ())) if i != -1 else 0
-            for row in rows:
+            kinds = [set(map(type, row)) for row in rows]
+            for row, k in zip(rows, kinds):
                 # int() would truncate 1.5 and true to 1, and overflow on
                 # 1e400; decimal strings, as to_json_dict writes, stay
-                if not _NOT_INTEGERS.isdisjoint(map(type, row)):
+                if not _NOT_INTEGERS.isdisjoint(k):
                     v = next(v for v in row if type(v) in _NOT_INTEGERS)
                     raise ChainError(f"boundary {key} entry {v!r} is not an integer")
-            bnd[i] = IntMatrix(rows, ncols=ncols)
+            rows = [row if k <= _INTS else [int(v) for v in row] for row, k in zip(rows, kinds)]
+            bnd[i] = SparseMatrix.from_rows(rows, ncols=ncols)
         return cls(cells, bnd, empty_cell=bool(data.get("empty_cell", False)), check=check)
 
     @classmethod
@@ -452,17 +468,14 @@ def simplicial(faces_by_dim: dict, empty_cell: bool) -> ChainComplex:
              for d, fs in faces_by_dim.items()}
     bnd = {}
     if empty_cell:
-        bnd[0] = IntMatrix([[1] * len(faces_by_dim[0])])
+        bnd[0] = SparseMatrix([{0: 1} for _ in faces_by_dim[0]], 1)
     for d in sorted(faces_by_dim):
         if d == 0:
             continue
         rows_idx = {f: r for r, f in enumerate(faces_by_dim[d - 1])}
-        cols = faces_by_dim[d]
-        rows = [[0] * len(cols) for _ in rows_idx]
-        for ci, face in enumerate(cols):
-            for r in range(len(face)):
-                rows[rows_idx[face[:r] + face[r + 1:]]][ci] = -1 if r % 2 else 1
-        bnd[d] = IntMatrix(rows, ncols=len(cols))
+        cols = [{rows_idx[face[:r] + face[r + 1:]]: -1 if r % 2 else 1 for r in range(len(face))}
+                for face in faces_by_dim[d]]
+        bnd[d] = SparseMatrix(cols, len(rows_idx))
     return ChainComplex(cells, bnd, empty_cell=empty_cell)
 
 
@@ -480,12 +493,11 @@ def disjoint_union(c1: ChainComplex, c2: ChainComplex) -> ChainComplex:
             cells[d] = ls
     bnd = {}
     for i in range(1, max(c1.dim, c2.dim) + 1):
-        a, b = c1.boundary(i), c2.boundary(i)
+        a, b = c1.sparse_boundary(i), c2.sparse_boundary(i)
         if a.ncols + b.ncols == 0:
             continue
-        rows = [list(r) + [0] * b.ncols for r in a.rows]
-        rows += [[0] * a.ncols + list(r) for r in b.rows]
-        bnd[i] = IntMatrix(rows, ncols=a.ncols + b.ncols)
+        shifted = [{r + a.nrows: v for r, v in col.items()} for col in b.cols]
+        bnd[i] = SparseMatrix(a.cols + shifted, a.nrows + b.nrows)
     return ChainComplex(cells, bnd, check=False)
 
 
@@ -508,28 +520,20 @@ def product(c1: ChainComplex, c2: ChainComplex) -> ChainComplex:
             cells[k] = tuple(ls)
     bnd = {}
     for k in range(1, c1.dim + c2.dim + 1):
-        nr = len(cells.get(k - 1, ()))
-        nc = len(cells.get(k, ()))
-        if nc == 0:
-            continue
-        rows = [[0] * nc for _ in range(nr)]
-        col = 0
+        cols = []
         for i in range(0, k + 1):
-            b1 = c1.boundary(i)
-            b2 = c2.boundary(k - i)
+            b1, b2 = c1.sparse_boundary(i), c2.sparse_boundary(k - i)
+            sign = -1 if i % 2 else 1
             for fi, f in enumerate(c1.labels(i)):
                 for gi, g in enumerate(c2.labels(k - i)):
-                    for r in range(b1.nrows):
-                        e = b1.entry(r, fi)
-                        if e:
-                            rows[index[pair(c1.labels(i - 1)[r], g)][1]][col] += e
-                    sign = -1 if i % 2 else 1
-                    for r in range(b2.nrows):
-                        e = b2.entry(r, gi)
-                        if e:
-                            rows[index[pair(f, c2.labels(k - i - 1)[r])][1]][col] += sign * e
-                    col += 1
-        bnd[k] = IntMatrix(rows, ncols=nc)
+                    # the two parts reach different cells, so no sum cancels
+                    col = {index[pair(c1.labels(i - 1)[r], g)][1]: e
+                           for r, e in b1.cols[fi].items()}
+                    col.update((index[pair(f, c2.labels(k - i - 1)[r])][1], sign * e)
+                               for r, e in b2.cols[gi].items())
+                    cols.append(col)
+        if cols:
+            bnd[k] = SparseMatrix(cols, len(cells.get(k - 1, ())))
     return ChainComplex(cells, bnd, check=False)
 
 
@@ -553,13 +557,11 @@ def isomorphic_under(c1: ChainComplex, c2: ChainComplex, label_map) -> bool:
             return False
     lo = 0 if c1.empty_cell else 1
     for i in range(lo, c1.dim + 1):
-        b1, b2 = c1.boundary(i), c2.boundary(i)
-        rmap = maps.get(i - 1, [0] * b1.nrows)  # i=0: single aug row
-        cmap = maps[i]
-        for r in range(b1.nrows):
-            for c in range(b1.ncols):
-                if b1.entry(r, c) != b2.entry(rmap[r] if i > 0 else r, cmap[c]):
-                    return False
+        b1, b2 = c1.sparse_boundary(i), c2.sparse_boundary(i)
+        rmap = maps[i - 1] if i > 0 else [0]  # i=0: single aug row
+        for c, col in enumerate(b1.cols):
+            if {rmap[r]: v for r, v in col.items()} != b2.cols[maps[i][c]]:
+                return False
     return True
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex, simplicial
 from .cubical import cube, weight_vars, weighted_total_laplacian, xi_weight
-from .exact import IntMatrix, LaurentPoly, char_poly, gen_binom, ring_laplacian
+from .exact import IntMatrix, LaurentPoly, char_poly, gen_binom, outer_sum, sparse_transpose
 from .trees import cst_target_size, is_cst
 
 FACE_CAP = 4096
@@ -184,39 +184,26 @@ def _sign_consistent_pairing(qc: ChainComplex, xc: ChainComplex, n: int,
     propagate through nonzero incidences; any inconsistent cycle or
     mismatched zero pattern answers no."""
     # collect constraints eps_u * eps_w = s over cells of the cube side
-    q_index = {}
-    for i in range(n + 1):
-        for r, lab in enumerate(qc.labels(i)):
-            q_index[(i, lab)] = r
     adj: dict = {}
-
-    def add_constraint(u, w, s):
-        adj.setdefault(u, []).append((w, s))
-        adj.setdefault(w, []).append((u, s))
-
     for j in range(0, n):
-        bx = xc.boundary(j) if j >= 1 else xc.boundary(0)
-        x_rows = xc.labels(j - 1) if j >= 1 else ("",)
-        x_cols = xc.labels(j)
-        bq = qc.boundary(n - j)
+        bx, bq = xc.sparse_boundary(j), qc.sparse_boundary(n - j)
         # X j-cells pair with cube (n-1-j)-cells, X (j-1)-cells with
-        # cube (n-j)-cells; entries must agree up to the sign choice
-        col_of = {lab: c for c, lab in enumerate(x_cols)}
-        row_of = {lab: r for r, lab in enumerate(x_rows)}
-        for qr, q_row_lab in enumerate(qc.labels(n - j - 1)):
-            for qcn, q_col_lab in enumerate(qc.labels(n - j)):
-                e_q = bq.entry(qr, qcn)
-                xw = face_map[q_row_lab]
-                xu = face_map[q_col_lab]
-                e_x = bx.entry(row_of[xu], col_of[xw])
-                if (e_q == 0) != (e_x == 0):
-                    return False
-                if e_q == 0:
-                    continue
+        # cube (n-j)-cells; entries must agree up to the sign choice.  The
+        # pairing is a bijection, so equal nonzero counts and a nonzero
+        # partner for each nonzero of bq make the zero patterns agree.
+        if sum(map(len, bx.cols)) != sum(map(len, bq.cols)):
+            return False
+        col_of = {lab: c for c, lab in enumerate(xc.labels(j))}
+        row_of = {lab: r for r, lab in enumerate(xc.labels(j - 1) if j >= 1 else ("",))}
+        q_rows = qc.labels(n - j - 1)
+        for q_col_lab, col in zip(qc.labels(n - j), bq.cols):
+            for qr, e_q in col.items():
+                e_x = bx.entry(row_of[face_map[q_col_lab]], col_of[face_map[q_rows[qr]]])
                 if abs(e_q) != abs(e_x):
                     return False
-                add_constraint((n - j - 1, q_row_lab), (n - j, q_col_lab),
-                               1 if e_q == e_x else -1)
+                u, w, s = (n - j - 1, q_rows[qr]), (n - j, q_col_lab), 1 if e_q == e_x else -1
+                adj.setdefault(u, []).append((w, s))
+                adj.setdefault(w, []).append((u, s))
     # BFS sign propagation over the incidence graph
     eps: dict = {}
     for node in adj:
@@ -313,15 +300,17 @@ def _weighted_tot_fraction(c: ChainComplex, i: int, wt_by_dim: dict):
     per dimension (lists aligned with stored labels)."""
     lo = -1 if c.empty_cell else 0
 
-    def wb(j):
-        b = c.boundary(j)
+    def columns(j):  # of the weighted boundary into the j-cells
+        if not lo < j <= c.dim:
+            return []
         wr, wc = wt_by_dim[j - 1], wt_by_dim[j]
-        return [[Fraction(b.entry(r, s)) * wc[s] / wr[r]
-                 for s in range(b.ncols)] for r in range(b.nrows)]
+        return [{r: Fraction(v) * wc[s] / wr[r] for r, v in col.items()}
+                for s, col in enumerate(c.sparse_boundary(j).cols)]
 
-    return ring_laplacian(c.n_cells(i), Fraction(0),
-                          wb(i + 1) if i + 1 <= c.dim else None,
-                          wb(i) if i >= lo + 1 else None)
+    n = c.n_cells(i)
+    vectors = columns(i + 1) + sparse_transpose(columns(i), c.n_cells(i - 1))
+    rows = outer_sum(n, ((v, v) for v in vectors))
+    return [[row.get(s, Fraction(0)) for s in range(n)] for row in rows]
 
 
 def frac_char_poly(m) -> list:

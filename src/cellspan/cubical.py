@@ -13,8 +13,7 @@ import itertools
 from bisect import insort
 
 from .chain import ChainComplex, as_int
-from .exact import (IntMatrix, IntPoly, LaurentPoly, gen_binom, ring_laplacian,
-                    ring_matmul)
+from .exact import IntPoly, LaurentPoly, SparseMatrix, gen_binom, outer_sum, sparse_transpose
 
 _RANK = {"0": 0, "1": 1, "*": 2}
 
@@ -66,24 +65,25 @@ def dirset_faces(universe, dirs):
         yield "".join("*" if d in dirs else pin[d] for d in universe)
 
 
-def _boundary_rows(x, i: int, zero, units) -> list:
-    """Rows of the boundary from the i-faces to the (i-1)-faces of x,
-    over the ring of `zero`.  Pinning the j-th star of g (1-based), in
+def _boundary_columns(x, i: int, units) -> list:
+    """Columns of the boundary from the i-faces to the (i-1)-faces of x,
+    as {row: entry} dicts.  Pinning the j-th star of g (1-based), in
     universe position pos, to 0 or to 1 enters (-1)^j e0 or -(-1)^j e1,
     where (e0, e1) = units[pos]."""
     rows_idx = {f: r for r, f in enumerate(x.faces_of_dim(i - 1))}
-    cols = x.faces_of_dim(i)
-    rows = [[zero] * len(cols) for _ in rows_idx]
-    for ci, g in enumerate(cols):
+    cols = []
+    for g in x.faces_of_dim(i):
+        col = {}
         j = 0
         for pos, c in enumerate(g):
             if c == "*":
                 j += 1
                 s = -1 if j % 2 else 1
                 e0, e1 = units[pos]
-                rows[rows_idx[g[:pos] + "0" + g[pos + 1:]]][ci] = s * e0
-                rows[rows_idx[g[:pos] + "1" + g[pos + 1:]]][ci] = -s * e1
-    return rows
+                col[rows_idx[g[:pos] + "0" + g[pos + 1:]]] = s * e0
+                col[rows_idx[g[:pos] + "1" + g[pos + 1:]]] = -s * e1
+        cols.append(col)
+    return cols
 
 
 def sign(f: str, g: str) -> int:
@@ -190,7 +190,7 @@ class CubicalComplex:
                 if fs:
                     cells[i] = fs
             units = [(1, 1)] * len(self.universe)
-            bnd = {i: IntMatrix(_boundary_rows(self, i, 0, units), ncols=self.n_faces(i))
+            bnd = {i: SparseMatrix(_boundary_columns(self, i, units), self.n_faces(i - 1))
                    for i in range(1, self.dim + 1)}
             self._chain = ChainComplex(cells, bnd, check=False)
         return self._chain
@@ -500,10 +500,17 @@ def algebraic_boundary(x: CubicalComplex, i: int):
     """Boundary matrix whose (f, g) entry is sign(f, g) times the
     weight ratio of g over f; each entry is a single Laurent monomial
     of the form +-q/x or +-q/y in one direction."""
+    zero = LaurentPoly(weight_vars(x.universe))
+    rows = sparse_transpose(_algebraic_columns(x, i), x.n_faces(i - 1))
+    return [[row.get(c, zero) for c in range(x.n_faces(i))] for row in rows]
+
+
+def _algebraic_columns(x: CubicalComplex, i: int) -> list:
+    """The columns of algebraic_boundary(x, i) as {row: entry} dicts."""
     vs = weight_vars(x.universe)
     units = [(LaurentPoly.monomial(vs, {f"q{d}": 1, f"x{d}": -1}),
               LaurentPoly.monomial(vs, {f"q{d}": 1, f"y{d}": -1})) for d in x.universe]
-    return _boundary_rows(x, i, LaurentPoly(vs), units)
+    return _boundary_columns(x, i, units)
 
 
 def laurent_is_zero(rows) -> bool:
@@ -513,9 +520,10 @@ def laurent_is_zero(rows) -> bool:
 def weighted_total_laplacian(x: CubicalComplex, i: int):
     """Total Laplacian of the algebraically weighted boundary maps, a
     square Laurent-polynomial matrix on the i-faces."""
-    up = algebraic_boundary(x, i + 1) if x.n_faces(i + 1) else None
-    down = algebraic_boundary(x, i) if x.n_faces(i - 1) else None
-    return ring_laplacian(x.n_faces(i), LaurentPoly(weight_vars(x.universe)), up, down)
+    zero, n = LaurentPoly(weight_vars(x.universe)), x.n_faces(i)
+    vectors = (_algebraic_columns(x, i + 1)
+               + sparse_transpose(_algebraic_columns(x, i), x.n_faces(i - 1)))
+    return [[row.get(s, zero) for s in range(n)] for row in outer_sum(n, ((v, v) for v in vectors))]
 
 
 def weighted_diag_laplacian(x: CubicalComplex, k: int):
@@ -525,11 +533,11 @@ def weighted_diag_laplacian(x: CubicalComplex, k: int):
     This is the engine matrix for weighted tree enumeration; the
     weighted boundary itself composes to zero only in the algebraic
     mode above."""
-    b = x.to_chain().boundary(k)
-    weights = [xi_weight(x.universe, g) for g in x.faces_of_dim(k)]
+    b = x.to_chain().sparse_boundary(k)
     zero = LaurentPoly(weight_vars(x.universe))
-    bw = [[w * e if e else zero for e, w in zip(row, weights)] for row in b.rows]
-    return ring_matmul(bw, b.transpose().rows)
+    weights = [xi_weight(x.universe, g) for g in x.faces_of_dim(k)]
+    pairs = (({r: w * a for r, a in col.items()}, col) for w, col in zip(weights, b.cols))
+    return [[row.get(s, zero) for s in range(b.nrows)] for row in outer_sum(b.nrows, pairs)]
 
 
 def u_form(universe, subset) -> LaurentPoly:

@@ -12,13 +12,22 @@ column operations, which keep the rank and the Smith form, and a +-1
 pivot keeps every entry an integer.  The dense routines are also the
 tests' oracles for the sparse path.
 
+Sparse matrices (SparseMatrix) store one {row: value} dict of Python
+ints per column.  Chain complexes keep their boundaries and Laplacians
+this way; ranks, Smith forms and char polys read it directly.
+
 numpy is used only for word-size modular arithmetic inside the
-characteristic-polynomial kernel (the Hessenberg passes mod p, the
-candidate-root scan and the matrix products that certify an integral
-char poly, see char_poly) and to pack the keys of its memo.  Its int64
-intermediates are exact at every side: residues are below 2^27, so each
-product is below 2^54, and every dot product sums at most 511 such
-products before it is reduced mod p (_dot_mod), which stays below 2^63.
+characteristic-polynomial kernel: the Hessenberg passes mod p, the
+candidate-root scan, and the products that certify an integral char
+poly (see char_poly).  A matrix becomes an int64 array there and
+nowhere else: the memo keys on its sparse entries.  The int64
+intermediates are exact at every side.  Residues are below 2^27, so
+each product is below 2^54, and every sum of products adds at most
+_DOT_BLOCK = 511 of them before it is reduced mod p, which stays below
+2^63: the dense dot products (_dot_mod) cut their inner axis into
+blocks of 511, and the certificate's product by a matrix in ELL form
+(_ell_mul: the nonzeros of each row as n x w index and value arrays)
+sums chunks of at most 511 of the w terms, reducing between chunks.
 The Hessenberg passes of many matrices of one side run stacked, at most
 _STACK_ENTRIES = 2^14 entries a stack (or one larger matrix), each layer
 with its own prime and pivots; the bounds above hold layer by layer,
@@ -48,14 +57,15 @@ __all__ = [
     "det_ring",
     "rank_exact",
     "smith_normal_form",
-    "sparse_columns",
+    "SparseMatrix",
+    "sparse_transpose",
     "char_poly",
     "char_polys",
     "char_poly_interpolate",
     "char_poly_memo",
     "integer_roots",
     "integer_spectrum",
-    "ring_laplacian",
+    "outer_sum",
     "ring_matmul",
     "ring_transpose",
 ]
@@ -92,6 +102,22 @@ def _int_row(row) -> tuple:
     return t if _INT_ONLY.issuperset(map(type, t)) else tuple(map(int, t))
 
 
+def _checked_rows(rows, ncols) -> tuple:
+    """(rows as a tuple, their common width); ValueError for ragged rows
+    or a width other than ncols.  An empty row list has width ncols, or
+    0 when ncols is None."""
+    rs = tuple(rows)
+    if not rs:
+        return rs, 0 if ncols is None else int(ncols)
+    widths = {len(r) for r in rs}
+    if len(widths) != 1:
+        raise ValueError("ragged rows")
+    w = widths.pop()
+    if ncols is not None and ncols != w:
+        raise ValueError("ncols disagrees with row width")
+    return rs, w
+
+
 class IntMatrix:
     """Immutable dense integer matrix.
 
@@ -103,19 +129,8 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        rs = tuple(map(_int_row, rows))
-        self.rows = rs
-        self.nrows = len(rs)
-        if rs:
-            widths = {len(r) for r in rs}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            w = widths.pop()
-            if ncols is not None and ncols != w:
-                raise ValueError("ncols disagrees with row width")
-            self.ncols = w
-        else:
-            self.ncols = 0 if ncols is None else int(ncols)
+        self.rows, self.ncols = _checked_rows(map(_int_row, rows), ncols)
+        self.nrows = len(self.rows)
 
     # -- constructors
 
@@ -147,43 +162,9 @@ class IntMatrix:
         r = self.rows
         return all(r[i][j] == r[j][i] for i in range(self.nrows) for j in range(i))
 
-    def max_abs(self) -> int:
-        m = 0
-        for r in self.rows:
-            for v in r:
-                av = -v if v < 0 else v
-                if av > m:
-                    m = av
-        return m
-
-    # -- algebra
-
     def transpose(self) -> "IntMatrix":
         t = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         return IntMatrix(t, ncols=self.nrows)
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in product")
-        n, k, m = self.nrows, self.ncols, other.ncols
-        if n == 0 or m == 0 or k == 0:
-            return IntMatrix.zeros(n, m)
-        # int64 fast path; the bound guarantees no overflow is possible
-        ma, mb = self.max_abs(), other.max_abs()
-        if ma and mb and k * ma * mb < 2**62:
-            a = np.array(self.rows, dtype=np.int64)
-            b = np.array(other.rows, dtype=np.int64)
-            c = a @ b
-            return IntMatrix(c.tolist())
-        bt = other.transpose().rows
-        out = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.rows]
-        return IntMatrix(out, ncols=m)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-                         ncols=self.ncols)
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         row_idx = list(row_idx)
@@ -191,17 +172,86 @@ class IntMatrix:
         rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
         return IntMatrix(rows, ncols=len(col_idx))
 
-    def columns_subset(self, col_idx) -> "IntMatrix":
-        return self.submatrix(range(self.nrows), col_idx)
-
-    def delete_rows_cols(self, idx) -> "IntMatrix":
-        """Principal submatrix with the given rows and columns removed."""
-        drop = set(idx)
-        keep = [i for i in range(self.nrows) if i not in drop]
-        return self.submatrix(keep, keep)
+    def sparse(self) -> "SparseMatrix":
+        return SparseMatrix.from_rows(self.rows, self.ncols)
 
     def __repr__(self):
         return f"IntMatrix({self.nrows}x{self.ncols})"
+
+
+class SparseMatrix:
+    """Immutable integer matrix stored as sparse columns: `cols` holds
+    one {row: value} dict of Python ints per column, with no zero
+    values, and `nrows` the row count.  Callers must not mutate the
+    dicts; the complexes share them between boundaries.
+
+    Boundaries of chain complexes and their Laplacians are stored this
+    way, and rank_exact, smith_normal_form and char_poly take it
+    without a dense round trip.  dense() builds the IntMatrix;
+    IntMatrix.sparse() goes the other way, and both classes answer
+    sparse(), so a reader that wants columns takes either.
+    """
+
+    __slots__ = ("cols", "nrows", "ncols")
+
+    def __init__(self, cols, nrows: int):
+        self.cols = cols
+        self.nrows = nrows
+        self.ncols = len(cols)
+
+    @classmethod
+    def from_rows(cls, rows, ncols: int | None = None) -> "SparseMatrix":
+        """The matrix of the given rows of Python ints, their widths
+        checked as IntMatrix checks them."""
+        rs, w = _checked_rows(rows, ncols)
+        cols = [{} for _ in range(w)]
+        idx = range(w)
+        for r, row in enumerate(rs):
+            for j in itertools.compress(idx, row):
+                cols[j][r] = row[j]
+        return cls(cols, len(rs))
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    def entry(self, i: int, j: int) -> int:
+        return self.cols[j].get(i, 0)
+
+    def trace(self) -> int:
+        return sum(col.get(j, 0) for j, col in enumerate(self.cols))
+
+    def sparse(self) -> "SparseMatrix":
+        return self
+
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            c = dict(a)
+            for r, v in b.items():
+                c[r] = c.get(r, 0) + v
+            cols.append({r: v for r, v in c.items() if v})
+        return SparseMatrix(cols, self.nrows)
+
+    def dense(self) -> IntMatrix:
+        rows = sparse_transpose(self.cols, self.nrows)
+        n = self.ncols
+        return IntMatrix([[r.get(j, 0) for j in range(n)] for r in rows], ncols=n)
+
+    def transpose(self) -> "SparseMatrix":
+        return SparseMatrix(sparse_transpose(self.cols, self.nrows), self.ncols)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseMatrix) and self.shape == other.shape
+                and self.cols == other.cols)
+
+    def __hash__(self):
+        return hash(_memo_key(self))
+
+    def __repr__(self):
+        return f"SparseMatrix({self.nrows}x{self.ncols})"
 
 
 def det_exact(m: IntMatrix) -> int:
@@ -234,22 +284,9 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def sparse_columns(m: IntMatrix, rows=None) -> list:
-    """Columns of m as {row: value} dicts of their nonzero entries,
-    restricted to the given rows (renumbered in order) when rows is not
-    None."""
-    pos = range(m.nrows) if rows is None else rows
-    cols = [{} for _ in range(m.ncols)]
-    idx = range(m.ncols)
-    for r, i in enumerate(pos):
-        row = m.rows[i]
-        for j in itertools.compress(idx, row):
-            cols[j][r] = row[j]
-    return cols
-
-
-def _eliminate_units(m: IntMatrix):
-    """(units, rest): m reduced by unit pivots, in Markowitz order.
+def _eliminate_units(m):
+    """(units, rest): m, an IntMatrix or SparseMatrix, reduced by unit
+    pivots, in Markowitz order.
 
     On the sparse rows and columns of m, repeatedly take a +-1 entry of
     least cost (r - 1)(c - 1), r and c the nonzero counts of its row and
@@ -266,7 +303,7 @@ def _eliminate_units(m: IntMatrix):
     a block sum, and every entry stays an integer, because the
     multiplier of each row operation is an entry times the pivot.
     """
-    cols = sparse_columns(m)
+    cols = [dict(c) for c in m.sparse().cols]
     rows = [{} for _ in range(m.nrows)]
     for j, col in enumerate(cols):
         for i, a in col.items():
@@ -313,16 +350,18 @@ def _eliminate_units(m: IntMatrix):
     return units, rest
 
 
-def rank_exact(m: IntMatrix) -> int:
-    """Rank over Q: the unit pivots of _eliminate_units plus the rank
-    of what they leave (_rank_dense).  The elimination is a sequence of
-    row and column operations over Z, which keep the rank."""
+def rank_exact(m) -> int:
+    """Rank over Q of an IntMatrix or SparseMatrix: the unit pivots of
+    _eliminate_units plus the rank of what they leave (_rank_dense).
+    The elimination is a sequence of row and column operations over Z,
+    which keep the rank."""
     units, rest = _eliminate_units(m)
     return units + _rank_dense(rest)
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
-    """Positive invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_normal_form(m) -> tuple[int, ...]:
+    """Positive invariant factors d_1 | d_2 | ... of an integer matrix,
+    an IntMatrix or SparseMatrix.
 
     _eliminate_units turns m, by unimodular row and column operations,
     into diag(+-1, ..., +-1) plus a rest as a block sum.  Unimodular
@@ -648,6 +687,11 @@ def _prime(i: int) -> int:
 # residue stay below 2^63, the int64 limit.
 _DOT_BLOCK = 511
 
+# An ELL product (_ell_mul) gathers about this many int64 entries at a
+# time, or one n x n array when that is larger, so that its temporaries
+# stay a few such arrays.
+_GATHER_ENTRIES = 2**16
+
 # A stacked Hessenberg pass holds at most this many matrix entries, or
 # one matrix when a single one is larger: enough small matrices to share
 # numpy's per-call cost, few enough that the stack stays in cache.
@@ -734,18 +778,10 @@ def _charpoly_stack(h, p):
     return P[:, n]
 
 
-def _residues(rows, n: int, p: int, pre=None):
-    """An n x n integer matrix mod p as an int64 array, from its int64
-    entries pre, or from its rows when pre is None."""
-    if pre is not None:
-        return pre % p
-    return np.array([[e % p for e in r] for r in rows], dtype=np.int64).reshape(n, n)
-
-
-def _charpoly_mod(rows, n: int, p: int, pre=None) -> list[int]:
-    """char poly of an n x n integer matrix mod p: one layer of
-    _charpoly_stack."""
-    h = _residues(rows, n, p, pre)[None]
+def _charpoly_mod(rows, n: int, p: int) -> list[int]:
+    """char poly of an n x n integer matrix, given by its rows, mod p:
+    one layer of _charpoly_stack."""
+    h = np.array([[e % p for e in r] for r in rows], dtype=np.int64).reshape(1, n, n)
     return _charpoly_stack(h, np.array([p], dtype=np.int64))[0].tolist()
 
 
@@ -767,31 +803,33 @@ def char_poly_memo():
         _MEMO.reset(token)
 
 
-def _memo_key(m: IntMatrix):
-    """Shape plus entries, packed as int8 bytes when every entry fits,
-    else as int64 bytes, else the rows themselves.  The packing is the
-    one int64 conversion of the entries; _unpacked reads them back."""
-    try:
-        a = np.array(m.rows, dtype=np.int64)
-    except OverflowError:
-        return m.shape, "rows", m.rows
-    if a.size and (a.min() < -128 or a.max() > 127):
-        return m.shape, "int64", a.tobytes()
-    return m.shape, "int8", a.astype(np.int8).tobytes()
+def _memo_key(m):
+    """Shape plus the nonzero entries of an IntMatrix or SparseMatrix,
+    column by column with rows ascending: exact, and equal for equal
+    matrices in either form.  Packed small, since a verify suite keeps
+    hundreds of keys: the positions as int32 bytes (int64 from 2^31
+    entries), the values as int8 bytes when all fit, else int64 bytes,
+    else a tuple of the ints."""
+    s = m.sparse()
+    pos, val = [], []
+    for j, col in enumerate(s.cols):
+        for r in sorted(col):
+            pos.append(j * s.nrows + r)
+            val.append(col[r])
+    lo, hi = min(val, default=0), max(val, default=0)
+    if -2**7 <= lo and hi < 2**7:
+        val = np.array(val, dtype=np.int8).tobytes()
+    elif -2**63 <= lo and hi < 2**63:
+        val = np.array(val, dtype=np.int64).tobytes()
+    else:
+        val = tuple(val)
+    wide = s.nrows * s.ncols >= 2**31
+    return s.shape, np.array(pos, dtype=np.int64 if wide else np.int32).tobytes(), val
 
 
-def _unpacked(key):
-    """The entries packed in a memo key as an n x n int64 array, or None
-    for a key that holds the rows."""
-    (n, _), kind, data = key
-    if kind == "rows":
-        return None
-    return np.frombuffer(data, dtype=np.int8 if kind == "int8" else np.int64
-                         ).astype(np.int64).reshape(n, n)
-
-
-def char_poly(m: IntMatrix) -> IntPoly:
-    """det(yI - m), computed exactly.
+def char_poly(m) -> IntPoly:
+    """det(yI - m), computed exactly, for a square IntMatrix or
+    SparseMatrix.
 
     Let R be the largest absolute row sum, so every eigenvalue lies in
     a Gershgorin disc of radius <= R.  The Hessenberg algorithm runs
@@ -809,7 +847,9 @@ def char_poly(m: IntMatrix) -> IntPoly:
     distinct mod p_0 because p_0 > 2R, so unique factorisation in
     F_p0[y] gives e_lam = m_lam.  Every entry of M is at most
     B = prod ||m - lam I||_inf in absolute value, so M is zero once it
-    vanishes modulo primes whose product exceeds 2B.
+    vanishes modulo primes whose product exceeds 2B.  Each factor after
+    the first multiplies M from the left in ELL form (_ell_mul): n nnz(m)
+    products, against n^3 densely.
 
     The certificate is tried only when 2R < p_0 (so every entry fits
     int64), 2R < n^2 (so the scan of the 2R + 1 candidates costs no
@@ -851,7 +891,7 @@ def char_polys(ms) -> list[IntPoly]:
     for key, m in zip(keys, ms):
         if key not in known:
             todo.setdefault(key, m)
-    known.update(zip(todo, _char_polys(list(todo.items()))))
+    known.update(zip(todo, _char_polys(list(todo.values()))))
     return [known[key] for key in keys]
 
 
@@ -866,36 +906,54 @@ def _primes_over(x: int) -> list[int]:
 
 
 class _Job:
-    """A matrix in char_polys: its side, rows, int64 entries (None
+    """A square matrix in char_polys: its side, its nonzero entries as
+    (rows, columns, values) lists, its n x n int64 array pre (None
     unless every entry is below 2^31 in absolute value), largest
     absolute row sum R and the CRT primes its coefficient bound asks
     for."""
 
-    __slots__ = ("n", "rows", "pre", "R", "primes")
+    __slots__ = ("n", "coo", "pre", "R", "primes")
 
-    def __init__(self, m: IntMatrix, a):
+    def __init__(self, m):
         self.n = n = m.nrows
-        self.rows = m.rows
-        if a is not None and -2**31 < a.min() and a.max() < 2**31:
-            self.pre = a
+        r, c, v = [], [], []
+        for j, col in enumerate(m.sparse().cols):
+            r += col
+            c += [j] * len(col)
+            v += col.values()
+        self.coo = r, c, v
+        if max(map(abs, v), default=0) < 2**31:
+            self.pre = a = np.zeros((n, n), dtype=np.int64)
+            a[r, c] = v
             self.R = int(np.abs(a).sum(axis=1).max())
         else:
             self.pre = None
-            self.R = max(sum(map(abs, r)) for r in m.rows)
+            sums = [0] * n
+            for i, x in zip(r, v):
+                sums[i] += abs(x)
+            self.R = max(sums)
         bound = max(gen_binom(n, k) * self.R**k for k in range(n + 1))
         self.primes = _primes_over(2 * bound + 1)
 
+    def residues(self, p: int):
+        """The matrix mod p as an n x n int64 array."""
+        if self.pre is not None:
+            return self.pre % p
+        r, c, v = self.coo
+        a = np.zeros((self.n, self.n), dtype=np.int64)
+        a[r, c] = [x % p for x in v]
+        return a
 
-def _char_polys(items) -> list[IntPoly]:
-    """char polys of the matrices of (memo key, matrix) pairs with
-    distinct keys."""
-    out = [None] * len(items)
+
+def _char_polys(ms) -> list[IntPoly]:
+    """char polys of square matrices with distinct entries."""
+    out = [None] * len(ms)
     jobs = []
-    for idx, (key, m) in enumerate(items):
+    for idx, m in enumerate(ms):
         if m.nrows == 0:
             out[idx] = IntPoly([1])
             continue
-        job = _Job(m, _unpacked(key))
+        job = _Job(m)
         if job.R == 0:
             out[idx] = IntPoly([0] * job.n + [1])
         else:
@@ -928,7 +986,7 @@ def _passes(pairs) -> list:
         for s in range(0, len(idxs), step):
             part = idxs[s:s + step]
             chunk = [pairs[i] for i in part]
-            h = np.stack([_residues(job.rows, n, p, job.pre) for job, p in chunk])
+            h = np.stack([job.residues(p) for job, p in chunk])
             primes = np.array([p for _, p in chunk], dtype=np.int64)
             for i, chi in zip(part, _charpoly_stack(h, primes).tolist()):
                 out[i] = chi
@@ -993,17 +1051,62 @@ def _split_char_poly(a, R: int, chi: list, p: int, budget: int):
     return IntPoly.from_roots(zip(roots, mults))
 
 
+def _ell(a):
+    """The square int64 array a in ELL form: (idx, val, diag, counts),
+    two n x w arrays with a[i, idx[i, t]] = val[i, t] for the counts[i]
+    nonzero and diagonal entries of row i, in column order, padded to
+    the widest row w by val 0 at column 0; diag indexes the diagonal in
+    idx and val."""
+    n = a.shape[0]
+    mask = a != 0
+    np.fill_diagonal(mask, True)
+    r, c = np.nonzero(mask)
+    counts = np.bincount(r, minlength=n)
+    t = np.arange(r.size) - (np.cumsum(counts) - counts)[r]
+    idx = np.zeros((n, counts.max()), dtype=np.intp)
+    val = np.zeros(idx.shape, dtype=np.int64)
+    idx[r, t] = c
+    val[r, t] = a[r, c]
+    on = r == c
+    return idx, val, (r[on], t[on]), counts
+
+
+def _ell_mul(ell, val, m, q: int):
+    """(F m) mod q, where F has the ELL pattern ell (_ell) with values
+    val, and val and m hold residues mod q < 2^27.  Row i of the product
+    sums val[i, t] m[idx[i, t]] over its t < counts[i], in chunks of at
+    most _DOT_BLOCK terms reduced mod q between chunks, so the int64
+    sums stay exact as in _dot_mod.  A chunk takes only the rows long
+    enough to reach it, so the work is (nonzeros of F) x (columns of m)
+    however uneven the rows, and gathers at most about _GATHER_ENTRIES
+    entries of m, or one row of m per row of F."""
+    idx, _, _, counts = ell
+    step = max(1, min(_DOT_BLOCK, _GATHER_ENTRIES // m.size))
+    out = np.zeros_like(m)
+    for s in range(0, idx.shape[1], step):
+        live = np.flatnonzero(counts > s)
+        if live.size == counts.size:
+            live = slice(None)
+        cut = slice(s, s + step)
+        out[live] += (val[live, cut, None] * m[idx[live, cut]]).sum(axis=1)
+        out[live] %= q
+    return out
+
+
 def _product_vanishes_mod(a, roots, q: int) -> bool:
-    """Whether prod_lam (a - lam I) over the given roots is zero mod q."""
-    aq = a % q
-    d = np.arange(a.shape[0])
-    m = aq.copy()
-    m[d, d] = (m[d, d] - roots[0]) % q
+    """Whether prod_lam (a - lam I) over the given roots is zero mod q:
+    m = a - lam_0 I mod q, then m <- (a - lam I) m for each further
+    root, a product by the ELL form of a (_ell_mul)."""
+    ell = _ell(a)
+    val, diag = ell[1] % q, ell[2]
+    m = a % q
+    np.fill_diagonal(m, (np.diagonal(m) - roots[0]) % q)
     for lam in roots[1:]:
         if not m.any():
             break
-        # m (a - lam I); |lam| < 2^26, so lam * m stays below 2^53
-        m = (_dot_mod(m, aq, q) - lam * m) % q
+        f = val.copy()
+        f[diag] = (f[diag] - lam) % q
+        m = _ell_mul(ell, f, m, q)
     return not m.any()
 
 
@@ -1047,16 +1150,25 @@ def char_poly_interpolate(m: IntMatrix) -> IntPoly:
     return IntPoly(out)
 
 
+# integer_roots tries the candidate roots up to this bound one by one,
+# and finds larger ones by bisection.
+_ROOT_SCAN = 2**16
+
+
 def integer_roots(chi: IntPoly):
     """Eigenvalue multiset of a symmetric PSD integer matrix, read off
     its characteristic polynomial chi.
 
     Returns {eigenvalue: multiplicity} when every root of chi is a
     nonnegative integer, or NotIntegral carrying chi otherwise.  After
-    the zero roots, candidates lam = 1, 2, ... are tried while lam is at
-    most the sum of the roots left (all nonnegative for a PSD matrix),
-    and only when lam divides the constant term of the monic quotient
-    left, as every integer root of it does.
+    the zero roots, candidates lam = 1, 2, ..., _ROOT_SCAN are tried
+    while lam is at most the sum S of the roots left (all nonnegative
+    for a PSD matrix), and only when lam divides the constant term of
+    the quotient left, as every integer root of it does.  Larger roots
+    are taken from the largest down: bisection over (_ROOT_SCAN, S]
+    gives the ceiling of the largest root (_top_root_ceiling), divided
+    out as often as it divides; if it does not, that root is not an
+    integer.  The cost is polynomial in the degree and bit length of chi.
     """
     eigs: dict[int, int] = {}
     v = chi.valuation()
@@ -1064,7 +1176,7 @@ def integer_roots(chi: IntPoly):
         eigs[0] = v
     rem = IntPoly(chi.coeffs[v:])
     lam = 1
-    while rem.degree > 0 and lam <= -rem.coeffs[-2]:
+    while rem.degree > 0 and lam <= min(-rem.coeffs[-2], _ROOT_SCAN):
         if rem.coeffs[0] % lam == 0:
             q, r = rem.divide_linear(lam)
             if r == 0:
@@ -1072,9 +1184,35 @@ def integer_roots(chi: IntPoly):
                 rem = q
                 continue
         lam += 1
+    while rem.degree > 0 and lam <= -rem.coeffs[-2]:
+        top = _top_root_ceiling(rem, lam, -rem.coeffs[-2])
+        q, r = rem.divide_linear(top)
+        if r:
+            break
+        while r == 0:
+            eigs[top] = eigs.get(top, 0) + 1
+            rem = q
+            q, r = rem.divide_linear(top)
     if rem.degree > 0:
         return NotIntegral(chi)
     return eigs
+
+
+def _top_root_ceiling(p: IntPoly, lo: int, hi: int) -> int:
+    """The least x in [lo, hi] at which every coefficient of p(y + x)
+    is >= 0, by bisection (hi when there is none).  Coefficient k is
+    p^(k)(x) / k!.  If p has a positive leading coefficient and only
+    real roots, the largest r, so has every derivative (Rolle): none is
+    negative at x >= r, and at x < r the derivative of highest order
+    whose largest root exceeds x increases from x on, so is negative
+    at x.  So for lo <= r <= hi this is the ceiling of r."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if min(p.compose_shift(mid).coeffs) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def integer_spectrum(m: IntMatrix):
@@ -1205,19 +1343,30 @@ def ring_matmul(a, b) -> list:
     return out
 
 
-def ring_laplacian(n: int, zero, up, down) -> list:
-    """up*up^T + down^T*down over a ring, on n cells: `up` is the
-    boundary into them (n rows), `down` the boundary out of them (n
-    columns), either None when it is zero.  Every entry is a sum
-    starting from `zero`, the zero of the ring."""
-    out = [[zero] * n for _ in range(n)]
-    parts = []
-    if up is not None:
-        parts.append(ring_matmul(up, ring_transpose(up)))
-    if down is not None:
-        parts.append(ring_matmul(ring_transpose(down), down))
-    for p in parts:
-        out = [[x + y for x, y in zip(ro, rp)] for ro, rp in zip(out, p)]
+def outer_sum(n: int, pairs) -> list:
+    """The sum of u v^T over the pairs (u, v) of sparse vectors
+    ({index: entry} dicts, entries in any commutative ring), as n
+    {index: entry} rows, from the products of the entry pairs:
+    O(sum of nnz(u) nnz(v)) ring operations.  Every Laplacian is built
+    this way: B B^T from the columns of B, B^T B from its rows."""
+    out = [{} for _ in range(n)]
+    for u, v in pairs:
+        items = v.items()
+        for r, x in u.items():
+            row = out[r]
+            get = row.get
+            for s, y in items:
+                row[s] = get(s, 0) + x * y
+    return out
+
+
+def sparse_transpose(cols, nrows: int) -> list:
+    """The rows, as {column: entry} dicts, of the matrix with the given
+    {row: entry} columns and nrows rows."""
+    out = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            out[i][j] = v
     return out
 
 

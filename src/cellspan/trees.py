@@ -26,10 +26,12 @@ from fractions import Fraction
 from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
                       weight_vars, xi_weight)
-from .exact import LaurentPoly, det_exact, det_ring, gen_binom, sparse_columns
+from .exact import IntMatrix, LaurentPoly, det_exact, det_ring, gen_binom
 
 BRUTE_CAP = 10 ** 6
 MATRIX_SIDE_CAP = 4096
+# Most terms the conjecture's expanded products may need (_check_expansion).
+EXPANSION_TERM_CAP = 10 ** 5
 
 METHODS = ("brute", "matrix-tree", "alternating-product", "closed-form")
 
@@ -212,11 +214,12 @@ class _Echelon:
 
 def _pivot_columns(b) -> list:
     """Indices of the lexicographically first basis of the column space
-    of an IntMatrix: one incremental elimination in column order keeps
-    each column that is independent of those before it."""
+    of an IntMatrix or SparseMatrix: one incremental elimination in
+    column order keeps each column that is independent of those before
+    it."""
     ech = _Echelon()
     picked: list = []
-    for j, col in enumerate(sparse_columns(b)):
+    for j, col in enumerate(b.sparse().cols):
         v = ech.reduce(col)
         if v:
             ech.push(v)
@@ -266,7 +269,8 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
     ubar = sorted(set(range(b.nrows)) - set(picked))
     if len(ubar) != target:
         raise ArithmeticError("complement of U does not match the tree size")
-    cols = sparse_columns(b, ubar)
+    pos = {r: t for t, r in enumerate(ubar)}
+    cols = [{pos[r]: v for r, v in col.items() if r in pos} for col in b.cols]
     if q.weighted:
         weights = [xi_weight(q.complex.universe, f) for f in labels]
         vs = weight_vars(q.complex.universe)
@@ -323,8 +327,10 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
                           "matrix-tree side cap (MATRIX_SIDE_CAP)")
     picked, labels = _greedy_u(xs, k)
     u_size_ok = len(labels) - len(picked) == xs.n_cells(k) - xs.betti(k)
-    lu = xs.laplacian(k - 1, "ud").delete_rows_cols(picked)
-    det = det_exact(lu)
+    lap = xs.laplacian(k - 1, "ud").cols
+    u = set(picked)
+    keep = [j for j in range(len(lap)) if j not in u]
+    det = det_exact(IntMatrix([[lap[c].get(r, 0) for r in keep] for c in keep], ncols=len(keep)))
     u_cells = [labels[j] for j in picked]
     t_x, t_u = _torsions(xs, k, u_cells)
     tau = Fraction(det * t_x * t_x, t_u * t_u)
@@ -435,6 +441,7 @@ def conjecture_rhs(n: int, k: int) -> LaurentPoly:
     per direction subset of size at least k+1."""
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_expansion(n, _bracket_count(n, k))
     dirs = tuple(range(1, n + 1))
     vs = weight_vars(dirs)
     e = 0
@@ -467,6 +474,25 @@ def verify_conjecture(n: int, k: int, cap: int = BRUTE_CAP) -> dict:
     return out
 
 
+def _bracket_count(n: int, k: int) -> int:
+    """How many brackets _f_poly multiplies on n directions, powers
+    counted with their exponents."""
+    return sum(math.comb(n, r) * gen_binom(r - 2, k - 1) for r in range(k + 1, n + 1))
+
+
+def _check_expansion(n: int, brackets: int) -> None:
+    """CapExceeded unless every partial product of the given number of
+    brackets over directions in [n] has at most EXPANSION_TERM_CAP
+    terms.  A term of such a product is fixed by how often each
+    direction i is the bracket's chosen index and how often it then
+    takes y_i over x_i, so there are at most C(brackets + 2n - 1, 2n - 1)
+    terms, whatever q is."""
+    bound = math.comb(brackets + 2 * n - 1, 2 * n - 1)
+    if bound > EXPANSION_TERM_CAP:
+        raise CapExceeded(bound, EXPANSION_TERM_CAP,
+                          "conjecture expansion term cap (EXPANSION_TERM_CAP)")
+
+
 def _f_poly(vs, dirs, k: int, with_q: bool) -> LaurentPoly:
     """The conjecture's product of brackets over a direction subset;
     without q it is the product at q = 1."""
@@ -486,13 +512,14 @@ def f_recurrence_check(n: int, k: int) -> dict:
     and the top enumerator; verified by exact expansion."""
     if n < 2 or not (1 <= k <= n - 1):
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n}, k={k}")
+    e = gen_binom(n - 2, k - 1)
+    _check_expansion(n, max(_bracket_count(n, k), n * _bracket_count(n - 1, k) + e))
     dirs = tuple(range(1, n + 1))
     vs = weight_vars(dirs)
     lhs = _f_poly(vs, dirs, k, False)
     rhs = LaurentPoly.constant(vs, 1)
     for subset in itertools.combinations(dirs, n - 1):
         rhs = rhs * _f_poly(vs, subset, k, False)
-    e = gen_binom(n - 2, k - 1)
     assert e >= 0
     rhs = rhs * _f_poly(vs, dirs, n - 1, False) ** e
     return {"n": n, "k": k, "holds": lhs == rhs}

@@ -80,11 +80,11 @@ def test_validate_checks_shapes():
 
 def test_laplacians_of_an_edge():
     c = edge()
-    assert c.laplacian(0, "ud").rows == ((1, -1), (-1, 1))
-    assert c.laplacian(1, "du").rows == ((2,),)
-    assert c.laplacian(0, "du") == IntMatrix.zeros(2, 2)
-    assert c.laplacian(1, "ud") == IntMatrix.zeros(1, 1)
-    assert c.laplacian(0, "tot").rows == ((1, -1), (-1, 1))
+    assert c.laplacian(0, "ud").dense().rows == ((1, -1), (-1, 1))
+    assert c.laplacian(1, "du").dense().rows == ((2,),)
+    assert c.laplacian(0, "du").dense() == IntMatrix.zeros(2, 2)
+    assert c.laplacian(1, "ud").dense() == IntMatrix.zeros(1, 1)
+    assert c.laplacian(0, "tot").dense().rows == ((1, -1), (-1, 1))
 
 
 def test_spectrum_of_an_edge():
@@ -149,17 +149,17 @@ def test_pi_on_torsion_complex():
 def test_empty_cell_augmentation():
     c = ChainComplex({0: ("a", "b")}, {0: [[1, 1]]}, empty_cell=True)
     assert c.n_cells(-1) == 1
-    assert c.laplacian(-1, "ud").rows == ((2,),)
+    assert c.laplacian(-1, "ud").dense().rows == ((2,),)
     assert c.pi(0) == 2
     assert c.homology(-1).betti == 0
     assert c.homology(0).betti == 1  # two points, one reduced class
-    assert c.laplacian(0, "du").rows == ((1, 1), (1, 1))
+    assert c.laplacian(0, "du").dense().rows == ((1, 1), (1, 1))
 
 
 def test_dim0_convention_split():
     # homology sees the implicit augmentation; L^du_0 does not
     c = disjoint_union(edge(), ChainComplex({0: ("w",)}, {}))
-    assert c.laplacian(0, "du") == IntMatrix.zeros(3, 3)
+    assert c.laplacian(0, "du").dense() == IntMatrix.zeros(3, 3)
     assert c.homology(0).betti == 1
 
 
@@ -319,7 +319,7 @@ def corrupted_complexes(draw):
     """A valid complex with one boundary entry changed by -2..2 (not 0)."""
     c = draw(st.sampled_from(VALIDATE_BASES))
     i = draw(st.sampled_from(sorted(k for k, m in c.bnd.items() if m.nrows and m.ncols)))
-    m = c.bnd[i]
+    m = c.boundary(i)
     r, col = draw(st.integers(0, m.nrows - 1)), draw(st.integers(0, m.ncols - 1))
     rows = [list(row) for row in m.rows]
     rows[r][col] += draw(st.sampled_from((-2, -1, 1, 2)))
@@ -352,8 +352,8 @@ def test_validate_reports_the_least_row_then_column():
 
 def _dense_homology(c, i):
     """Reduced homology from the dense rank and Smith form alone."""
-    rank = lambda j: exact._rank_dense(c.homology_boundary(j))
-    factors = exact._smith_dense(c.homology_boundary(i + 1))
+    rank = lambda j: exact._rank_dense(c.homology_boundary(j).dense())
+    factors = exact._smith_dense(c.homology_boundary(i + 1).dense())
     torsion = 1
     for f in factors:
         torsion *= f
@@ -385,3 +385,55 @@ def test_char_polynomials_match_char_polynomial_on_the_corpus():
             want = {(i, fam): fresh.char_polynomial(i, fam)
                     for i in fresh.homology_range() for fam in FAMILIES}
             assert c._chi == want, name
+
+
+# ---------------------------------------------------------------------------
+# the sparse Laplacian builder against dense products of the boundaries
+
+
+@st.composite
+def boundary_stacks(draw):
+    """Cells in dimensions 0..2 (0..8 each), an optional (-1)-cell, and
+    random dense boundary rows (they need not compose to zero), entries
+    up to 2^40 in absolute value, sometimes one above 2^63."""
+    empty = draw(st.booleans())
+    counts = [draw(st.integers(0, 8)) for _ in range(3)]
+    cells = {d: tuple(f"c{d}_{j}" for j in range(n)) for d, n in enumerate(counts)}
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**40, 2**40))
+    rows = {}
+    for i in range(0 if empty else 1, 3):
+        nr = 1 if i == 0 else counts[i - 1]
+        rows[i] = [[draw(entry) for _ in range(counts[i])] for _ in range(nr)]
+    big = [(i, r, c) for i, m in rows.items() for r in range(len(m)) for c in range(len(m[r]))]
+    if big and draw(st.booleans()):
+        i, r, c = draw(st.sampled_from(big))
+        rows[i][r][c] = draw(st.sampled_from((-1, 1))) * draw(st.integers(2**63, 2**70))
+    return cells, rows, empty
+
+
+def _oracle_laplacian(rows, n, i, family):
+    """L_i on n cells from the dense boundary rows, by exact.ring_matmul."""
+    out = [[0] * n for _ in range(n)]
+    up, down = rows.get(i + 1), rows.get(i)
+    parts = []
+    if family != "du" and up and up[0]:
+        parts.append(exact.ring_matmul(up, exact.ring_transpose(up)))
+    if family != "ud" and down and n:
+        parts.append(exact.ring_matmul(exact.ring_transpose(down), down))
+    for p in parts:
+        out = [[x + y for x, y in zip(ro, rp)] for ro, rp in zip(out, p)]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_stacks())
+def test_sparse_laplacians_match_dense_products(parts):
+    cells, rows, empty = parts
+    c = ChainComplex(cells, rows, empty_cell=empty, check=False)
+    for i in c.homology_range():
+        n = c.n_cells(i)
+        for family in FAMILIES:
+            lap = c.laplacian(i, family)
+            assert lap.shape == (n, n)
+            assert all(v for col in lap.cols for v in col.values())
+            assert [list(r) for r in lap.dense().rows] == _oracle_laplacian(rows, n, i, family)

@@ -51,6 +51,20 @@ def path4(tmp_path):
     return str(p)
 
 
+@pytest.mark.parametrize("weight, eigenvalue", [
+    (3000, 18_000_000), (10_000, 200_000_000), (10**30, 2 * 10**60)])
+def test_spectrum_of_a_heavy_edge(capsys, tmp_path, weight, eigenvalue):
+    """One edge with boundary entries +-weight: L^ud_0 has eigenvalues 0
+    and 2 weight^2, found by bisection rather than by trying every
+    integer below them."""
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps({"dims": 1, "cells": [["a", "b"], ["e"]],
+                             "boundary": {"1": [[weight], [-weight]]}}))
+    rc, out, _ = run(capsys, "spectrum", "--input", str(p), "--dim", "0", "--family", "ud")
+    assert rc == 0
+    assert out == f'{{"spectrum":[[0,1],[{eigenvalue},1]]}}\n'
+
+
 def test_spectrum_nonintegral_reports_charpoly(capsys, tmp_path):
     rc, out, _ = run(capsys, "spectrum", "--input", path4(tmp_path),
                      "--dim", "0", "--family", "ud")

@@ -29,6 +29,7 @@ from cellspan.exact import (
     ring_matmul,
     ring_transpose,
     smith_normal_form,
+    SparseMatrix,
 )
 
 
@@ -64,22 +65,20 @@ def test_gen_binom_pascal():
 def test_matrix_product_and_transpose():
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[0, 1], [1, 0]])
-    assert (a * b).rows == ((2, 1), (4, 3))
+    assert ring_matmul(a.rows, b.rows) == [[2, 1], [4, 3]]
     assert a.transpose().rows == ((1, 3), (2, 4))
     e = IntMatrix([], ncols=3)
     assert e.shape == (0, 3)
-    prod = e.transpose() * e
-    assert prod.shape == (3, 3)
-    assert prod == IntMatrix.zeros(3, 3)
+    assert e.transpose().shape == (3, 0)
+    assert e.sparse().dense() == e and e.transpose().sparse().dense() == e.transpose()
 
 
 def test_matrix_product_big_entries():
-    # force the arbitrary-precision path
     big = 10**20
-    a = IntMatrix([[big, 1], [0, big]])
-    sq = a * a
-    assert sq.entry(0, 0) == big * big
-    assert sq.entry(0, 1) == 2 * big
+    a = [[big, 1], [0, big]]
+    sq = ring_matmul(a, a)
+    assert sq[0][0] == big * big
+    assert sq[0][1] == 2 * big
 
 
 def test_det_small():
@@ -472,8 +471,9 @@ def product_shapes(draw, entry, max_side=5):
 @given(product_shapes(st.one_of(st.just(0), st.integers(-4, 4))))
 def test_ring_matmul_on_ints_is_the_intmatrix_product(ab):
     a, b = ab
-    want = IntMatrix(a) * IntMatrix(b)
-    assert ring_matmul(a, b) == [list(r) for r in want.rows]
+    want = [[sum(x * y for x, y in zip(r, col)) for col in IntMatrix(b).transpose().rows]
+            for r in a]
+    assert ring_matmul(a, b) == want
     assert ring_transpose(a) == [list(r) for r in IntMatrix(a).transpose().rows]
 
 
@@ -590,11 +590,19 @@ def test_unit_elimination_on_cube_boundaries_leaves_nothing():
         assert smith_normal_form(b) == (1,) * units
 
 
-def test_sparse_columns_with_and_without_a_row_restriction():
+def test_sparse_matrix_from_rows_and_back():
     m = IntMatrix([[0, 2, 0], [1, 0, 0], [0, -1, 5]])
-    assert exact.sparse_columns(m) == [{1: 1}, {0: 2, 2: -1}, {2: 5}]
-    assert exact.sparse_columns(m, [2, 0]) == [{}, {0: -1, 1: 2}, {0: 5}]
-    assert exact.sparse_columns(IntMatrix([], ncols=2)) == [{}, {}]
+    s = m.sparse()
+    assert s.cols == [{1: 1}, {0: 2, 2: -1}, {2: 5}] and s.shape == (3, 3)
+    assert s == SparseMatrix.from_rows([[0, 2, 0], [1, 0, 0], [0, -1, 5]])
+    assert s.dense() == m and s.sparse() is s
+    assert s.transpose().dense() == m.transpose()
+    assert [s.entry(i, j) for i in range(3) for j in range(3)] == [v for r in m.rows for v in r]
+    assert hash(s) == hash(SparseMatrix([dict(c) for c in s.cols], 3))
+    assert IntMatrix([], ncols=2).sparse().cols == [{}, {}]
+    assert SparseMatrix([{}, {}], 4).dense() == IntMatrix.zeros(4, 2)
+    with pytest.raises(ValueError, match="ragged"):
+        SparseMatrix.from_rows([[1, 2], [3]])
 
 
 # ---------------------------------------------------------------------------
@@ -1029,3 +1037,188 @@ def test_cube_laplacians_are_certified_from_one_prime():
             lap = c.laplacian(i, fam)
             chi, calls, returned = _spied(lap)
             assert returned == [chi] == [_crt_only(lap)]
+
+
+# ---------------------------------------------------------------------------
+# the certificate's sparse (ELL) products
+
+
+def _signed_conjugate(rows, perm, signs):
+    """P m P^T for the signed permutation P e_i = signs[i] e_perm[i]."""
+    n = len(rows)
+    return IntMatrix([[signs[i] * signs[j] * rows[perm[i]][perm[j]] for j in range(n)]
+                      for i in range(n)], ncols=n)
+
+
+def _elementary_similar(diag, steps):
+    """U diag(d) U^-1 for U a product of elementary matrices I + c E_ij
+    (i != j, c = +-1), each with the integer inverse I - c E_ij."""
+    n = len(diag)
+    m = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, c in steps:
+        # (I + c E_ij) m (I - c E_ij): add c row j to row i, then -c column i to column j
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for r in m:
+            r[j] -= c * r[i]
+    return IntMatrix(m, ncols=n)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Sides 2..12: sparse random matrices, matrices similar to an
+    integer diagonal by elementary steps (integral, not symmetric), and
+    signed conjugates of [[a, b], [b, a]] blocks (integral, symmetric)."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(("sparse", "similar", "blocks")))
+    if kind == "sparse":
+        return _sparse_square(draw, n)
+    if kind == "similar":
+        diag = [draw(st.sampled_from((0, 1, 2, 5))) for _ in range(n)]
+        cell = st.integers(0, n - 1)
+        pair = st.tuples(cell, cell).filter(lambda t: t[0] != t[1])
+        steps = [(*draw(pair), draw(st.sampled_from((-1, 1))))
+                 for _ in range(draw(st.integers(0, 3)))]
+        return _elementary_similar(diag, steps)
+    rows = [[0] * n for _ in range(n)]
+    for s in range(0, n - 1, 2):
+        a, b = draw(st.integers(0, 6)), draw(st.integers(-3, 3))
+        rows[s][s] = rows[s + 1][s + 1] = a
+        rows[s][s + 1] = rows[s + 1][s] = b
+    perm = draw(st.permutations(range(n)))
+    signs = [draw(st.sampled_from((-1, 1))) for _ in range(n)]
+    return _signed_conjugate(rows, perm, signs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(certificate_inputs())
+def test_char_poly_of_sparse_matrices_against_interpolation(m):
+    want = char_poly_interpolate(m)
+    assert char_poly(m) == char_poly(m.sparse()) == _crt_only(m) == want
+
+
+def _defective_or_irrational(n, block):
+    """A signed conjugate of diag(20, 30, 50, 20, 30, 50, ...) on side n
+    with block written over its top left corner: 2R < n^2 and CRT needs
+    several primes, so the one-prime route is tried, with three roots."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = (20, 30, 50)[i % 3]
+    for i, r in enumerate(block):
+        rows[i][:len(r)] = r
+    rng = random.Random(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return _signed_conjugate(rows, perm, [rng.choice((-1, 1)) for _ in range(n)])
+
+
+def test_defective_and_irrational_inputs_fall_back_to_crt():
+    """A Jordan block at 20 makes prod (m - lam I) nonzero; a block with
+    eigenvalues 20 +- sqrt(2) leaves roots outside [-R, R].  Both fail
+    the certificate and CRT gives the char poly."""
+    n = 24
+    jordan = _defective_or_irrational(n, [[20, 1], [0, 20]])
+    chi, calls, returned = _spied(jordan)
+    assert len(calls) == 1 and returned == [None]
+    assert chi == IntPoly.from_roots([(20, 9), (30, 7), (50, 8)]) == char_poly_interpolate(jordan)
+    irrational = _defective_or_irrational(n, [[20, 2], [1, 20]])
+    chi, calls, returned = _spied(irrational)
+    assert len(calls) == 1 and returned == [None]
+    assert chi == _crt_only(irrational) == char_poly_interpolate(irrational)
+    assert chi == IntPoly([398, -40, 1]) * IntPoly.from_roots([(20, 7), (30, 7), (50, 8)])
+    # the same matrix without the defect is certified
+    diagonal = _defective_or_irrational(n, [[20, 0], [0, 20]])
+    chi, calls, returned = _spied(diagonal)
+    assert returned == [chi] == [IntPoly.from_roots([(20, 9), (30, 7), (50, 8)])]
+
+
+def _python_product_is_zero(rows, roots, q):
+    """Whether prod (m - lam I) over the roots is zero mod q, in Python
+    ints (numpy object arrays), multiplying by the sparse rows of m."""
+    n = len(rows)
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    m = np.identity(n, dtype=int).astype(object)
+    for lam in roots:
+        nxt = -lam * m
+        for i, row in enumerate(sparse):
+            for k, v in row.items():
+                nxt[i] += v * m[k]
+        m = nxt % q
+    return not m.any()
+
+
+def test_ell_products_sum_past_the_int64_limit():
+    """The star K_{1,520}: its centre row has 521 nonzeros, 520 of them
+    -1, a residue q - 1.  A product by it sums 520 terms near q^2, past
+    2^63; the chunked ELL product agrees with Python ints."""
+    q = exact._prime(0)
+    n = 521
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = n - 1
+    for j in range(1, n):
+        rows[0][j] = rows[j][0] = -1
+        rows[j][j] = 1
+    a = np.array(rows, dtype=np.int64)
+    ell = exact._ell(a)
+    idx, val, diag, counts = ell
+    assert idx.shape == (n, n) and (val[diag] == np.diagonal(a)).all()
+    assert counts.tolist() == [n] + [2] * (n - 1)
+    m = np.full((n, 3), q - 1, dtype=np.int64)
+    got = exact._ell_mul(ell, val % q, m, q)
+    want = [[sum(v % q * (q - 1) for v in r) % q] * 3 for r in rows]
+    assert got.tolist() == want
+    assert int((val[0] % q) @ m[idx[0], 0]) < 0  # the unreduced sum wraps
+    for roots in ([0, 1, n], [0, n]):
+        assert exact._product_vanishes_mod(a, roots, q) == _python_product_is_zero(rows, roots, q)
+    assert exact._product_vanishes_mod(a, [0, 1, n], q)
+
+
+# ---------------------------------------------------------------------------
+# integer roots: bisection above the scan, against the scan it extends
+
+
+def _scan_roots(chi):
+    """integer_roots as a plain scan of lam = 1, 2, ... up to the sum of
+    the roots left: the oracle, linear in the largest root."""
+    eigs = {}
+    v = chi.valuation()
+    if v:
+        eigs[0] = v
+    rem = IntPoly(chi.coeffs[v:])
+    lam = 1
+    while rem.degree > 0 and lam <= -rem.coeffs[-2]:
+        if rem.coeffs[0] % lam == 0:
+            q, r = rem.divide_linear(lam)
+            if r == 0:
+                eigs[lam] = eigs.get(lam, 0) + 1
+                rem = q
+                continue
+        lam += 1
+    return NotIntegral(chi) if rem.degree > 0 else eigs
+
+
+@st.composite
+def root_polys(draw):
+    """lead * y^v * prod (y - lam)^m * extra: roots up to 300, a leading
+    coefficient of either sign, and sometimes a factor without positive
+    integer roots."""
+    roots = draw(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 4)), max_size=5))
+    extra = draw(st.sampled_from(((1,), (1,), (-2, 0, 1), (1, 0, 1), (3, 1), (3, -5, 1),
+                                  (-7, 1, 1), (-400, 1))))
+    lead = draw(st.sampled_from((1, 1, 1, 2, -1)))
+    chi = IntPoly.from_roots(roots) * IntPoly(extra) * IntPoly([lead])
+    return chi.shift(draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_polys(), st.sampled_from((0, 1, 4, 50, 2**16)))
+def test_integer_roots_against_the_scan(chi, scan):
+    with mock.patch.object(exact, "_ROOT_SCAN", scan):
+        assert exact.integer_roots(chi) == _scan_roots(chi)
+
+
+def test_integer_roots_of_huge_eigenvalues():
+    for lam in (2 * 10**8, 2 * 10**60, 3**200):
+        assert exact.integer_roots(IntPoly.from_roots([(lam, 2), (7, 1)]).shift(1)) == {
+            0: 1, 7: 1, lam: 2}
+    chi = IntPoly([-2 * 10**60, 0, 1])
+    assert exact.integer_roots(chi) == NotIntegral(chi)
