@@ -11,7 +11,7 @@ from .colorful import (colorful_complex, colorful_etot, colorful_omega,
                        cross_polytope_cube_duality, weighted_duality_check)
 from .cubical import (CubicalComplex, cube, mirror, shifted_spectrum,
                       weighted_total_laplacian)
-from .exact import (IntMatrix, IntPoly, LaurentPoly, NotIntegral, SparseMatrix,
+from .exact import (IntPoly, LaurentPoly, NotIntegral, SparseMatrix,
                     char_poly, det_exact, gen_binom, rank_exact, smith_normal_form)
 from .trees import (CapExceeded, TreeQuery, TreeReport, is_cst, run_query,
                     tau_cube_closed_form, verify_conjecture)
@@ -28,7 +28,7 @@ __all__ = [
     "cross_polytope_cube_duality", "weighted_duality_check",
     "CubicalComplex", "cube", "mirror", "shifted_spectrum",
     "weighted_total_laplacian",
-    "IntMatrix", "IntPoly", "LaurentPoly", "NotIntegral", "SparseMatrix",
+    "IntPoly", "LaurentPoly", "NotIntegral", "SparseMatrix",
     "char_poly", "det_exact", "gen_binom", "rank_exact", "smith_normal_form",
     "CapExceeded", "TreeQuery", "TreeReport", "is_cst", "run_query",
     "tau_cube_closed_form", "verify_conjecture",

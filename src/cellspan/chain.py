@@ -1,7 +1,8 @@
 """Chain complexes over the integers.
 
 A complex stores ordered cell labels per dimension and integer boundary
-matrices, each as sparse columns (exact.SparseMatrix).  An optional
+matrices, each as sparse columns (exact.SparseMatrix, given as one or
+as a list of integer rows) and read with sparse_boundary.  An optional
 (-1)-dimensional cell turns on an explicit augmentation row, stored as
 the dimension-0 boundary.
 
@@ -14,10 +15,7 @@ boundary and is therefore zero for complexes without a (-1)-cell.
 
 from __future__ import annotations
 
-import json
-
 from .exact import (
-    IntMatrix,
     IntPoly,
     LaurentPoly,
     NotIntegral,
@@ -34,7 +32,6 @@ FAMILIES = ("ud", "du", "tot")
 
 # JSON values that parse to Python numbers but are not integers.
 _NOT_INTEGERS = frozenset((float, bool))
-_INTS = frozenset((int,))
 
 # char_polynomials holds Laplacians with at most about this many entries
 # in all before it computes their char polys together.
@@ -126,13 +123,13 @@ class ChainComplex:
     Each boundary is stored as a SparseMatrix, one {row: value} dict of
     Python ints per column (`bnd`); a cube boundary column has 2 dim
     nonzeros.  Homology, the tree engines and the Laplacians read this
-    form; boundary(i) builds a dense IntMatrix on each call.
+    form through sparse_boundary(i).
     """
 
     def __init__(self, cells, boundaries, empty_cell: bool = False, check: bool = True):
-        """cells: {dim: labels}; boundaries: {i: SparseMatrix, IntMatrix
-        or rows} for 1 <= i <= d, plus key 0 holding the augmentation
-        row when empty_cell is set."""
+        """cells: {dim: labels}; boundaries: {i: SparseMatrix or a list
+        of integer rows} for 1 <= i <= d, plus key 0 holding the
+        augmentation row when empty_cell is set."""
         cleaned = {}
         for d, labels in dict(cells).items():
             labels = tuple(str(x) for x in labels)
@@ -145,9 +142,9 @@ class ChainComplex:
         bnd = {}
         for i, m in dict(boundaries).items():
             i = int(i)
-            if not isinstance(m, (IntMatrix, SparseMatrix)):
-                m = IntMatrix(m, ncols=len(cleaned.get(i, ())))
-            bnd[i] = m.sparse()
+            if not isinstance(m, SparseMatrix):
+                m = SparseMatrix.from_rows(m, ncols=len(cleaned.get(i, ())))
+            bnd[i] = m
         self.bnd = bnd
         self._spec: dict = {}
         self._chi: dict = {}
@@ -186,10 +183,6 @@ class ChainComplex:
             return m
         return SparseMatrix([{} for _ in range(self.n_cells(i))], self.n_cells(i - 1))
 
-    def boundary(self, i: int) -> IntMatrix:
-        """sparse_boundary(i) as a dense IntMatrix, built on each call."""
-        return self.sparse_boundary(i).dense()
-
     def homology_boundary(self, i: int) -> SparseMatrix:
         """Boundary used for reduced homology: dimension 0 gets the
         implicit all-ones augmentation when no (-1)-cell is stored."""
@@ -202,8 +195,9 @@ class ChainComplex:
 
     def validate(self):
         """None when consistent; else the first offending (i, row, col)
-        of a nonzero product entry in boundary(i) * boundary(i+1),
-        scanning i upward.  Shape and label problems raise directly."""
+        of a nonzero product entry in sparse_boundary(i) *
+        sparse_boundary(i+1), scanning i upward.  Shape and label
+        problems raise directly."""
         for d, labels in self.cells.items():
             if len(set(labels)) != len(labels):
                 raise ChainError(f"duplicate labels in dimension {d}")
@@ -280,13 +274,6 @@ class ChainComplex:
         """Vanishing integer homology (Betti and torsion) below k."""
         return all(self.betti(j) == 0 and self.torsion_order(j) == 1
                    for j in self.homology_range() if j < k)
-
-    def torsion_product_below(self, k: int) -> int:
-        out = 1
-        for j in self.homology_range():
-            if j < k:
-                out *= self.torsion_order(j)
-        return out
 
     # -- Laplacians and spectra
 
@@ -420,11 +407,8 @@ class ChainComplex:
         cells = [list(self.labels(i)) for i in range(d + 1)]
         boundary = {}
         for i in sorted(self.bnd):
-            boundary[str(i)] = [[str(v) for v in row] for row in self.bnd[i].dense().rows]
+            boundary[str(i)] = [[str(v) for v in row] for row in self.bnd[i].rows()]
         return {"dims": d, "cells": cells, "boundary": boundary, "empty_cell": self.empty_cell}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, data: dict, check: bool = True) -> "ChainComplex":
@@ -433,20 +417,14 @@ class ChainComplex:
         for key, rows in data.get("boundary", {}).items():
             i = int(key)
             ncols = len(cells.get(i, ())) if i != -1 else 0
-            kinds = [set(map(type, row)) for row in rows]
-            for row, k in zip(rows, kinds):
+            for row in rows:
                 # int() would truncate 1.5 and true to 1, and overflow on
                 # 1e400; decimal strings, as to_json_dict writes, stay
-                if not _NOT_INTEGERS.isdisjoint(k):
+                if not _NOT_INTEGERS.isdisjoint(map(type, row)):
                     v = next(v for v in row if type(v) in _NOT_INTEGERS)
                     raise ChainError(f"boundary {key} entry {v!r} is not an integer")
-            rows = [row if k <= _INTS else [int(v) for v in row] for row, k in zip(rows, kinds)]
             bnd[i] = SparseMatrix.from_rows(rows, ncols=ncols)
         return cls(cells, bnd, empty_cell=bool(data.get("empty_cell", False)), check=check)
-
-    @classmethod
-    def from_json(cls, text: str, check: bool = True) -> "ChainComplex":
-        return cls.from_json_dict(json.loads(text), check=check)
 
     def __repr__(self):
         counts = ",".join(str(self.n_cells(i)) for i in range(self.dim + 1))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex, simplicial
 from .cubical import cube, weight_vars, weighted_total_laplacian, xi_weight
-from .exact import IntMatrix, LaurentPoly, char_poly, gen_binom, outer_sum, sparse_transpose
+from .exact import LaurentPoly, SparseMatrix, char_poly, gen_binom, outer_sum, sparse_transpose
 from .trees import cst_target_size, is_cst
 
 FACE_CAP = 4096
@@ -322,7 +322,7 @@ def frac_char_poly(m) -> list:
     for row in m:
         for v in row:
             d = d * v.denominator // math.gcd(d, v.denominator)
-    chi = char_poly(IntMatrix([[int(v * d) for v in row] for row in m], ncols=size))
+    chi = char_poly(SparseMatrix.from_rows([[int(v * d) for v in row] for row in m], ncols=size))
     return [Fraction(chi.coeff(j), d ** (size - j)) for j in range(size + 1)]
 
 

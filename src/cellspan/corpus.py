@@ -19,14 +19,14 @@ from .colorful import colorful_complex, frac_char_poly
 from .cubical import (CubicalComplex, algebraic_boundary, cube,
                       cube_weighted_tot_eigenvalues, laurent_is_zero, mirror,
                       mirror_on, weight_vars, weighted_total_laplacian)
-from .exact import IntMatrix, ring_matmul
+from .exact import ring_matmul
 
 
 def rp2() -> ChainComplex:
     """One cell per dimension with a degree-2 attaching map; the
     smallest complex with homology torsion."""
     return ChainComplex({0: ("v",), 1: ("e",), 2: ("f",)},
-                        {1: IntMatrix([[0]]), 2: IntMatrix([[2]])})
+                        {1: [[0]], 2: [[2]]})
 
 
 # ---------------------------------------------------------------------------

@@ -224,11 +224,6 @@ class CubicalComplex:
         fs = {f[:p] + c + f[p:] for f in self.faces for c in "01*"}
         return CubicalComplex(u, fs, closed=True)
 
-    def is_prism_in_direction(self, i: int) -> bool:
-        # a near-prism degenerates to a prism exactly when nothing is
-        # lost passing from the deletion to the link
-        return self.deletion(i).faces == self.link(i).faces
-
     def near_prism(self, i: int) -> "NearPrism":
         dele = self.deletion(i)
         link = self.link(i)

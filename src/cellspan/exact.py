@@ -4,17 +4,19 @@ Everything in this module is exact: arbitrary-precision integers,
 rationals, integer polynomials and Laurent polynomials.  No floating
 point enters any computation.
 
+There is one integer matrix type, SparseMatrix: one {row: value} dict
+of Python ints per column.  Chain complexes keep their boundaries and
+Laplacians this way; ranks, Smith forms and char polys read it
+directly.  The dense eliminations (det_exact, _rank_dense, _smith_dense,
+and the oracles det_fraction and det_ring) take a plain list of rows.
+
 Ranks and Smith forms start with a sparse elimination of +-1 pivots in
 Markowitz order (_eliminate_units), each pivot one invariant factor 1,
-and finish the rest with the dense gcd routines (_rank_dense,
+and finish the rows left with the dense gcd routines (_rank_dense,
 _smith_dense).  The elimination is a sequence of unimodular row and
 column operations, which keep the rank and the Smith form, and a +-1
 pivot keeps every entry an integer.  The dense routines are also the
 tests' oracles for the sparse path.
-
-Sparse matrices (SparseMatrix) store one {row: value} dict of Python
-ints per column.  Chain complexes keep their boundaries and Laplacians
-this way; ranks, Smith forms and char polys read it directly.
 
 numpy is used only for word-size modular arithmetic inside the
 characteristic-polynomial kernel: the Hessenberg passes mod p, the
@@ -48,7 +50,6 @@ import numpy as np
 
 __all__ = [
     "gen_binom",
-    "IntMatrix",
     "IntPoly",
     "NotIntegral",
     "LaurentPoly",
@@ -67,7 +68,6 @@ __all__ = [
     "integer_spectrum",
     "outer_sum",
     "ring_matmul",
-    "ring_transpose",
 ]
 
 
@@ -95,88 +95,20 @@ def gen_binom(a: int, b: int) -> int:
 _INT_ONLY = frozenset((int,))
 
 
-def _int_row(row) -> tuple:
-    """A row as a tuple of Python ints.  A row of ints is kept as it is:
-    scanning the entry types costs half of calling int() on each."""
-    t = tuple(row)
-    return t if _INT_ONLY.issuperset(map(type, t)) else tuple(map(int, t))
-
-
-def _checked_rows(rows, ncols) -> tuple:
-    """(rows as a tuple, their common width); ValueError for ragged rows
-    or a width other than ncols.  An empty row list has width ncols, or
-    0 when ncols is None."""
-    rs = tuple(rows)
-    if not rs:
-        return rs, 0 if ncols is None else int(ncols)
-    widths = {len(r) for r in rs}
-    if len(widths) != 1:
-        raise ValueError("ragged rows")
-    w = widths.pop()
-    if ncols is not None and ncols != w:
-        raise ValueError("ncols disagrees with row width")
-    return rs, w
-
-
-class IntMatrix:
-    """Immutable dense integer matrix.
-
-    Entries are plain Python ints, so nothing ever overflows.  Zero-row
-    and zero-column shapes are allowed (pass ncols for an empty row
-    list).
-    """
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows, ncols: int | None = None):
-        self.rows, self.ncols = _checked_rows(map(_int_row, rows), ncols)
-        self.nrows = len(self.rows)
-
-    # -- constructors
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    # -- basic queries
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-    def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        r = self.rows
-        return all(r[i][j] == r[j][i] for i in range(self.nrows) for j in range(i))
-
-    def transpose(self) -> "IntMatrix":
-        t = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return IntMatrix(t, ncols=self.nrows)
-
-    def submatrix(self, row_idx, col_idx) -> "IntMatrix":
-        row_idx = list(row_idx)
-        col_idx = list(col_idx)
-        rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        return IntMatrix(rows, ncols=len(col_idx))
-
-    def sparse(self) -> "SparseMatrix":
-        return SparseMatrix.from_rows(self.rows, self.ncols)
-
-    def __repr__(self):
-        return f"IntMatrix({self.nrows}x{self.ncols})"
+def _nonzeros(row) -> tuple:
+    """(width, positions, values) of the nonzero entries of a row, each
+    entry converted by int(), in order, so a bad entry raises as int()
+    does.  A list of Python ints, the common row, needs no int() call
+    and no pass over its types: its truthy entries are ints and every
+    other entry equals 0 (list.count meets the cached 0 by identity)."""
+    if type(row) is list or type(row) is tuple:
+        pos = list(itertools.compress(range(len(row)), row))
+        vals = [row[j] for j in pos]
+        if _INT_ONLY.issuperset(map(type, vals)) and row.count(0) + len(pos) == len(row):
+            return len(row), pos, vals
+    row = [int(v) for v in row]
+    pos = list(itertools.compress(range(len(row)), row))
+    return len(row), pos, [row[j] for j in pos]
 
 
 class SparseMatrix:
@@ -185,11 +117,12 @@ class SparseMatrix:
     values, and `nrows` the row count.  Callers must not mutate the
     dicts; the complexes share them between boundaries.
 
-    Boundaries of chain complexes and their Laplacians are stored this
-    way, and rank_exact, smith_normal_form and char_poly take it
-    without a dense round trip.  dense() builds the IntMatrix;
-    IntMatrix.sparse() goes the other way, and both classes answer
-    sparse(), so a reader that wants columns takes either.
+    It is the one integer matrix type of the package: boundaries of
+    chain complexes and their Laplacians are stored this way, and
+    rank_exact, smith_normal_form and char_poly take it.  from_rows
+    builds one from dense rows and rows() gives them back; the dense
+    eliminations (det_exact and the rests of rank_exact and
+    smith_normal_form) take plain lists of rows.
     """
 
     __slots__ = ("cols", "nrows", "ncols")
@@ -201,14 +134,22 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "SparseMatrix":
-        """The matrix of the given rows of Python ints, their widths
-        checked as IntMatrix checks them."""
-        rs, w = _checked_rows(rows, ncols)
+        """The matrix of the given rows, every entry converted to a
+        Python int, so that numpy and bool entries neither overflow nor
+        stay what they were in later products.  ValueError for ragged
+        rows or a width other than ncols; an empty row list has width
+        ncols, or 0 when ncols is None."""
+        rs = [_nonzeros(row) for row in rows]
+        widths = {w for w, _, _ in rs}
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        w = widths.pop() if widths else 0 if ncols is None else int(ncols)
+        if ncols is not None and ncols != w:
+            raise ValueError("ncols disagrees with row width")
         cols = [{} for _ in range(w)]
-        idx = range(w)
-        for r, row in enumerate(rs):
-            for j in itertools.compress(idx, row):
-                cols[j][r] = row[j]
+        for r, (_, pos, vals) in enumerate(rs):
+            for j, v in zip(pos, vals):
+                cols[j][r] = v
         return cls(cols, len(rs))
 
     @property
@@ -221,9 +162,6 @@ class SparseMatrix:
     def trace(self) -> int:
         return sum(col.get(j, 0) for j, col in enumerate(self.cols))
 
-    def sparse(self) -> "SparseMatrix":
-        return self
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
@@ -235,10 +173,11 @@ class SparseMatrix:
             cols.append({r: v for r, v in c.items() if v})
         return SparseMatrix(cols, self.nrows)
 
-    def dense(self) -> IntMatrix:
-        rows = sparse_transpose(self.cols, self.nrows)
-        n = self.ncols
-        return IntMatrix([[r.get(j, 0) for j in range(n)] for r in rows], ncols=n)
+    def rows(self) -> tuple:
+        """The dense rows, as a tuple of int tuples."""
+        idx = range(self.ncols)
+        return tuple(tuple(r.get(j, 0) for j in idx)
+                     for r in sparse_transpose(self.cols, self.nrows))
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(sparse_transpose(self.cols, self.nrows), self.ncols)
@@ -254,14 +193,15 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols})"
 
 
-def det_exact(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination.  Exact."""
-    if m.nrows != m.ncols:
+def det_exact(rows) -> int:
+    """Determinant of a square matrix, given as a list of integer rows,
+    by fraction-free (Bareiss) elimination.  Exact."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
     if n == 0:
         return 1
-    a = [list(r) for r in m.rows]
+    a = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -284,9 +224,8 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _eliminate_units(m):
-    """(units, rest): m, an IntMatrix or SparseMatrix, reduced by unit
-    pivots, in Markowitz order.
+def _eliminate_units(m: SparseMatrix):
+    """(units, rest): m reduced by unit pivots, in Markowitz order.
 
     On the sparse rows and columns of m, repeatedly take a +-1 entry of
     least cost (r - 1)(c - 1), r and c the nonzero counts of its row and
@@ -294,8 +233,8 @@ def _eliminate_units(m):
     the others, then drop its row and column.  The heap holds every unit
     entry with its cost when pushed; a popped entry that is no longer a
     unit is skipped, and one whose cost has grown goes back in.  units
-    counts the pivots; rest is the dense matrix left on the rows and
-    columns that still hold a nonzero entry.
+    counts the pivots; rest is the list of dense rows of the matrix left
+    on the rows and columns that still hold a nonzero entry.
 
     Each step is a unimodular row operation; the pivot row, alone in
     its column, is then cleared by column operations that change nothing
@@ -303,7 +242,7 @@ def _eliminate_units(m):
     a block sum, and every entry stays an integer, because the
     multiplier of each row operation is an entry times the pivot.
     """
-    cols = [dict(c) for c in m.sparse().cols]
+    cols = [dict(c) for c in m.cols]
     rows = [{} for _ in range(m.nrows)]
     for j, col in enumerate(cols):
         for i, a in col.items():
@@ -346,12 +285,11 @@ def _eliminate_units(m):
         col.clear()
     live = [i for i, row in enumerate(rows) if row]
     keep = sorted({j for i in live for j in rows[i]})
-    rest = IntMatrix([[rows[i].get(j, 0) for j in keep] for i in live], ncols=len(keep))
-    return units, rest
+    return units, [[rows[i].get(j, 0) for j in keep] for i in live]
 
 
-def rank_exact(m) -> int:
-    """Rank over Q of an IntMatrix or SparseMatrix: the unit pivots of
+def rank_exact(m: SparseMatrix) -> int:
+    """Rank over Q of a SparseMatrix: the unit pivots of
     _eliminate_units plus the rank of what they leave (_rank_dense).
     The elimination is a sequence of row and column operations over Z,
     which keep the rank."""
@@ -359,9 +297,8 @@ def rank_exact(m) -> int:
     return units + _rank_dense(rest)
 
 
-def smith_normal_form(m) -> tuple[int, ...]:
-    """Positive invariant factors d_1 | d_2 | ... of an integer matrix,
-    an IntMatrix or SparseMatrix.
+def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
+    """Positive invariant factors d_1 | d_2 | ... of a SparseMatrix.
 
     _eliminate_units turns m, by unimodular row and column operations,
     into diag(+-1, ..., +-1) plus a rest as a block sum.  Unimodular
@@ -374,12 +311,12 @@ def smith_normal_form(m) -> tuple[int, ...]:
     return (1,) * units + _smith_dense(rest)
 
 
-def _rank_dense(m: IntMatrix) -> int:
-    """Rank over Q via integer row echelon with gcd normalization.
-    rank_exact's solver for the rest after unit pivots, and the tests'
-    oracle for rank_exact."""
-    rows = [list(r) for r in m.rows if any(r)]
-    ncols = m.ncols
+def _rank_dense(rows) -> int:
+    """Rank over Q of a list of integer rows, via integer row echelon
+    with gcd normalization.  rank_exact's solver for the rest after unit
+    pivots, and the tests' oracle for rank_exact."""
+    rows = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
     rank = 0
     top = 0
     for c in range(ncols):
@@ -413,9 +350,9 @@ def _rank_dense(m: IntMatrix) -> int:
     return rank
 
 
-def _smith_dense(m: IntMatrix) -> tuple[int, ...]:
-    """Positive invariant factors d_1 | d_2 | ... of an integer matrix,
-    densely: smith_normal_form's solver for the rest after unit pivots,
+def _smith_dense(rows) -> tuple[int, ...]:
+    """Positive invariant factors d_1 | d_2 | ... of a list of integer
+    rows: smith_normal_form's solver for the rest after unit pivots,
     and the tests' oracle for smith_normal_form.
 
     Gcd-pivot reduction: repeatedly move a smallest nonzero entry of the
@@ -423,8 +360,8 @@ def _smith_dense(m: IntMatrix) -> tuple[int, ...]:
     quotient steps, and restore the divisibility chain by folding any
     offending entry back into the pivot row.
     """
-    a = [list(r) for r in m.rows]
-    nr, nc = len(a), m.ncols
+    a = [list(r) for r in rows]
+    nr, nc = len(a), len(a[0]) if a else 0
     factors = []
     t = 0
     while t < min(nr, nc):
@@ -803,14 +740,13 @@ def char_poly_memo():
         _MEMO.reset(token)
 
 
-def _memo_key(m):
-    """Shape plus the nonzero entries of an IntMatrix or SparseMatrix,
-    column by column with rows ascending: exact, and equal for equal
-    matrices in either form.  Packed small, since a verify suite keeps
-    hundreds of keys: the positions as int32 bytes (int64 from 2^31
-    entries), the values as int8 bytes when all fit, else int64 bytes,
-    else a tuple of the ints."""
-    s = m.sparse()
+def _memo_key(s: SparseMatrix):
+    """Shape plus the nonzero entries of a SparseMatrix, column by
+    column with rows ascending: exact, and equal for equal matrices.
+    Packed small, since a verify suite keeps hundreds of keys: the
+    positions as int32 bytes (int64 from 2^31 entries), the values as
+    int8 bytes when all fit, else int64 bytes, else a tuple of the
+    ints."""
     pos, val = [], []
     for j, col in enumerate(s.cols):
         for r in sorted(col):
@@ -827,9 +763,8 @@ def _memo_key(m):
     return s.shape, np.array(pos, dtype=np.int64 if wide else np.int32).tobytes(), val
 
 
-def char_poly(m) -> IntPoly:
-    """det(yI - m), computed exactly, for a square IntMatrix or
-    SparseMatrix.
+def char_poly(m: SparseMatrix) -> IntPoly:
+    """det(yI - m), computed exactly, for a square SparseMatrix.
 
     Let R be the largest absolute row sum, so every eigenvalue lies in
     a Gershgorin disc of radius <= R.  The Hessenberg algorithm runs
@@ -917,7 +852,7 @@ class _Job:
     def __init__(self, m):
         self.n = n = m.nrows
         r, c, v = [], [], []
-        for j, col in enumerate(m.sparse().cols):
+        for j, col in enumerate(m.cols):
             r += col
             c += [j] * len(col)
             v += col.values()
@@ -932,7 +867,11 @@ class _Job:
             for i, x in zip(r, v):
                 sums[i] += abs(x)
             self.R = max(sums)
-        bound = max(gen_binom(n, k) * self.R**k for k in range(n + 1))
+        # max_k C(n, k) R^k, each term from the one before
+        bound = term = 1
+        for k in range(n):
+            term = term * (n - k) // (k + 1) * self.R
+            bound = max(bound, term)
         self.primes = _primes_over(2 * bound + 1)
 
     def residues(self, p: int):
@@ -1110,7 +1049,7 @@ def _product_vanishes_mod(a, roots, q: int) -> bool:
     return not m.any()
 
 
-def char_poly_interpolate(m: IntMatrix) -> IntPoly:
+def char_poly_interpolate(m: SparseMatrix) -> IntPoly:
     """det(yI - m) by exact determinants at side+1 points plus Lagrange.
 
     Slower than char_poly on large sides; kept as the independent
@@ -1121,12 +1060,10 @@ def char_poly_interpolate(m: IntMatrix) -> IntPoly:
     n = m.nrows
     if n == 0:
         return IntPoly([1])
+    rows = m.rows()
     xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        shifted = IntMatrix([[x * (1 if i == j else 0) - m.rows[i][j] for j in range(n)]
-                             for i in range(n)])
-        ys.append(det_exact(shifted))
+    ys = [det_exact([[x * (i == j) - v for j, v in enumerate(r)] for i, r in enumerate(rows)])
+          for x in xs]
     # Newton's divided differences over Q, then expand
     coefs = [Fraction(y) for y in ys]
     for j in range(1, n + 1):
@@ -1215,12 +1152,12 @@ def _top_root_ceiling(p: IntPoly, lo: int, hi: int) -> int:
     return lo
 
 
-def integer_spectrum(m: IntMatrix):
-    """Eigenvalue multiset of a symmetric PSD integer matrix:
+def integer_spectrum(m: SparseMatrix):
+    """Eigenvalue multiset of a symmetric PSD SparseMatrix:
     integer_roots of its char_poly."""
     if m.nrows != m.ncols:
         raise ValueError("spectrum of a non-square matrix")
-    if not m.is_symmetric():
+    if m != m.transpose():
         raise ValueError("matrix is not symmetric")
     return integer_roots(char_poly(m))
 
@@ -1316,11 +1253,6 @@ def det_ring(rows):
             break
     full = layer.get((1 << n) - 1)
     return full if full is not None else rows[0][0] * 0
-
-
-def ring_transpose(rows) -> list:
-    """Transpose of a matrix given as a list of rows, over any ring."""
-    return [list(col) for col in zip(*rows)]
 
 
 def ring_matmul(a, b) -> list:
@@ -1662,9 +1594,6 @@ class LaurentPoly:
                     term *= fv**p
             total += term
         return total
-
-    def subs_ones(self) -> int:
-        return sum(self._packed.values())
 
     def __str__(self):
         if not self._packed:

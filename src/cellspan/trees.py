@@ -26,7 +26,7 @@ from fractions import Fraction
 from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
                       weight_vars, xi_weight)
-from .exact import IntMatrix, LaurentPoly, det_exact, det_ring, gen_binom
+from .exact import LaurentPoly, det_exact, det_ring, gen_binom
 
 BRUTE_CAP = 10 ** 6
 MATRIX_SIDE_CAP = 4096
@@ -214,12 +214,12 @@ class _Echelon:
 
 def _pivot_columns(b) -> list:
     """Indices of the lexicographically first basis of the column space
-    of an IntMatrix or SparseMatrix: one incremental elimination in
+    of a SparseMatrix: one incremental elimination in
     column order keeps each column that is independent of those before
     it."""
     ech = _Echelon()
     picked: list = []
-    for j, col in enumerate(b.sparse().cols):
+    for j, col in enumerate(b.cols):
         v = ech.reduce(col)
         if v:
             ech.push(v)
@@ -330,7 +330,7 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
     lap = xs.laplacian(k - 1, "ud").cols
     u = set(picked)
     keep = [j for j in range(len(lap)) if j not in u]
-    det = det_exact(IntMatrix([[lap[c].get(r, 0) for r in keep] for c in keep], ncols=len(keep)))
+    det = det_exact([[lap[c].get(r, 0) for r in keep] for c in keep])
     u_cells = [labels[j] for j in picked]
     t_x, t_u = _torsions(xs, k, u_cells)
     tau = Fraction(det * t_x * t_x, t_u * t_u)
@@ -551,7 +551,7 @@ def submatrix_det_properties(x, k: int) -> dict:
     xs = c.skeleton(k)
     if not xs.is_apc():
         raise ValueError("skeleton is not acyclic in positive codimension")
-    b = xs.boundary(k)
+    b = xs.sparse_boundary(k).rows()
     k_labels = xs.labels(k)
     r_labels = xs.labels(k - 1)
     size = cst_target_size(xs, k)
@@ -564,7 +564,7 @@ def submatrix_det_properties(x, k: int) -> dict:
     checked = 0
     failures = []
     for rs, cs in pairs:
-        det = det_exact(b.submatrix(rs, cs))
+        det = det_exact([[b[i][j] for j in cs] for i in rs])
         if cs not in cert_t:
             cert_t[cs] = is_cst(xs, k, [k_labels[j] for j in cs])
         tc = cert_t[cs]

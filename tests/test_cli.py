@@ -12,7 +12,6 @@ import cellspan
 from cellspan import exact
 from cellspan.chain import ChainComplex
 from cellspan.cli import main
-from cellspan.exact import IntMatrix
 
 
 def run(capsys, *argv):
@@ -43,11 +42,11 @@ def test_spectrum_table(capsys):
 
 
 def path4(tmp_path):
-    bnd = IntMatrix([[-1, 0, 0], [1, -1, 0], [0, 1, -1], [0, 0, 1]])
+    bnd = [[-1, 0, 0], [1, -1, 0], [0, 1, -1], [0, 0, 1]]
     c = ChainComplex({0: ("1", "2", "3", "4"), 1: ("12", "23", "34")},
                      {1: bnd})
     p = tmp_path / "p4.json"
-    p.write_text(c.to_json())
+    p.write_text(json.dumps(c.to_json_dict()))
     return str(p)
 
 
@@ -246,9 +245,9 @@ def test_validation_errors_exit_2(capsys, argv):
     ([[1], [1]], None),
 ])
 def test_malformed_boundary_entries_exit_2(capsys, tmp_path, rows, message):
-    """Entries are converted once, by IntMatrix; a bad one still exits 2
-    and names what is wrong.  The last boundary is well formed but its
-    composition with the 2-cell's boundary is not zero."""
+    """Entries are converted once, by SparseMatrix.from_rows; a bad one
+    still exits 2 and names what is wrong.  The last boundary is well
+    formed but its composition with the 2-cell's boundary is not zero."""
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"cells": [["a", "b"], ["e"], ["F"]],
                              "boundary": {"1": rows, "2": [[1]]}}))

@@ -78,8 +78,7 @@ def test_to_chain_is_valid_complex():
 
 def test_q1_boundary_matrix():
     c = cube(1).to_chain()
-    b = c.boundary(1)
-    assert b.rows == ((-1,), (1,))
+    assert c.sparse_boundary(1).rows() == ((-1,), (1,))
     assert c.labels(0) == ("0", "1")
 
 
@@ -99,7 +98,7 @@ def test_prism_deletion_link():
     assert d.universe == (1, 3) and l.universe == (1, 3)
     assert d.faces == closure_of({"**"}) and d == l
     for i in (1, 2, 3):
-        assert q3.is_prism_in_direction(i)
+        assert q3.deletion(i).faces == q3.link(i).faces
     with pytest.raises(ValueError):
         q2.prism(1)
     with pytest.raises(ValueError):
@@ -125,7 +124,7 @@ def test_near_prism_fails_for_lone_edge():
     assert not np.holds
     assert np.link.faces == frozenset()
     # in its own direction the edge is an honest prism
-    assert x.is_prism_in_direction(1)
+    assert x.deletion(1).faces == x.link(1).faces
 
 
 def test_is_shifted():
