@@ -22,10 +22,10 @@ from .exact import (
     SparseMatrix,
     char_poly,
     char_polys,
-    integer_roots,
     outer_sum,
     rank_exact,
     smith_normal_form,
+    spectrum_of,
 )
 
 FAMILIES = ("ud", "du", "tot")
@@ -300,7 +300,7 @@ class ChainComplex:
         key = (i, family)
         if key not in self._spec:
             chi = self.char_polynomial(i, family)
-            self._spec[key] = SpectrumGF(i, family, integer_roots(chi), chi.degree, chi)
+            self._spec[key] = SpectrumGF(i, family, spectrum_of(chi), chi.degree, chi)
         return self._spec[key]
 
     def total_gf(self) -> LaurentPoly:

@@ -27,13 +27,13 @@ intermediates are exact at every side.  Residues are below 2^27, so
 each product is below 2^54, and every sum of products adds at most
 _DOT_BLOCK = 511 of them before it is reduced mod p, which stays below
 2^63: the dense dot products (_dot_mod) cut their inner axis into
-blocks of 511, and the certificate's product by a matrix in ELL form
-(_ell_mul: the nonzeros of each row as n x w index and value arrays)
-sums chunks of at most 511 of the w terms, reducing between chunks.
-The Hessenberg passes of many matrices of one side run stacked, at most
-_STACK_ENTRIES = 2^14 entries a stack (or one larger matrix), each layer
-with its own prime and pivots; the bounds above hold layer by layer,
-since no operation mixes two layers.
+blocks of 511, and the certificate's product by a stack in ELL form
+(_ell_mul: the nonzeros of each row as index and value arrays) sums
+chunks of at most 511 terms, reducing between chunks.  Hessenberg
+passes and certificate products of one side run stacked (_stacks), at
+most _STACK_ENTRIES = 2^14 entries a stack or one larger matrix, each
+layer with its own prime, pivots and roots; the bounds hold layer by
+layer, since no operation mixes two layers.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "char_poly_memo",
     "integer_roots",
     "integer_spectrum",
+    "spectrum_of",
     "outer_sum",
     "ring_matmul",
 ]
@@ -462,12 +463,8 @@ class IntPoly:
         """Monic polynomial with the given (root, multiplicity) pairs."""
         out = [1]
         for root, mult in pairs:
-            for _ in range(mult):
-                nxt = [0] * (len(out) + 1)
-                for i, c in enumerate(out):
-                    nxt[i + 1] += c
-                    nxt[i] -= c * root
-                out = nxt
+            for _ in range(mult):  # times (y - root)
+                out = [a - root * b for a, b in zip([0] + out, out + [0])]
         return cls(out)
 
     @property
@@ -715,13 +712,6 @@ def _charpoly_stack(h, p):
     return P[:, n]
 
 
-def _charpoly_mod(rows, n: int, p: int) -> list[int]:
-    """char poly of an n x n integer matrix, given by its rows, mod p:
-    one layer of _charpoly_stack."""
-    h = np.array([[e % p for e in r] for r in rows], dtype=np.int64).reshape(1, n, n)
-    return _charpoly_stack(h, np.array([p], dtype=np.int64))[0].tolist()
-
-
 # The memo of the innermost active char_poly_memo block, or None.
 _MEMO: contextvars.ContextVar = contextvars.ContextVar("char_poly_memo", default=None)
 
@@ -773,33 +763,31 @@ def char_poly(m: SparseMatrix) -> IntPoly:
     bound |c_{n-k}| <= C(n,k) R^k.
 
     Where the input shows it is cheap, chi is first certified from p_0
-    alone as a product of integer linear factors (_split_char_poly).
-    Take the integers lam in [-R, R] that are roots of chi mod p_0, with
-    their multiplicities m_lam mod p_0.  If the m_lam add up to n and
+    alone as a product of integer linear factors (_certify).  Take the
+    integers lam in [-R, R] that are roots of chi mod p_0, with their
+    multiplicities m_lam mod p_0.  If the m_lam add up to n and
     M = prod_lam (m - lam I) is zero over Z, then chi = prod (y -
     lam)^m_lam.  Proof: M = 0 means the minimal polynomial divides
     prod (y - lam), so chi = prod (y - lam)^e_lam over Z.  The lam are
     distinct mod p_0 because p_0 > 2R, so unique factorisation in
     F_p0[y] gives e_lam = m_lam.  Every entry of M is at most
     B = prod ||m - lam I||_inf in absolute value, so M is zero once it
-    vanishes modulo primes whose product exceeds 2B.  Each factor after
-    the first multiplies M from the left in ELL form (_ell_mul): n nnz(m)
-    products, against n^3 densely.
+    vanishes modulo check primes whose product exceeds 2B.  Each factor
+    after the first multiplies M from the left in ELL form (_ell_mul):
+    n nnz(m) multiply-adds, against n^3 densely.  The certified result
+    keeps its {lam: m_lam}, so spectrum_of reads the spectrum off it.
 
-    The certificate is tried only when 2R < p_0 (so every entry fits
-    int64), 2R < n^2 (so the scan of the 2R + 1 candidates costs no
-    more than one Hessenberg pass), CRT needs more than one prime, and
-    the check's (roots - 1) matrix products per prime, times the primes
-    2B asks for, are fewer than the CRT primes left.  Otherwise, or when
-    the certificate fails (a non-integral spectrum, or a defective
-    integer eigenvalue), CRT goes on from the residues mod p_0 already
-    computed.
+    The rule counts work.  The certificate is tried when 2R < p_0 (every
+    entry fits int64), 2R < n^2 (the scan of 2R + 1 candidates costs no
+    more than a Hessenberg pass) and CRT needs more than one prime; its
+    products run when the roots account for n and (roots - 1) |check
+    primes| n nnz(m) < (CRT primes - 1) n^3 (_worth_certifying).
+    Otherwise, or when it fails (a non-integral spectrum, or a defective
+    integer eigenvalue), CRT goes on from the residues mod p_0.
 
-    char_polys computes many char polys at once: matrices of one side
-    share stacked Hessenberg passes (_charpoly_stack), at most
-    _STACK_ENTRIES = 2^14 entries each, every layer with its own prime
-    and its own pivots, so the int64 bounds above hold in each layer.
-    char_poly(m) is char_polys([m])[0], a stack of one.
+    char_polys runs the Hessenberg passes and the certificate products
+    of many matrices stacked (see the module docstring); char_poly(m) is
+    char_polys([m])[0], a stack of one.
 
     Inside a char_poly_memo block a matrix seen before is not
     recomputed.
@@ -899,36 +887,40 @@ def _char_polys(ms) -> list[IntPoly]:
             jobs.append((idx, job))
     p0 = _prime(0)
     first = _passes([(job, p0) for _, job in jobs])
-    crt = []
-    for (idx, job), chi in zip(jobs, first):
-        # 2R < p_0 < 2^27 bounds every entry, so job.pre is set
-        if len(job.primes) > 1 and 2 * job.R < min(p0, job.n ** 2):
-            out[idx] = _split_char_poly(job.pre, job.R, chi, p0, len(job.primes) - 1)
-        if out[idx] is None:
-            crt.append((idx, job, chi))
+    # 2R < p_0 < 2^27 bounds every entry, so job.pre is set
+    tries = [k for k, (_, job) in enumerate(jobs)
+             if len(job.primes) > 1 and 2 * job.R < min(p0, job.n ** 2)]
+    for k, chi in zip(tries, _certify([(jobs[k][1], first[k]) for k in tries], p0)):
+        out[jobs[k][0]] = chi
+    crt = [(idx, job, chi) for (idx, job), chi in zip(jobs, first) if out[idx] is None]
     rest = iter(_passes([(job, p) for _, job, _ in crt for p in job.primes[1:]]))
     for idx, job, chi in crt:
         out[idx] = _crt([chi] + [next(rest) for _ in job.primes[1:]], job.primes)
     return out
 
 
-def _passes(pairs) -> list:
-    """det(yI - m) mod p, ascending, for each (job, p) pair, in order.
-    The pairs of one side run together, in stacked passes of at most
-    _STACK_ENTRIES entries or of one matrix."""
-    out = [None] * len(pairs)
+def _stacks(jobs):
+    """The positions of the jobs by side, in order, in chunks of at most
+    _STACK_ENTRIES entries or one matrix: the layers of stacked passes."""
     sides: dict = {}
-    for idx, (job, _) in enumerate(pairs):
+    for idx, job in enumerate(jobs):
         sides.setdefault(job.n, []).append(idx)
     for n, idxs in sides.items():
         step = max(1, _STACK_ENTRIES // (n * n))
         for s in range(0, len(idxs), step):
-            part = idxs[s:s + step]
-            chunk = [pairs[i] for i in part]
-            h = np.stack([job.residues(p) for job, p in chunk])
-            primes = np.array([p for _, p in chunk], dtype=np.int64)
-            for i, chi in zip(part, _charpoly_stack(h, primes).tolist()):
-                out[i] = chi
+            yield idxs[s:s + step]
+
+
+def _passes(pairs) -> list:
+    """det(yI - m) mod p, ascending, for each (job, p) pair, in order,
+    in stacked passes (_stacks)."""
+    out = [None] * len(pairs)
+    for part in _stacks([job for job, _ in pairs]):
+        chunk = [pairs[i] for i in part]
+        h = np.stack([job.residues(p) for job, p in chunk])
+        primes = np.array([p for _, p in chunk], dtype=np.int64)
+        for i, chi in zip(part, _charpoly_stack(h, primes).tolist()):
+            out[i] = chi
     return out
 
 
@@ -946,24 +938,55 @@ def _crt(residues, primes) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _split_char_poly(a, R: int, chi: list, p: int, budget: int):
-    """det(yI - a) over Z certified from its residues chi mod p, or None.
+class _Split(IntPoly):
+    """A char poly certified as prod (y - lam)^m; roots: (lam, m), lam ascending."""
 
-    a is an n x n int64 array whose largest absolute row sum is R, with
-    2R < p; chi holds det(yI - a) mod p, ascending.  Returns
-    prod (y - lam)^m_lam when the roots lam of chi mod p among the
-    integers in [-R, R] have multiplicities m_lam adding up to n and
-    prod (a - lam I) is zero over Z (char_poly gives the proof).
-    Returns None when they do not, or when that check would take budget
-    or more matrix products.
-    """
-    n = a.shape[0]
+    __slots__ = ("roots",)
+
+
+def _certify(tries, p: int) -> list:
+    """For each (job, chi) pair, chi = det(yI - m) mod p ascending and
+    2R < p, the char poly certified from p (see char_poly) as a _Split,
+    or None.  Products run stacked, a layer per job and check prime."""
+    found, layers = {}, []
+    for t, (job, chi) in enumerate(tries):
+        pairs = _roots_mod(chi, job.R, p)
+        if sum(mult for _, mult in pairs) != job.n:
+            continue
+        roots = [lam for lam, _ in pairs]
+        diag = np.diagonal(job.pre)
+        off = np.abs(job.pre).sum(axis=1) - np.abs(diag)
+        norms = (off + np.abs(diag - np.array(roots)[:, None])).max(axis=1)
+        check = _primes_over(2 * math.prod(norms.tolist()))
+        if _worth_certifying(job, len(roots), len(check)):
+            found[t] = pairs
+            layers += [(job, roots, q, t) for q in check]  # none if m = lam I
+    layers.sort(key=lambda layer: -len(layer[1]))
+    failed = {layer[3] for layer, ok in zip(layers, _products_vanish(layers)) if not ok}
+    out = [None] * len(tries)
+    for t, pairs in found.items():
+        if t not in failed:
+            out[t] = _Split.from_roots(pairs)
+            out[t].roots = tuple(pairs)
+    return out
+
+
+def _worth_certifying(job, roots: int, check: int) -> bool:
+    """Whether (roots - 1) products by m mod each check prime, n nnz(m)
+    each, cost less than the n^3 of each Hessenberg pass CRT needs."""
+    n = job.n
+    return (roots - 1) * check * n * len(job.coo[2]) < (len(job.primes) - 1) * n ** 3
+
+
+def _roots_mod(chi: list, R: int, p: int) -> list:
+    """(lam, multiplicity) of the roots lam in [-R, R] of chi mod p,
+    ascending; 2R < p keeps them distinct mod p."""
     cands = np.arange(-R, R + 1, dtype=np.int64)
     x = cands % p
     val = np.zeros_like(x)
     for c in reversed(chi):  # Horner at every candidate at once
         val = (val * x + c) % p
-    roots, mults, rem = [], [], chi
+    pairs, rem = [], chi
     for lam in cands[val == 0].tolist():
         mult = 0
         while len(rem) > 1:  # synthetic division by (y - lam) mod p
@@ -975,78 +998,76 @@ def _split_char_poly(a, R: int, chi: list, p: int, budget: int):
                 break
             rem = out[::-1]
             mult += 1
-        roots.append(lam)
-        mults.append(mult)
-    if sum(mults) != n:
-        return None
-    diag = np.diagonal(a)
-    off = np.abs(a).sum(axis=1) - np.abs(diag)
-    B = math.prod(int((off + np.abs(diag - lam)).max()) for lam in roots)
-    check = _primes_over(2 * B)
-    if (len(roots) - 1) * len(check) >= budget:
-        return None
-    if not all(_product_vanishes_mod(a, roots, q) for q in check):
-        return None
-    return IntPoly.from_roots(zip(roots, mults))
+        pairs.append((lam, mult))
+    return pairs
+
+
+def _products_vanish(layers) -> list[bool]:
+    """Whether prod_lam (m - lam I) over the roots is zero mod q for each
+    (job, roots, q, ...) layer, m the job's matrix, a = m mod q.  A layer
+    x starts as a - lam_0 I and becomes a x - lam x for each further
+    root (_ell_mul).  Root counts must not rise along the layers of one
+    side, so a step takes a leading slice of its stack (_stacks)."""
+    out = [False] * len(layers)
+    for part in _stacks([job for job, *_ in layers]):
+        chunk = [layers[b] for b in part]
+        width = [len(roots) for _, roots, *_ in chunk]
+        q = np.array([layer[2] for layer in chunk], dtype=np.int64)
+        q3 = q[:, None, None]
+        lam = np.array([roots + [0] * (width[0] - len(roots)) for _, roots, *_ in chunk])
+        lam %= q[:, None]
+        a = np.stack([job.pre for job, *_ in chunk]) % q3
+        ell, n = _ell(a), a.shape[1]
+        m = (a - lam[:, :1, None] * np.eye(n, dtype=np.int64)) % q3
+        for t in range(1, width[0]):
+            k = sum(w > t for w in width)
+            x = m[:k]
+            x[:] = _ell_mul([e[:k * n] for e in ell], x, q[:k]) - lam[:k, t, None, None] * x
+            x %= q3[:k]
+        for b, nonzero in zip(part, m.reshape(len(part), -1).any(axis=1).tolist()):
+            out[b] = not nonzero
+    return out
 
 
 def _ell(a):
-    """The square int64 array a in ELL form: (idx, val, diag, counts),
-    two n x w arrays with a[i, idx[i, t]] = val[i, t] for the counts[i]
-    nonzero and diagonal entries of row i, in column order, padded to
-    the widest row w by val 0 at column 0; diag indexes the diagonal in
-    idx and val."""
-    n = a.shape[0]
-    mask = a != 0
-    np.fill_diagonal(mask, True)
-    r, c = np.nonzero(mask)
-    counts = np.bincount(r, minlength=n)
-    t = np.arange(r.size) - (np.cumsum(counts) - counts)[r]
-    idx = np.zeros((n, counts.max()), dtype=np.intp)
+    """The (B, n, n) int64 stack a in ELL form (idx, val, counts), a row
+    r = b n + i per row i of layer b: a[b, i, c] = val[r, t] with
+    idx[r, t] = b n + c for its counts[r] nonzeros, in column order,
+    padded to the widest row by val 0 at index 0."""
+    B, n, _ = a.shape
+    b, r, c = np.nonzero(a)
+    row = b * n + r
+    counts = np.bincount(row, minlength=B * n)
+    t = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    idx = np.zeros((B * n, counts.max()), dtype=np.intp)
     val = np.zeros(idx.shape, dtype=np.int64)
-    idx[r, t] = c
-    val[r, t] = a[r, c]
-    on = r == c
-    return idx, val, (r[on], t[on]), counts
+    idx[row, t] = b * n + c
+    val[row, t] = a[b, r, c]
+    return idx, val, counts
 
 
-def _ell_mul(ell, val, m, q: int):
-    """(F m) mod q, where F has the ELL pattern ell (_ell) with values
-    val, and val and m hold residues mod q < 2^27.  Row i of the product
-    sums val[i, t] m[idx[i, t]] over its t < counts[i], in chunks of at
-    most _DOT_BLOCK terms reduced mod q between chunks, so the int64
+def _ell_mul(ell, m, q):
+    """(F_b m_b) mod q_b for each layer b of the (B, n, k) stack m, F in
+    ELL form (_ell), residues mod the primes q < 2^27.  Row r sums
+    val[r, t] times row idx[r, t] of m flattened to B n x k, in chunks
+    of at most _DOT_BLOCK terms reduced between chunks, so the int64
     sums stay exact as in _dot_mod.  A chunk takes only the rows long
-    enough to reach it, so the work is (nonzeros of F) x (columns of m)
-    however uneven the rows, and gathers at most about _GATHER_ENTRIES
-    entries of m, or one row of m per row of F."""
-    idx, _, _, counts = ell
+    enough to reach it, so the work is (nonzeros of F) x k however
+    uneven the rows, and gathers about _GATHER_ENTRIES entries of m at
+    most, or one row of m per row of F."""
+    idx, val, counts = ell
+    rows = m.reshape(-1, m.shape[2])
+    qs = np.repeat(q, m.shape[1])[:, None]
     step = max(1, min(_DOT_BLOCK, _GATHER_ENTRIES // m.size))
-    out = np.zeros_like(m)
+    out = np.zeros_like(rows)
     for s in range(0, idx.shape[1], step):
         live = np.flatnonzero(counts > s)
         if live.size == counts.size:
             live = slice(None)
         cut = slice(s, s + step)
-        out[live] += (val[live, cut, None] * m[idx[live, cut]]).sum(axis=1)
-        out[live] %= q
-    return out
-
-
-def _product_vanishes_mod(a, roots, q: int) -> bool:
-    """Whether prod_lam (a - lam I) over the given roots is zero mod q:
-    m = a - lam_0 I mod q, then m <- (a - lam I) m for each further
-    root, a product by the ELL form of a (_ell_mul)."""
-    ell = _ell(a)
-    val, diag = ell[1] % q, ell[2]
-    m = a % q
-    np.fill_diagonal(m, (np.diagonal(m) - roots[0]) % q)
-    for lam in roots[1:]:
-        if not m.any():
-            break
-        f = val.copy()
-        f[diag] = (f[diag] - lam) % q
-        m = _ell_mul(ell, f, m, q)
-    return not m.any()
+        out[live] += np.einsum("rt,rtk->rk", val[live, cut], rows[idx[live, cut]])
+        out[live] %= qs[live]
+    return out.reshape(m.shape)
 
 
 def char_poly_interpolate(m: SparseMatrix) -> IntPoly:
@@ -1153,13 +1174,24 @@ def _top_root_ceiling(p: IntPoly, lo: int, hi: int) -> int:
 
 
 def integer_spectrum(m: SparseMatrix):
-    """Eigenvalue multiset of a symmetric PSD SparseMatrix:
-    integer_roots of its char_poly."""
+    """Eigenvalue multiset of a symmetric PSD SparseMatrix: the
+    spectrum_of its char_poly."""
     if m.nrows != m.ncols:
         raise ValueError("spectrum of a non-square matrix")
     if m != m.transpose():
         raise ValueError("matrix is not symmetric")
-    return integer_roots(char_poly(m))
+    return spectrum_of(char_poly(m))
+
+
+def spectrum_of(chi: IntPoly):
+    """integer_roots(chi), keys in its order (up to _ROOT_SCAN ascending,
+    then from the largest down), read off a certified chi (a _Split)."""
+    if not isinstance(chi, _Split):
+        return integer_roots(chi)
+    if chi.roots[0][0] < 0:
+        return NotIntegral(chi)
+    small = [pair for pair in chi.roots if pair[0] <= _ROOT_SCAN]
+    return dict(small + list(chi.roots[len(small):])[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,26 @@ def test_char_polynomials_match_char_polynomial_on_the_corpus():
             assert c._chi == want, name
 
 
+def test_spectra_read_off_the_certificate_equal_integer_roots():
+    """rp2, cube:1..4, the mirrors on at most three vertices and the
+    colorful complexes of total size at most 6, in every dimension and
+    family: the spectrum, read off the certificate where char_poly
+    certified the char poly, is integer_roots of it, keys in order."""
+    certified = set()
+    for name, c in identity_corpus(mirror_max=3, colorful_max=6):
+        for i in c.homology_range():
+            for fam in FAMILIES:
+                chi = c.char_polynomial(i, fam)
+                got, want = c.spectrum(i, fam).eigs, exact.integer_roots(chi)
+                if isinstance(want, NotIntegral):
+                    assert got == want, (name, i, fam)
+                else:
+                    assert list(got.items()) == list(want.items()), (name, i, fam)
+                if isinstance(chi, exact._Split):
+                    certified.add(name.split(":")[0])
+    assert certified == {"cube", "mirror", "colorful"}
+
+
 # ---------------------------------------------------------------------------
 # the sparse Laplacian builder against dense products of the boundaries
 

@@ -904,6 +904,13 @@ def test_char_polys_stack_layers_with_their_own_primes():
     assert got == [char_poly_interpolate(m) for m in batch]
 
 
+def _charpoly_layer(rows, n, p):
+    """char poly of an n x n integer matrix, given by its rows, mod p:
+    one layer of _charpoly_stack."""
+    h = np.array([[e % p for e in r] for r in rows], dtype=np.int64).reshape(1, n, n)
+    return exact._charpoly_stack(h, np.array([p], dtype=np.int64))[0].tolist()
+
+
 def test_stacked_pass_pivots_each_layer_on_its_own():
     """Layer 0 needs no swap, layer 1 swaps rows 1 and 2, layer 2 rows 1
     and 3, layer 3 has a zero first column; each layer has its own prime.
@@ -920,7 +927,7 @@ def test_stacked_pass_pivots_each_layer_on_its_own():
                  dtype=np.int64)
     got = exact._charpoly_stack(h, np.array(primes, dtype=np.int64)).tolist()
     for m, q, chi in zip(mats, primes, got):
-        assert chi == exact._charpoly_mod(m.rows(), 5, q)
+        assert chi == _charpoly_layer(m.rows(), 5, q)
         assert chi == [c % q for c in char_poly_interpolate(m).coeffs]
 
 
@@ -954,19 +961,17 @@ def test_char_polys_rejects_a_non_square_input_before_any_work():
 
 
 def _crt_only(m):
-    with mock.patch.object(exact, "_split_char_poly", return_value=None):
+    with mock.patch.object(exact, "_certify", lambda tries, p: [None] * len(tries)):
         return char_poly(m)
 
 
-def _split(m, p=None, budget=10**9):
-    """_split_char_poly on m from its char poly mod p (default p_0),
-    with no budget to stop it."""
+def _split(m, p=None):
+    """_certify on m from its char poly mod p (default p_0), with no
+    work rule to stop it."""
     p = exact._prime(0) if p is None else p
-    n = m.nrows
-    a = np.array(m.rows(), dtype=np.int64).reshape(n, n)
-    R = max(sum(abs(v) for v in r) for r in m.rows())
-    chi = exact._charpoly_mod(m.rows(), n, p)
-    return exact._split_char_poly(a, R, chi, p, budget)
+    chi = _charpoly_layer(m.rows(), m.nrows, p)
+    with mock.patch.object(exact, "_worth_certifying", return_value=True):
+        return exact._certify([(exact._Job(m), chi)], p)[0]
 
 
 @st.composite
@@ -1032,7 +1037,7 @@ def test_split_char_poly_needs_the_product_check():
     (y - 11)(y + 11) with 11 in [-R, R] = [-20, 20].  Only the check
     prod (m - lam I) = -101 I != 0 stops the one-prime route."""
     m = mat([[0, 20], [1, 0]])
-    assert exact._charpoly_mod(m.rows(), 2, 101) == [v % 101 for v in (-121, 0, 1)]
+    assert _charpoly_layer(m.rows(), 2, 101) == [v % 101 for v in (-121, 0, 1)]
     assert _split(m, p=101) is None
     assert char_poly(m) == IntPoly([-20, 0, 1])
     # the same prime certifies a split matrix
@@ -1040,17 +1045,18 @@ def test_split_char_poly_needs_the_product_check():
 
 
 def _spied(m):
-    """char_poly(m), with the arguments and the results of the
-    _split_char_poly calls it made."""
+    """char_poly(m), with the (job, chi) pairs _certify was given and
+    the results it returned for them."""
     calls, returned = [], []
-    real = exact._split_char_poly
+    real = exact._certify
 
-    def spy(*args):
-        calls.append(args)
-        returned.append(real(*args))
-        return returned[-1]
+    def spy(tries, p):
+        out = real(tries, p)
+        calls.extend(tries)
+        returned.extend(out)
+        return out
 
-    with mock.patch.object(exact, "_split_char_poly", spy):
+    with mock.patch.object(exact, "_certify", spy):
         chi = char_poly(m)
     return chi, calls, returned
 
@@ -1198,6 +1204,93 @@ def test_defective_and_irrational_inputs_fall_back_to_crt():
     assert returned == [chi] == [IntPoly.from_roots([(20, 9), (30, 7), (50, 8)])]
 
 
+def test_cube5_vertex_laplacian_is_certified():
+    """cube:5's L^ud_0, side 32 with eigenvalues 0, 2, ..., 10, takes
+    the one-prime route: its five products mod one check prime cost
+    less than the CRT passes they save."""
+    lap = cube(5).to_chain().laplacian(0, "ud")
+    chi, calls, returned = _spied(lap)
+    assert len(calls) == 1 and returned == [chi] == [_crt_only(lap)]
+    assert chi.roots == tuple((2 * k, math.comb(5, k)) for k in range(6))
+
+
+def _direct_sum(draw, block, diag):
+    """A signed conjugate of block (n x n, top left) + diag(diag)."""
+    n = len(block) + len(diag)
+    rows = [[0] * n for _ in range(n)]
+    for i, r in enumerate(block):
+        rows[i][:len(r)] = r
+    for i, d in enumerate(diag, start=len(block)):
+        rows[i][i] = d
+    perm = draw(st.permutations(range(n)))
+    signs = [draw(st.sampled_from((-1, 1))) for _ in range(n)]
+    return _signed_conjugate(rows, perm, signs)
+
+
+@st.composite
+def mixed_certificate_batches(draw):
+    """One char_polys batch, read with p_0 = 101: certificate_inputs
+    (sides 2..12), diagonals plus the block [[0, 20], [1, 0]] (sides 7
+    and 8, so 2R = 40 < n^2; chi = y^2 - 20 splits mod 101 as
+    (y - 11)(y + 11), and prod (m - lam I) vanishes mod 101 but not mod
+    the next check prime) or a Jordan block [[d, 1], [0, d]] (sides
+    3..8), zero and empty matrices, and duplicates."""
+    diag = st.sampled_from((0, 1, 2, 5, 11, 20))
+    batch = []
+    for _ in range(draw(st.integers(2, 9))):
+        kind = draw(st.sampled_from(("certificate", "certificate", "split mod 101",
+                                     "jordan", "zero", "empty")))
+        if kind == "certificate":
+            m = draw(certificate_inputs())
+        elif kind == "split mod 101":
+            m = _direct_sum(draw, [[0, 20], [1, 0]], draw(st.lists(diag, min_size=5, max_size=6)))
+        elif kind == "jordan":
+            d = draw(st.sampled_from((0, 2, 5)))
+            m = _direct_sum(draw, [[d, 1], [0, d]],
+                            draw(st.lists(st.sampled_from((0, 2, 5)), min_size=1, max_size=6)))
+        elif kind == "zero":
+            m = zeros(*[draw(st.integers(1, 8))] * 2)
+        else:
+            m = mat([], ncols=0)
+        batch.append(m)
+    dups = draw(st.lists(st.sampled_from(range(len(batch))), max_size=3))
+    return batch + [mat(batch[i].rows(), ncols=batch[i].ncols) for i in dups]
+
+
+def _diag(*d):
+    return mat([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
+
+
+def _split_mod_101(*d):
+    rows = [list(r) for r in _diag(0, 0, *d).rows()]
+    rows[0][1], rows[1][0] = 20, 1
+    return mat(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_certificate_batches())
+# one stack of side 7, most roots first: seven roots, the split block,
+# whose layer mod the second check prime fails between layers that
+# pass, four roots, then two: a Jordan block at 0, which fails, and a
+# diagonal with one check prime; the stack's order is not the batch's
+@example([mat([[0, 1] + [0] * 5, [0] * 7] + [[0] * i + [2] + [0] * (6 - i) for i in range(2, 7)]),
+          _diag(1, 1, 1, 1, 1, 1, 2), _diag(0, 1, 2, 5, 20, 3, 4),
+          _split_mod_101(1, 2, 5, 3, 4), _diag(1, 1, 2, 2, 5, 5, 0),
+          zeros(7, 7), mat([], ncols=0), _diag(0, 1, 2, 5, 20, 3, 4)])
+def test_stacked_certificate_against_interpolation(batch):
+    """With p_0 = 101 and every tried certificate run, each layer of a
+    stacked product keeps its own roots, prime and verdict, whatever
+    else shares its stack: every char poly equals interpolation, and
+    is certified exactly when it is certified on its own."""
+    real = exact._prime
+    with mock.patch.object(exact, "_prime", lambda i: 101 if i == 0 else real(i - 1)), \
+            mock.patch.object(exact, "_worth_certifying", return_value=True):
+        got = exact.char_polys(batch)
+        alone = [exact.char_polys([m])[0] for m in batch]
+    assert got == [char_poly_interpolate(m) for m in batch]
+    assert [type(chi) for chi in got] == [type(chi) for chi in alone]
+
+
 def _python_product_is_zero(rows, roots, q):
     """Whether prod (m - lam I) over the roots is zero mod q, in Python
     ints (numpy object arrays), multiplying by the sparse rows of m."""
@@ -1225,18 +1318,20 @@ def test_ell_products_sum_past_the_int64_limit():
         rows[0][j] = rows[j][0] = -1
         rows[j][j] = 1
     a = np.array(rows, dtype=np.int64)
-    ell = exact._ell(a)
-    idx, val, diag, counts = ell
+    ell = exact._ell(a[None] % q)
+    idx, val, counts = ell
+    diag = idx == np.arange(n)[:, None]
     assert idx.shape == (n, n) and (val[diag] == np.diagonal(a)).all()
     assert counts.tolist() == [n] + [2] * (n - 1)
     m = np.full((n, 3), q - 1, dtype=np.int64)
-    got = exact._ell_mul(ell, val % q, m, q)
+    got = exact._ell_mul(ell, m[None], np.array([q], dtype=np.int64))[0]
     want = [[sum(v % q * (q - 1) for v in r) % q] * 3 for r in rows]
     assert got.tolist() == want
-    assert int((val[0] % q) @ m[idx[0], 0]) < 0  # the unreduced sum wraps
+    assert int(val[0] @ m[idx[0], 0]) < 0  # the unreduced sum wraps
+    job = exact._Job(mat(rows))
     for roots in ([0, 1, n], [0, n]):
-        assert exact._product_vanishes_mod(a, roots, q) == _python_product_is_zero(rows, roots, q)
-    assert exact._product_vanishes_mod(a, [0, 1, n], q)
+        assert exact._products_vanish([(job, roots, q)]) == [_python_product_is_zero(rows, roots, q)]
+    assert exact._products_vanish([(job, [0, 1, n], q)]) == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -1289,3 +1384,18 @@ def test_integer_roots_of_huge_eigenvalues():
             0: 1, 7: 1, lam: 2}
     chi = IntPoly([-2 * 10**60, 0, 1])
     assert exact.integer_roots(chi) == NotIntegral(chi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(certificate_inputs(), st.sampled_from((0, 1, 4, 2**16)))
+def test_spectrum_of_a_certified_char_poly_against_integer_roots(m, scan):
+    """Read off the certificate, the spectrum has integer_roots' keys in
+    its order: roots up to _ROOT_SCAN ascending, then the larger ones
+    from the largest down; a negative root makes it NotIntegral."""
+    chi = _split(m) or char_poly(m)
+    with mock.patch.object(exact, "_ROOT_SCAN", scan):
+        got, want = exact.spectrum_of(chi), exact.integer_roots(chi)
+    if isinstance(want, NotIntegral):
+        assert got == want
+    else:
+        assert list(got.items()) == list(want.items())
