@@ -412,9 +412,14 @@ class ChainComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict, check: bool = True) -> "ChainComplex":
+        if not isinstance(data, dict):
+            raise ChainError(f"a chain complex is a JSON object, not {type(data).__name__}")
+        boundary = data.get("boundary", {})
+        if not isinstance(boundary, dict):
+            raise ChainError(f"boundary is a JSON object, not {type(boundary).__name__}")
         cells = {i: tuple(ls) for i, ls in enumerate(data.get("cells", []))}
         bnd = {}
-        for key, rows in data.get("boundary", {}).items():
+        for key, rows in boundary.items():
             i = int(key)
             ncols = len(cells.get(i, ())) if i != -1 else 0
             for row in rows:

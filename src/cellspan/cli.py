@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .chain import ChainComplex, ChainError, as_int
+from .chain import ChainComplex, as_int
 from .colorful import (colorful_complex, colorful_etot, colorful_omega,
                        colorful_spec_poly, colorful_tree_count,
                        cross_polytope_cube_duality, weighted_duality_check)
@@ -98,10 +98,7 @@ def load_input(spec: str):
             a = tuple(int(v) for v in spec[9:].split(","))
         except ValueError:
             raise CliError(f"bad colorful generator {spec!r}")
-        try:
-            return colorful_complex(a)
-        except ValueError as e:
-            raise CliError(str(e))
+        return colorful_complex(a)
     if spec.startswith("mirror:"):
         return _mirror_from_dict(_read_json(spec[7:]))
     data = _read_json(spec)
@@ -111,7 +108,7 @@ def load_input(spec: str):
         if "vertices" in data and "facets" in data:
             return _mirror_from_dict(data)
         return ChainComplex.from_json_dict(data)
-    except (ChainError, ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise CliError(f"invalid complex in {spec}: {e}")
 
 
@@ -185,9 +182,9 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
-def _tree_query(args, weighted: bool) -> TreeQuery:
+def _tree_query(args) -> TreeQuery:
     x = load_input(args.input)
-    if weighted:
+    if args.weighted:
         x = _need_cubical(x)
     if args.k is None:
         raise CliError("trees need --k")
@@ -200,23 +197,19 @@ def _tree_query(args, weighted: bool) -> TreeQuery:
                 and len(x.faces) == 3 ** len(x.universe)):
             raise CliError("closed-form method applies to full cubes only")
         kw["cube_n"] = len(x.universe)
-    try:
-        return TreeQuery(x, args.k, method=method, weighted=weighted,
-                         cap=cap, **kw)
-    except ValueError as e:
-        raise CliError(str(e))
+    return TreeQuery(x, args.k, method=method, weighted=args.weighted,
+                     cap=cap, **kw)
 
 
 def cmd_trees(args) -> int:
-    q = _tree_query(args, weighted=False)
-    try:
-        rep = run_query(q)
-    except CapExceeded as e:
-        raise CliError(str(e), EXIT_CAP)
-    except ValueError as e:
-        raise CliError(str(e))
+    rep = run_query(_tree_query(args))
     if args.format == "json":
         _emit_json(rep.to_json_dict())
+    elif args.weighted:
+        tau = rep.to_json_dict()["tau"]
+        _emit_table([("method", rep.method)])
+        _emit_table([(_fmt_exp(t["exp"], tau["vars"]), t["coef"])
+                     for t in tau["terms"]])
     else:
         rows = [("tau", rep.tau), ("method", rep.method)]
         if rep.trees is not None:
@@ -224,24 +217,6 @@ def cmd_trees(args) -> int:
         if rep.u_cells is not None:
             rows.append(("U", " ".join(rep.u_cells) or "-"))
         _emit_table(rows)
-    return EXIT_OK
-
-
-def cmd_weighted_trees(args) -> int:
-    q = _tree_query(args, weighted=True)
-    try:
-        rep = run_query(q)
-    except CapExceeded as e:
-        raise CliError(str(e), EXIT_CAP)
-    except ValueError as e:
-        raise CliError(str(e))
-    d = rep.to_json_dict()
-    if args.format == "json":
-        _emit_json(d)
-    else:
-        _emit_table([("method", rep.method)])
-        _emit_table([(_fmt_exp(t["exp"], d["tau"]["vars"]), t["coef"])
-                     for t in d["tau"]["terms"]])
     return EXIT_OK
 
 
@@ -256,10 +231,7 @@ def cmd_conjecture(args) -> int:
     if not (1 <= args.k <= args.n):
         raise CliError(f"need 1 <= k <= n, got n={args.n} k={args.k}")
     cap = _cap(args, BRUTE_CAP)
-    try:
-        rep = verify_conjecture(args.n, args.k, cap=cap)
-    except CapExceeded as e:
-        raise CliError(str(e), EXIT_CAP)
+    rep = verify_conjecture(args.n, args.k, cap=cap)
     if args.n >= 2 and args.n - 2 <= args.k <= args.n - 1:
         rep["f_recurrence"] = f_recurrence_check(args.n, args.k)["holds"]
     else:
@@ -277,11 +249,8 @@ def cmd_colorful(args) -> int:
     spec = args.input
     if not spec.startswith("colorful:"):
         raise CliError("colorful subcommand needs --input colorful:a1,a2,...")
-    try:
-        a = tuple(int(v) for v in spec[9:].split(","))
-        colorful_complex(a)
-    except ValueError as e:
-        raise CliError(str(e))
+    a = tuple(int(v) for v in spec[9:].split(","))
+    colorful_complex(a)
     n = len(a)
     out = {
         "a": list(a),
@@ -332,7 +301,7 @@ def cmd_shifted_check(args) -> int:
         rec = list(shifted_spectrum(x))
         out["recursion"] = rec
         out["match"] = rec == out["direct"]
-    except (ValueError, ChainError) as e:
+    except ValueError as e:
         out["recursion"] = None
         out["match"] = None
         out["error"] = str(e)
@@ -416,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("brute", "matrix-tree", "alternating-product",
                              "closed-form"))
     sp.add_argument("--cap", type=int)
-    sp.set_defaults(fn=cmd_trees)
+    sp.set_defaults(fn=cmd_trees, weighted=False)
 
     sp = sub.add_parser("weighted-trees",
                         help="weighted tree enumerator (cubical complexes)")
@@ -424,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--method", choices=("brute", "matrix-tree"))
     sp.add_argument("--cap", type=int)
-    sp.set_defaults(fn=cmd_weighted_trees)
+    sp.set_defaults(fn=cmd_trees, weighted=True)
 
     sp = sub.add_parser("conjecture",
                         help="weighted cube enumerator vs closed-form candidate")
@@ -469,7 +438,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except ChainError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except CapExceeded as e:

@@ -35,30 +35,18 @@ def rp2() -> ChainComplex:
 
 def simplicial_families(n: int) -> list:
     """All downward-closed families of nonempty subsets of {1..n},
-    the empty family included, each a frozenset of frozensets."""
-    subs = [frozenset(c)
-            for k in range(1, n + 1)
-            for c in itertools.combinations(range(1, n + 1), k)]
-    req = []
-    for s in subs:
-        mask = 0
-        for j, t in enumerate(subs):
-            if t < s:
-                mask |= 1 << j
-        req.append(mask)
-    out = []
-    for mask in range(1 << len(subs)):
-        mm = mask
-        ok = True
-        while mm:
-            b = mm & -mm
-            if req[b.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            mm ^= b
-        if ok:
-            out.append(frozenset(s for j, s in enumerate(subs) if mask >> j & 1))
-    return out
+    the empty family included, each a frozenset of frozensets.  The
+    subsets are decided in (size, lex) order, and each family so far
+    branches on taking the next subset only when it already holds every
+    (size - 1)-subset of it."""
+    families = [frozenset()]
+    for k in range(1, n + 1):
+        for c in itertools.combinations(range(1, n + 1), k):
+            s = frozenset(c)
+            below = [s - {v} for v in s] if k > 1 else []
+            families += [f | {s} for f in families
+                         if all(t in f for t in below)]
+    return families
 
 
 def family_facets(family) -> list:

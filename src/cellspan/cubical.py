@@ -13,7 +13,7 @@ import itertools
 from bisect import insort
 
 from .chain import ChainComplex, as_int
-from .exact import IntPoly, LaurentPoly, SparseMatrix, gen_binom, outer_sum, sparse_transpose
+from .exact import LaurentPoly, SparseMatrix, gen_binom, outer_sum, sparse_transpose
 
 _RANK = {"0": 0, "1": 1, "*": 2}
 
@@ -310,45 +310,6 @@ def cube(n: int, cap: int = 6) -> CubicalComplex:
         raise ValueError(f"cube({n}) exceeds cap {cap}")
     u = tuple(range(1, n + 1))
     return CubicalComplex(u, closure_of({"*" * n}), closed=True)
-
-
-def prism_tot_identity_holds(x: CubicalComplex) -> bool:
-    """Characteristic-polynomial form of the prism spectrum rule: in
-    each dimension i the total Laplacian of the prism has the spectrum
-    of dimension i, plus two shifted copies from dimensions i and i-1.
-    Exact at full polynomial level, no integrality needed."""
-    d = max(x.universe, default=0) + 1
-    px = x.prism(d)
-    cx, cp = x.to_chain(), px.to_chain()
-    one = IntPoly((1,))
-    for i in range(px.dim + 1):
-        lhs = cp.char_polynomial(i, "tot")
-        a = cx.char_polynomial(i, "tot") if i <= cx.dim else one
-        b = a.compose_shift(-2) if i <= cx.dim else one
-        c = (cx.char_polynomial(i - 1, "tot").compose_shift(-2)
-             if 0 <= i - 1 <= cx.dim else one)
-        if lhs != a * b * c:
-            return False
-    return True
-
-
-def prism_ud_identity_holds(x: CubicalComplex) -> bool:
-    """The up-down spectrum of the prism is the up-down spectrum of x
-    together with the total spectrum of x shifted up by 2, compared
-    after stripping zero eigenvalues."""
-    d = max(x.universe, default=0) + 1
-    px = x.prism(d)
-    cx, cp = x.to_chain(), px.to_chain()
-    one = IntPoly((1,))
-    for i in range(px.dim + 1):
-        lhs = cp.char_polynomial(i, "ud").strip_valuation()
-        a = (cx.char_polynomial(i, "ud").strip_valuation()
-             if i <= cx.dim else one)
-        b = (cx.char_polynomial(i, "tot").compose_shift(-2)
-             if i <= cx.dim else one)
-        if lhs != (a * b).strip_valuation():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

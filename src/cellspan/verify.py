@@ -23,9 +23,9 @@ from .corpus import (colorful_corpus, colorful_sizes,
                      cube_algebraic_dd_zero, cube_weighted_spectrum_check,
                      identity_corpus, mirror_circle, mirror_corpus,
                      mirror_matroid_example, rp2, shifted_corpus)
-from .cubical import (cube, near_prism_betti_check, prism_tot_identity_holds,
-                      prism_ud_identity_holds, shifted_spectrum, spectrum_direct)
-from .exact import LaurentPoly, char_poly_memo
+from .cubical import (cube, near_prism_betti_check, shifted_spectrum,
+                      spectrum_direct)
+from .exact import IntPoly, LaurentPoly, char_poly_memo
 from .trees import (BRUTE_CAP, CapExceeded, TreeQuery, cmtt_pi_identity_holds,
                     cst_target_size, f_recurrence_check, run_query,
                     submatrix_det_properties, tau_cube_closed_form,
@@ -92,31 +92,43 @@ def _edge_factor() -> LaurentPoly:
 
 
 def prism_failures(cubicals) -> list:
-    """Characteristic-polynomial prism identities always; the bivariate
-    generating-function product and the shifted multiset recursion when
-    the spectra involved are integral."""
+    """The prism rule for cubical spectra, checked on one prism of each
+    complex x: in each dimension i the total Laplacian of the prism has
+    the spectrum of x in dimension i plus two copies shifted by 2, from
+    dimensions i and i-1, and its up-down spectrum is that of x plus the
+    total spectrum of x shifted by 2 (zero eigenvalues stripped).  These
+    char-poly forms hold always; the bivariate generating-function
+    product and the up-down multisets are compared when the total
+    spectra involved are integral."""
     bad = []
+    one = IntPoly((1,))
+
+    def at(polys, i):
+        return polys[i] if 0 <= i < len(polys) else one
+
     for name, x in cubicals:
-        if not prism_tot_identity_holds(x):
-            bad.append(f"{name} prism tot")
-        if not prism_ud_identity_holds(x):
-            bad.append(f"{name} prism ud")
-        d = max(x.universe, default=0) + 1
-        px = x.prism(d)
+        px = x.prism(max(x.universe, default=0) + 1)
         cx, cp = x.to_chain(), px.to_chain()
-        sx = [cx.spectrum(i, "tot") for i in range(cx.dim + 1)]
-        sp = [cp.spectrum(i, "tot") for i in range(cp.dim + 1)]
-        if all(s.is_integral() for s in sx + sp):
-            if cp.total_gf() != _edge_factor() * cx.total_gf():
-                bad.append(f"{name} prism gf")
-            for i in range(cp.dim + 1):
-                lhs = sorted(cp.spectrum(i, "ud").nonzero_multiset())
-                rhs = sorted(cx.spectrum(i, "ud").nonzero_multiset()
-                             if i <= cx.dim else ())
-                if i <= cx.dim:
-                    rhs = sorted(rhs + [v + 2 for v in sx[i].multiset()])
-                if lhs != rhs:
-                    bad.append(f"{name} dim {i} prism sud")
+        xdims, pdims = range(cx.dim + 1), range(cp.dim + 1)
+        tot = [cx.char_polynomial(i, "tot") for i in xdims]
+        up = [p.compose_shift(-2) for p in tot]
+        ud = [cx.char_polynomial(i, "ud").strip_valuation() for i in xdims]
+        if any(cp.char_polynomial(i, "tot") != at(tot, i) * at(up, i) * at(up, i - 1)
+               for i in pdims):
+            bad.append(f"{name} prism tot")
+        if any(cp.char_polynomial(i, "ud").strip_valuation()
+               != (at(ud, i) * at(up, i)).strip_valuation() for i in pdims):
+            bad.append(f"{name} prism ud")
+        sx = [cx.spectrum(i, "tot") for i in xdims]
+        if not all(s.is_integral() for s in sx + [cp.spectrum(i, "tot") for i in pdims]):
+            continue
+        if cp.total_gf() != _edge_factor() * cx.total_gf():
+            bad.append(f"{name} prism gf")
+        for i in pdims:
+            rhs = [] if i > cx.dim else [*cx.spectrum(i, "ud").nonzero_multiset(),
+                                         *(v + 2 for v in sx[i].multiset())]
+            if sorted(cp.spectrum(i, "ud").nonzero_multiset()) != sorted(rhs):
+                bad.append(f"{name} dim {i} prism sud")
     return bad
 
 
@@ -281,9 +293,9 @@ def suite_duality(cap=None, seed: int = 0, tree_samples: int = 200) -> list:
 # shifted
 
 
-def shifted_recursion_failures(nmax: int = 4) -> list:
+def shifted_recursion_failures(corpus) -> list:
     bad = []
-    for name, x in shifted_corpus(nmax):
+    for name, x in corpus:
         if not x.is_shifted():
             bad.append(f"{name} not shifted")
             continue
@@ -294,9 +306,9 @@ def shifted_recursion_failures(nmax: int = 4) -> list:
     return bad
 
 
-def shifted_integrality_failures(nmax: int = 4) -> list:
+def shifted_integrality_failures(corpus) -> list:
     bad = []
-    for name, x in shifted_corpus(nmax):
+    for name, x in corpus:
         c = x.to_chain()
         for i in range(c.dim + 1):
             for fam in ("ud", "du", "tot"):
@@ -305,10 +317,10 @@ def shifted_integrality_failures(nmax: int = 4) -> list:
     return bad
 
 
-def near_prism_betti_rows(nmax: int = 4):
+def near_prism_betti_rows(corpus):
     checked = 0
     bad = []
-    for name, x in shifted_corpus(nmax):
+    for name, x in corpus:
         for i in x.universe:
             if not x.near_prism(i).holds:
                 continue
@@ -322,10 +334,11 @@ def near_prism_betti_rows(nmax: int = 4):
 
 @_suite
 def suite_shifted(cap=None, seed: int = 0, nmax: int = 4) -> list:
+    corpus = shifted_corpus(nmax)
     rows = [
-        _agg("shifted-recursion", shifted_recursion_failures(nmax),
+        _agg("shifted-recursion", shifted_recursion_failures(corpus),
              f"pure shifted complexes on <= {nmax} directions"),
-        _agg("shifted-integrality", shifted_integrality_failures(nmax),
+        _agg("shifted-integrality", shifted_integrality_failures(corpus),
              f"all shifted complexes on <= {nmax} directions"),
     ]
     circle = mirror_circle()
@@ -339,7 +352,7 @@ def suite_shifted(cap=None, seed: int = 0, nmax: int = 4) -> list:
                       detail=("cited counterexample reproduces" if found else
                               "every Laplacian of this mirror is integral"
                               " (it is a product of integral complexes)")))
-    checked, bad = near_prism_betti_rows(nmax)
+    checked, bad = near_prism_betti_rows(corpus)
     rows.append(_agg("near-prism-betti", bad,
                      f"{checked} near-prism decompositions", hard=False))
     return rows

@@ -230,6 +230,7 @@ def test_shifted_check_reports_a_nonintegral_direct_spectrum_as_null(capsys, tmp
     ("colorful", "--input", "colorful:0,2"),
     ("trees", "--input", "cube:2"),
     ("weighted-trees", "--input", "rp2", "--k", "1"),
+    ("conjecture", "--n", "7", "--k", "1"),
 ])
 def test_validation_errors_exit_2(capsys, argv):
     rc, _, err = run(capsys, *argv)
@@ -255,6 +256,16 @@ def test_malformed_boundary_entries_exit_2(capsys, tmp_path, rows, message):
     assert rc == 2
     want = message or "boundary composition fails at (1, 0, 0)"
     assert err == f"error: invalid complex in {p}: {want}\n"
+
+
+@pytest.mark.parametrize("document", ['[1, 2]', '"abc"', '{"boundary": []}'])
+def test_non_object_chain_json_exits_2(capsys, tmp_path, document):
+    p = tmp_path / "bad.json"
+    p.write_text(document)
+    rc, out, err = run(capsys, "homology", "--input", str(p))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid complex in {p}: ")
 
 
 @pytest.mark.parametrize("command", [("homology",), ("spectrum", "--dim", "0")])

@@ -37,6 +37,36 @@ def test_family_counts():
     assert [len(simplicial_families(n)) for n in range(1, 5)] == [2, 5, 19, 167]
 
 
+def _families_by_mask_scan(n):
+    """Every mask over the 2^n - 1 nonempty subsets, kept when the
+    subsets it selects are closed under taking nonempty subsets."""
+    subs = [frozenset(c) for k in range(1, n + 1)
+            for c in itertools.combinations(range(1, n + 1), k)]
+    out = []
+    for mask in range(1 << len(subs)):
+        fam = frozenset(s for j, s in enumerate(subs) if mask >> j & 1)
+        if all(t in fam for s in fam for t in subs if t < s):
+            out.append(fam)
+    return out
+
+
+def _downward_closed(fam):
+    return all(s - {v} in fam for s in fam if len(s) > 1 for v in s)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_family_generator_matches_the_mask_scan(n):
+    got = simplicial_families(n)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(_families_by_mask_scan(n))
+
+
+def test_families_on_five_vertices():
+    fams = simplicial_families(5)
+    assert len(fams) == len(set(fams)) == 7580
+    assert all(_downward_closed(f) for f in fams)
+
+
 def test_shifted_family_counts():
     assert [len(shifted_families(n)) for n in range(1, 5)] == [1, 2, 5, 17]
 

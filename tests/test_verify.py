@@ -91,9 +91,9 @@ def test_each_suite_run_has_its_own_memo(monkeypatch):
     seen = []
     real = verify.near_prism_betti_rows
 
-    def spy(nmax):
+    def spy(corpus):
         seen.append(exact._MEMO.get())
-        return real(nmax)
+        return real(corpus)
 
     monkeypatch.setattr(verify, "near_prism_betti_rows", spy)
     suite_shifted(nmax=2)
@@ -101,7 +101,7 @@ def test_each_suite_run_has_its_own_memo(monkeypatch):
     assert exact._MEMO.get() is None
     assert len(seen) == 2 and seen[0] and seen[1] and seen[0] is not seen[1]
 
-    def boom(nmax):
+    def boom(corpus):
         seen.append(exact._MEMO.get())
         raise RuntimeError("boom")
 
@@ -110,3 +110,24 @@ def test_each_suite_run_has_its_own_memo(monkeypatch):
         suite_shifted(nmax=2)
     assert seen[2] is not None
     assert exact._MEMO.get() is None
+
+
+def test_suite_shifted_builds_one_corpus_for_its_three_helpers(monkeypatch):
+    built, given = [], {}
+    real_corpus = verify.shifted_corpus
+
+    def corpus_spy(nmax):
+        built.append(real_corpus(nmax))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "shifted_corpus", corpus_spy)
+    for helper in ("shifted_recursion_failures", "shifted_integrality_failures",
+                   "near_prism_betti_rows"):
+        def spy(corpus, helper=helper, real=getattr(verify, helper)):
+            given[helper] = corpus
+            return real(corpus)
+        monkeypatch.setattr(verify, helper, spy)
+    suite_shifted()
+    assert len(built) == 1 and len(built[0]) == 1 + 2 + 5 + 17
+    assert len(given) == 3
+    assert all(corpus is built[0] for corpus in given.values())
