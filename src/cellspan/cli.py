@@ -81,6 +81,14 @@ def _mirror_from_dict(data: dict) -> CubicalComplex:
         raise CliError(str(e))
 
 
+def _colorful_sizes(spec: str) -> tuple:
+    """The class sizes of a colorful:a1,a2,... generator."""
+    try:
+        return tuple(int(v) for v in spec[9:].split(","))
+    except ValueError:
+        raise CliError(f"bad colorful generator {spec!r}")
+
+
 def load_input(spec: str):
     """Generator string or JSON path -> ChainComplex or CubicalComplex."""
     if spec == "rp2":
@@ -94,19 +102,16 @@ def load_input(spec: str):
             raise CliError(f"cube dimension {n} out of range [0, 10]")
         return cube(n, cap=10)
     if spec.startswith("colorful:"):
-        try:
-            a = tuple(int(v) for v in spec[9:].split(","))
-        except ValueError:
-            raise CliError(f"bad colorful generator {spec!r}")
-        return colorful_complex(a)
+        return colorful_complex(_colorful_sizes(spec))
     if spec.startswith("mirror:"):
         return _mirror_from_dict(_read_json(spec[7:]))
     data = _read_json(spec)
     try:
-        if "universe" in data:
-            return CubicalComplex.from_json_dict(data)
-        if "vertices" in data and "facets" in data:
-            return _mirror_from_dict(data)
+        if isinstance(data, dict):
+            if "universe" in data:
+                return CubicalComplex.from_json_dict(data)
+            if "vertices" in data and "facets" in data:
+                return _mirror_from_dict(data)
         return ChainComplex.from_json_dict(data)
     except (ValueError, KeyError, TypeError) as e:
         raise CliError(f"invalid complex in {spec}: {e}")
@@ -188,17 +193,8 @@ def _tree_query(args) -> TreeQuery:
         x = _need_cubical(x)
     if args.k is None:
         raise CliError("trees need --k")
-    method = args.method or "matrix-tree"
-    cap = _cap(args, BRUTE_CAP)
-    kw = {}
-    if method == "closed-form":
-        # full cube iff every word over {0,1,*} is present
-        if not (isinstance(x, CubicalComplex)
-                and len(x.faces) == 3 ** len(x.universe)):
-            raise CliError("closed-form method applies to full cubes only")
-        kw["cube_n"] = len(x.universe)
-    return TreeQuery(x, args.k, method=method, weighted=args.weighted,
-                     cap=cap, **kw)
+    return TreeQuery(x, args.k, method=args.method or "matrix-tree",
+                     weighted=args.weighted, cap=_cap(args, BRUTE_CAP))
 
 
 def cmd_trees(args) -> int:
@@ -249,7 +245,7 @@ def cmd_colorful(args) -> int:
     spec = args.input
     if not spec.startswith("colorful:"):
         raise CliError("colorful subcommand needs --input colorful:a1,a2,...")
-    a = tuple(int(v) for v in spec[9:].split(","))
+    a = _colorful_sizes(spec)
     colorful_complex(a)
     n = len(a)
     out = {
@@ -274,12 +270,9 @@ def cmd_colorful(args) -> int:
 def cmd_dual(args) -> int:
     if args.n is None:
         raise CliError("dual needs --n")
-    if not (1 <= args.n <= 4):
-        raise CliError("dual supports 1 <= n <= 4")
-    rep = cross_polytope_cube_duality(args.n, tree_samples=200, seed=args.seed)
+    rep = cross_polytope_cube_duality(args.n, seed=args.seed)
     if args.n <= 3:
-        rep["weighted_match"] = weighted_duality_check(args.n, trials=3,
-                                                       seed=args.seed)
+        rep["weighted_match"] = weighted_duality_check(args.n, seed=args.seed)
     else:
         rep["weighted_match"] = None
     if args.format == "json":

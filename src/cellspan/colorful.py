@@ -19,6 +19,10 @@ from .exact import LaurentPoly, SparseMatrix, char_poly, gen_binom, outer_sum, s
 from .trees import cst_target_size, is_cst
 
 FACE_CAP = 4096
+# Subsets the duality report tests per dimension when there are more.
+TREE_SAMPLES = 200
+# Random rational weight assignments per weighted spectrum check.
+WEIGHT_TRIALS = 3
 
 
 class ColorfulSpec:
@@ -58,15 +62,15 @@ class ColorfulSpec:
                      for j in range(1, self.a[i - 1] + 1))
 
 
-def colorful_complex(a, cap: int = FACE_CAP) -> ChainComplex:
+def colorful_complex(a) -> ChainComplex:
     """Simplicial chain complex with the empty cell stored, so all
     homology is reduced and the bottom Laplacian sees the augmentation."""
     spec = ColorfulSpec(a)
     total = 1
     for v in spec.a:
         total *= v + 1
-    if total > cap:
-        raise ValueError(f"{total} faces exceed cap {cap}")
+    if total > FACE_CAP:
+        raise ValueError(f"{total} faces exceed cap {FACE_CAP}")
     classes = tuple(range(1, spec.n + 1))
     by_dim: dict = {}
     for d in range(spec.n):
@@ -240,12 +244,12 @@ def unrank_combination(n: int, k: int, index: int) -> tuple:
     return tuple(out)
 
 
-def cross_polytope_cube_duality(n: int, tree_samples: int = 200,
-                                seed: int = 0, cap: int = 5) -> dict:
+def cross_polytope_cube_duality(n: int, seed: int = 0) -> dict:
     """Spectra, the explicit face pairing, and tree complementation
-    between the n-cube and the all-twos colorful complex."""
-    if n > cap:
-        raise ValueError(f"n={n} exceeds cap {cap}")
+    between the n-cube and the all-twos colorful complex, for
+    1 <= n <= 4."""
+    if not (1 <= n <= 4):
+        raise ValueError("dual supports 1 <= n <= 4")
     spec = ColorfulSpec((2,) * n)
     qx = cube(n)
     qc = qx.to_chain()
@@ -270,11 +274,11 @@ def cross_polytope_cube_duality(n: int, tree_samples: int = 200,
         q_cells = qc.labels(k)
         size = cst_target_size(qc.skeleton(k), k)
         total = math.comb(len(q_cells), size)
-        if total > tree_samples:
+        if total > TREE_SAMPLES:
             # the positions random.sample draws from the list of all
             # subsets, without building it
             picks = [unrank_combination(len(q_cells), size, j)
-                     for j in rng.sample(range(total), tree_samples)]
+                     for j in rng.sample(range(total), TREE_SAMPLES)]
         else:
             picks = itertools.combinations(range(len(q_cells)), size)
         for idx in picks:
@@ -326,7 +330,7 @@ def frac_char_poly(m) -> list:
     return [Fraction(chi.coeff(j), d ** (size - j)) for j in range(size + 1)]
 
 
-def weighted_duality_check(n: int = 2, trials: int = 3, seed: int = 0) -> bool:
+def weighted_duality_check(n: int = 2, seed: int = 0) -> bool:
     """Give every cube face its weight monomial and every dual simplex
     the reciprocal; at random rational assignments the two total
     Laplacian spectra must coincide dimension by paired dimension."""
@@ -337,7 +341,7 @@ def weighted_duality_check(n: int = 2, trials: int = 3, seed: int = 0) -> bool:
     vs = weight_vars(qx.universe)
     rng = random.Random(seed)
     inv_label = {cube_face_to_simplex(spec, f): f for f in qx.faces}
-    for _ in range(trials):
+    for _ in range(WEIGHT_TRIALS):
         assign = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in vs}
         xi_of = {f: xi_weight(qx.universe, f).subs(assign) for f in qx.faces}
         x_wt: dict = {-1: [1 / xi_of["*" * n]]}

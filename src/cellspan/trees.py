@@ -54,16 +54,31 @@ def is_apc(x) -> bool:
     return _as_chain(x).is_apc()
 
 
+def _skeleton(x, k: int, lo: int = 0, apc: bool = True) -> ChainComplex:
+    """The k-skeleton of x, once lo <= k <= dim holds and, with apc,
+    once the skeleton is acyclic in positive codimension."""
+    c = _as_chain(x)
+    if not (lo <= k <= c.dim):
+        raise ValueError(f"k={k} out of range [{lo}, {c.dim}]")
+    xs = c.skeleton(k)
+    if apc and not xs.is_apc():
+        raise ValueError("skeleton is not acyclic in positive codimension")
+    return xs
+
+
 class TreeQuery:
     """What to enumerate and how."""
 
     def __init__(self, complex, k: int, method: str = "brute",
-                 weighted: bool = False, cap: int = BRUTE_CAP,
-                 cube_n: int | None = None):
+                 weighted: bool = False, cap: int = BRUTE_CAP):
+        # a full cube has every word over {0,1,*} as a face
+        if method == "closed-form" and not (
+                isinstance(complex, CubicalComplex)
+                and len(complex.faces) == 3 ** len(complex.universe)):
+            raise ValueError("closed-form method applies to full cubes only")
         self.complex = complex
         self.chain = _as_chain(complex)
-        if not (0 <= k <= self.chain.dim):
-            raise ValueError(f"k={k} out of range [0, {self.chain.dim}]")
+        _skeleton(self.chain, k, apc=False)
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         if cap < 1:
@@ -74,7 +89,6 @@ class TreeQuery:
         self.method = method
         self.weighted = weighted
         self.cap = cap
-        self.cube_n = cube_n
 
 
 class TreeReport:
@@ -127,10 +141,7 @@ def cst_target_size(xs: ChainComplex, k: int) -> int:
 
 
 def is_cst(x, k: int, T) -> CstCertificate:
-    c = _as_chain(x)
-    if not (0 <= k <= c.dim):
-        raise ValueError(f"k={k} out of range [0, {c.dim}]")
-    xs = c.skeleton(k)
+    xs = _skeleton(x, k, apc=False)
     T = tuple(T)
     y = xs.with_top_cells(k, T)
     size_ok = len(set(T)) == cst_target_size(xs, k)
@@ -243,6 +254,30 @@ def _torsions(xs: ChainComplex, k: int, u_cells) -> tuple:
     return xs.torsion_order(k - 2), xu.torsion_order(k - 2)
 
 
+def _torsion_scaled(value, t_x: int, t_u: int):
+    """value * t_x / t_u, exactly, for an int or a LaurentPoly."""
+    if t_x == t_u:
+        return value
+    try:
+        if isinstance(value, LaurentPoly):
+            return (value * t_x).divide_exact(t_u)
+        out, rem = divmod(value * t_x, t_u)
+        if rem:
+            raise ArithmeticError
+        return out
+    except ArithmeticError:
+        raise ArithmeticError("torsion ratio did not divide the determinant") from None
+
+
+def _reduced_det(xs: ChainComplex, k: int, entry, det) -> tuple:
+    """(det, U, labels): U the indices of the greedy (k-1)-tree, det
+    the determinant of entry(r, s) over the rows and columns off U."""
+    picked, labels = _greedy_u(xs, k)
+    u = set(picked)
+    keep = [j for j in range(len(labels)) if j not in u]
+    return det([[entry(r, s) for s in keep] for r in keep]), picked, labels
+
+
 def enumerate_trees(q: TreeQuery) -> TreeReport:
     """Scan the candidate cell sets of the forced size in combinations
     order; accumulate the squared torsion of each k-tree, times the
@@ -254,9 +289,7 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
     is depth first with one incremental elimination on the Ubar rows,
     so a prefix whose columns are already dependent is never extended.
     """
-    xs = q.chain.skeleton(q.k)
-    if not xs.is_apc():
-        raise ValueError("skeleton is not acyclic in positive codimension")
+    xs = _skeleton(q.chain, q.k)
     target = cst_target_size(xs, q.k)
     labels = xs.labels(q.k)
     n = len(labels)
@@ -284,9 +317,7 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
     while True:
         d = len(path)
         if d == target:
-            t, rem = divmod(ech.det() * t_x, t_u)
-            if rem:
-                raise ArithmeticError("torsion ratio did not divide the determinant")
+            t = _torsion_scaled(ech.det(), t_x, t_u)
             per_tree.append((tuple(labels[i] for i in path), t))
             if q.weighted:
                 leaves.append((prefix[-1], t * t))
@@ -313,40 +344,27 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
 
 
 def tau_matrix_tree(x, k: int) -> TreeReport:
-    c = _as_chain(x)
-    if not (0 <= k <= c.dim):
-        raise ValueError(f"k={k} out of range [0, {c.dim}]")
-    xs = c.skeleton(k)
-    if not xs.is_apc():
-        raise ValueError("skeleton is not acyclic in positive codimension")
+    xs = _skeleton(x, k)
     if k == 0:
         n0 = xs.n_cells(0)
         return TreeReport(n0, "matrix-tree", trees=n0, u_cells=(), u_size_ok=True)
     if xs.n_cells(k - 1) > MATRIX_SIDE_CAP:
         raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP,
                           "matrix-tree side cap (MATRIX_SIDE_CAP)")
-    picked, labels = _greedy_u(xs, k)
-    u_size_ok = len(labels) - len(picked) == xs.n_cells(k) - xs.betti(k)
     lap = xs.laplacian(k - 1, "ud").cols
-    u = set(picked)
-    keep = [j for j in range(len(lap)) if j not in u]
-    det = det_exact([[lap[c].get(r, 0) for r in keep] for c in keep])
+    det, picked, labels = _reduced_det(xs, k, lambda r, s: lap[r].get(s, 0), det_exact)
+    u_size_ok = len(labels) - len(picked) == xs.n_cells(k) - xs.betti(k)
     u_cells = [labels[j] for j in picked]
     t_x, t_u = _torsions(xs, k, u_cells)
-    tau = Fraction(det * t_x * t_x, t_u * t_u)
-    if tau.denominator != 1:
-        raise ArithmeticError("torsion ratio did not divide the determinant")
-    return TreeReport(int(tau), "matrix-tree", u_cells=u_cells, u_size_ok=u_size_ok)
+    tau = _torsion_scaled(det, t_x * t_x, t_u * t_u)
+    return TreeReport(tau, "matrix-tree", u_cells=u_cells, u_size_ok=u_size_ok)
 
 
 def tau_alternating(x, k: int) -> int:
     """Alternating product of the nonzero up-down eigenvalue products.
     Valid only when integer homology vanishes below k; refuses
     otherwise (torsion silently breaks the identity)."""
-    c = _as_chain(x)
-    if not (0 <= k <= c.dim):
-        raise ValueError(f"k={k} out of range [0, {c.dim}]")
-    xs = c.skeleton(k)
+    xs = _skeleton(x, k, apc=False)
     if not xs.z_apc_below(k):
         raise ValueError("integer homology does not vanish below k")
     val = Fraction(1)
@@ -378,28 +396,13 @@ def weighted_tau_matrix_tree(x: CubicalComplex, k: int) -> LaurentPoly:
     weights.  The torsion-squared ratio enters as an integer factor."""
     if not isinstance(x, CubicalComplex):
         raise ValueError("weighted engine needs a cubical complex")
-    c = x.to_chain()
-    if not (1 <= k <= c.dim):
-        raise ValueError(f"k={k} out of range [1, {c.dim}]")
-    xs = c.skeleton(k)
-    if not xs.is_apc():
-        raise ValueError("skeleton is not acyclic in positive codimension")
-    picked, labels = _greedy_u(xs, k)
+    xs = _skeleton(x, k, lo=1)
     lw = weighted_diag_laplacian(x, k)
-    u = set(picked)
-    keep = [j for j in range(len(labels)) if j not in u]
-    reduced = [[lw[r][s] for s in keep] for r in keep]
-    vs = weight_vars(x.universe)
-    det = det_ring(reduced) if reduced else LaurentPoly.constant(vs, 1)
+    det, picked, labels = _reduced_det(xs, k, lambda r, s: lw[r][s], det_ring)
     if isinstance(det, int):
-        det = LaurentPoly.constant(vs, det)
+        det = LaurentPoly.constant(weight_vars(x.universe), det)
     t_x, t_u = _torsions(xs, k, [labels[j] for j in picked])
-    if t_x == t_u:
-        return det
-    try:
-        return (det * (t_x * t_x)).divide_exact(t_u * t_u)
-    except ArithmeticError:
-        raise ArithmeticError("torsion ratio did not divide the determinant") from None
+    return _torsion_scaled(det, t_x * t_x, t_u * t_u)
 
 
 def run_query(q: TreeQuery) -> TreeReport:
@@ -412,9 +415,7 @@ def run_query(q: TreeQuery) -> TreeReport:
         return tau_matrix_tree(q.complex, q.k)
     if q.method == "alternating-product":
         return TreeReport(tau_alternating(q.complex, q.k), "alternating-product")
-    if q.cube_n is None:
-        raise ValueError("closed-form method applies to full cubes only")
-    return TreeReport(tau_cube_closed_form(q.cube_n, q.k), "closed-form")
+    return TreeReport(tau_cube_closed_form(len(q.complex.universe), q.k), "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +548,7 @@ def submatrix_det_properties(x, k: int) -> dict:
     facets of a k-tree and the complementary rows of a (k-1)-tree, and
     then its magnitude is the product of the two torsion orders divided
     by the ambient one."""
-    c = _as_chain(x)
-    xs = c.skeleton(k)
-    if not xs.is_apc():
-        raise ValueError("skeleton is not acyclic in positive codimension")
+    xs = _skeleton(x, k)
     b = xs.sparse_boundary(k).rows()
     k_labels = xs.labels(k)
     r_labels = xs.labels(k - 1)

@@ -16,9 +16,9 @@ import math
 from .chain import (alternating_ud_holds, char_polynomials,
                     euler_identity_holds, product, tot_split_holds,
                     ud_du_shift_holds)
-from .colorful import (colorful_complex, colorful_etot, colorful_omega,
-                       colorful_tree_count, cross_polytope_cube_duality,
-                       weighted_duality_check)
+from .colorful import (WEIGHT_TRIALS, colorful_complex, colorful_etot,
+                       colorful_omega, colorful_tree_count,
+                       cross_polytope_cube_duality, weighted_duality_check)
 from .corpus import (colorful_corpus, colorful_sizes,
                      cube_algebraic_dd_zero, cube_weighted_spectrum_check,
                      identity_corpus, mirror_circle, mirror_corpus,
@@ -173,11 +173,11 @@ def suite_identities(cap=None, seed: int = 0, colorful_max: int = 8,
     rows.append(_agg("product-q1-q2-vs-q3", product_cube_failures(),
                      "4 dimensions x 3 families"))
     wbad = [f"cube:{n}" for n in range(1, 4)
-            if not cube_weighted_spectrum_check(n, trials=3, seed=seed)]
+            if not cube_weighted_spectrum_check(n, seed=seed)]
     wbad += [f"cube:{n} dd" for n in range(1, 4)
              if not cube_algebraic_dd_zero(n)]
     rows.append(_agg("weighted-cube-spectra", wbad,
-                     "n <= 3, 3 assignments, dd = 0"))
+                     f"n <= 3, {WEIGHT_TRIALS} assignments, dd = 0"))
     return rows
 
 
@@ -202,8 +202,7 @@ def engine_failures(cap: int, colorful_max: int = 8) -> list:
                 except CapExceeded:
                     continue
             if k >= 1:
-                got["closed-form"] = run_query(
-                    TreeQuery(c, k, method="closed-form", cube_n=n)).tau
+                got["closed-form"] = _tau(c, k, "closed-form", cap)
             for method, tau in got.items():
                 if tau != want:
                     bad.append(f"cube:{n} k={k} {method} {tau} != {want}")
@@ -272,10 +271,10 @@ def suite_engines(cap: int = BRUTE_CAP, seed: int = 0,
 
 
 @_suite
-def suite_duality(cap=None, seed: int = 0, tree_samples: int = 200) -> list:
+def suite_duality(cap=None, seed: int = 0) -> list:
     rows = []
     for n in (2, 3):
-        rep = cross_polytope_cube_duality(n, tree_samples=tree_samples, seed=seed)
+        rep = cross_polytope_cube_duality(n, seed=seed)
         rows.append(Check(f"duality-spectra-n{n}", rep["spectra_match"],
                           detail=f"{n + 1} dimension pairs"))
         rows.append(Check(f"duality-pairing-n{n}", rep["pairing_consistent"],
@@ -284,8 +283,8 @@ def suite_duality(cap=None, seed: int = 0, tree_samples: int = 200) -> list:
             f"duality-complementation-n{n}", rep["complementation_holds"],
             detail=f"{rep['complementation_checked']} subsets"))
     rows.append(Check("duality-weighted-q2",
-                      weighted_duality_check(2, trials=3, seed=seed),
-                      detail="reciprocal weights, 3 assignments"))
+                      weighted_duality_check(2, seed=seed),
+                      detail=f"reciprocal weights, {WEIGHT_TRIALS} assignments"))
     return rows
 
 

@@ -70,16 +70,16 @@ def test_criterion_02_cube_tree_counts(engine_rows):
 
     for method in ("brute", "matrix-tree", "alternating-product",
                    "closed-form"):
-        if tau(cube(2), 1, method, cube_n=2) != 4:
+        if tau(cube(2), 1, method) != 4:
             bad.append(f"Q2 k=1 {method}")
-        if tau(cube(3), 1, method, cube_n=3) != 384:
+        if tau(cube(3), 1, method) != 384:
             bad.append(f"Q3 k=1 {method}")
     if tau(cube(3), 2, "brute") != 6:
         bad.append("Q3 k=2 brute")
     for k, want in ((2, 82944), (3, 8)):
         if tau(cube(4), k, "matrix-tree") != want:
             bad.append(f"Q4 k={k} matrix-tree")
-        if tau(cube(4), k, "closed-form", cube_n=4) != want:
+        if tau(cube(4), k, "closed-form") != want:
             bad.append(f"Q4 k={k} closed-form")
     bad += [r.name for r in engine_rows.values() if not r.ok]
     ok = _report(2, "cube-tree-counts", not bad, "; ".join(bad))

@@ -123,6 +123,15 @@ def test_trees_closed_form_rejects_non_cubes(capsys):
     assert "full cubes" in err
 
 
+def test_trees_closed_form_is_checked_before_k(capsys):
+    """The full-cube rule comes first, so a non-cube with k out of
+    range still names the method, not the range."""
+    rc, out, err = run(capsys, "trees", "--input", "rp2", "--k", "5",
+                       "--method", "closed-form")
+    assert (rc, out) == (2, "")
+    assert err == "error: closed-form method applies to full cubes only\n"
+
+
 def test_weighted_trees_q1(capsys):
     rc, out, _ = run(capsys, "weighted-trees", "--input", "cube:1",
                      "--k", "1", "--method", "matrix-tree")
@@ -266,6 +275,28 @@ def test_non_object_chain_json_exits_2(capsys, tmp_path, document):
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: invalid complex in {p}: ")
+
+
+@pytest.mark.parametrize("document, kind", [('"universe"', "str"),
+                                            ('"vertices facets"', "str"),
+                                            ("7", "int")])
+def test_json_scalar_is_read_as_a_chain_complex(capsys, tmp_path, document, kind):
+    """The cubical and mirror keys are looked up in objects only: a
+    JSON string holding them is not a cubical or mirror document."""
+    p = tmp_path / "bad.json"
+    p.write_text(document)
+    rc, out, err = run(capsys, "homology", "--input", str(p))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: invalid complex in {p}: "
+                   f"a chain complex is a JSON object, not {kind}\n")
+
+
+@pytest.mark.parametrize("command", ["colorful", "homology"])
+@pytest.mark.parametrize("spec", ["colorful:a,2", "colorful:"])
+def test_bad_colorful_generator_exits_2(capsys, command, spec):
+    rc, out, err = run(capsys, command, "--input", spec)
+    assert (rc, out) == (2, "")
+    assert err == f"error: bad colorful generator {spec!r}\n"
 
 
 @pytest.mark.parametrize("command", [("homology",), ("spectrum", "--dim", "0")])

@@ -46,7 +46,7 @@ def test_triangle_contractible():
 
 def test_face_cap():
     with pytest.raises(ValueError):
-        colorful_complex((2, 2), cap=8)
+        colorful_complex((64, 64))
 
 
 def test_spec_poly_two_two():
@@ -135,12 +135,18 @@ def test_duality_n2():
 
 
 def test_duality_n3():
-    rep = cross_polytope_cube_duality(3, tree_samples=200, seed=0)
+    rep = cross_polytope_cube_duality(3, seed=0)
     assert rep["spectra_match"]
     assert rep["pairing_consistent"]
     assert rep["complementation_holds"]
     # exhaustive k=0 and k=2, sampled k=1
     assert rep["complementation_checked"] == 8 + 200 + 6
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_duality_bound(n):
+    with pytest.raises(ValueError, match="^dual supports 1 <= n <= 4$"):
+        cross_polytope_cube_duality(n)
 
 
 def test_unrank_combination_matches_itertools_order():
@@ -162,4 +168,4 @@ def test_sampled_positions_match_sampling_the_list(n, k):
 
 
 def test_weighted_duality():
-    assert weighted_duality_check(2, trials=3, seed=0)
+    assert weighted_duality_check(2, seed=0)

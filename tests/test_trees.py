@@ -184,9 +184,11 @@ def test_run_query_dispatch():
     assert run_query(TreeQuery(cube(2), 1, method="brute")).tau == 4
     assert run_query(TreeQuery(cube(2), 1, method="matrix-tree")).tau == 4
     assert run_query(TreeQuery(cube(2), 1, method="alternating-product")).tau == 4
-    assert run_query(TreeQuery(cube(2), 1, method="closed-form", cube_n=2)).tau == 4
+    assert run_query(TreeQuery(cube(2), 1, method="closed-form")).tau == 4
     with pytest.raises(ValueError):
-        run_query(TreeQuery(cube(2), 1, method="closed-form"))
+        run_query(TreeQuery(rp2(), 1, method="closed-form"))
+    with pytest.raises(ValueError):
+        run_query(TreeQuery(cube(3).boundary_complex(), 1, method="closed-form"))
     with pytest.raises(ValueError):
         TreeQuery(cube(2), 1, method="fast")
     with pytest.raises(ValueError):
@@ -233,6 +235,13 @@ def test_weighted_specializes_to_counts():
     assert at_ones(conjecture_rhs(3, 1)) == 384
     assert at_ones(conjecture_rhs(3, 2)) == 6
     assert at_ones(weighted_tau_matrix_tree(cube(3), 1)) == 384
+
+
+def test_weighted_engine_starts_at_k1():
+    """At k = 0 there is no (k-1)-tree to reduce by, so the weighted
+    engine refuses rather than report the empty determinant."""
+    with pytest.raises(ValueError, match=r"^k=0 out of range \[1, 2\]$"):
+        weighted_tau_matrix_tree(cube(2), 0)
 
 
 def test_weighted_matrix_tree_scales_by_the_torsion_ratio(monkeypatch):
