@@ -22,6 +22,7 @@ from .exact import (
     SparseMatrix,
     char_poly,
     char_polys,
+    gram_sum,
     outer_sum,
     rank_exact,
     smith_normal_form,
@@ -289,6 +290,19 @@ class ChainComplex:
         b = self.sparse_boundary(i + 1) if family == "ud" else self.sparse_boundary(i).transpose()
         out = outer_sum(self.n_cells(i), ((v, v) for v in b.cols))
         return SparseMatrix([{r: v for r, v in col.items() if v} for col in out], len(out))
+
+    def weighted_laplacian(self, i: int, xi: dict) -> list:
+        """L^tot_i of the boundary maps weighted to bnd[f, g] xi_g / xi_f,
+        xi[j] one unit per j-cell (LaurentPoly monomials, Fractions), as
+        exact.gram_sum rows: its ud part from the columns of
+        sparse_boundary(i + 1) with c = xi^2, d = 1 / xi, its du part from
+        the rows of sparse_boundary(i) with c = 1 / xi^2, d = xi."""
+        self._check_dim(i)
+        ud = (self.sparse_boundary(i + 1).cols,
+              [w * w for w in xi.get(i + 1, ())], [1 / w for w in xi[i]])
+        du = (self.sparse_boundary(i).transpose().cols,
+              [1 / (w * w) for w in xi.get(i - 1, ())], xi[i])
+        return gram_sum(self.n_cells(i), [ud, du])
 
     def char_polynomial(self, i: int, family: str) -> IntPoly:
         key = (i, family)

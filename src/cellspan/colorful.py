@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 
 from .chain import ChainComplex, simplicial
-from .cubical import cube, weight_vars, weighted_total_laplacian, xi_weight
-from .exact import LaurentPoly, SparseMatrix, char_poly, gen_binom, outer_sum, sparse_transpose
+from .cubical import cube, weight_vars, xi_weight
+from .exact import LaurentPoly, gen_binom, scaled_char_polys
 from .trees import cst_target_size, is_cst
 
 FACE_CAP = 4096
@@ -299,37 +299,6 @@ def cross_polytope_cube_duality(n: int, seed: int = 0) -> dict:
 # weighted duality at rational points
 
 
-def _weighted_tot_fraction(c: ChainComplex, i: int, wt_by_dim: dict):
-    """Total Laplacian with algebraic cell weights given as Fractions
-    per dimension (lists aligned with stored labels)."""
-    lo = -1 if c.empty_cell else 0
-
-    def columns(j):  # of the weighted boundary into the j-cells
-        if not lo < j <= c.dim:
-            return []
-        wr, wc = wt_by_dim[j - 1], wt_by_dim[j]
-        return [{r: Fraction(v) * wc[s] / wr[r] for r, v in col.items()}
-                for s, col in enumerate(c.sparse_boundary(j).cols)]
-
-    n = c.n_cells(i)
-    vectors = columns(i + 1) + sparse_transpose(columns(i), c.n_cells(i - 1))
-    rows = outer_sum(n, ((v, v) for v in vectors))
-    return [[row.get(s, Fraction(0)) for s in range(n)] for row in rows]
-
-
-def frac_char_poly(m) -> list:
-    """Characteristic polynomial of a square Fraction matrix, ascending
-    Fraction coefficients, via integer scaling: if N = D*M then
-    chi_M(y) = chi_N(D*y) / D^size."""
-    size = len(m)
-    d = 1
-    for row in m:
-        for v in row:
-            d = d * v.denominator // math.gcd(d, v.denominator)
-    chi = char_poly(SparseMatrix.from_rows([[int(v * d) for v in row] for row in m], ncols=size))
-    return [Fraction(chi.coeff(j), d ** (size - j)) for j in range(size + 1)]
-
-
 def weighted_duality_check(n: int = 2, seed: int = 0) -> bool:
     """Give every cube face its weight monomial and every dual simplex
     the reciprocal; at random rational assignments the two total
@@ -344,14 +313,14 @@ def weighted_duality_check(n: int = 2, seed: int = 0) -> bool:
     for _ in range(WEIGHT_TRIALS):
         assign = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in vs}
         xi_of = {f: xi_weight(qx.universe, f).subs(assign) for f in qx.faces}
+        q_wt = {j: [xi_of[f] for f in qc.labels(j)] for j in range(n + 1)}
         x_wt: dict = {-1: [1 / xi_of["*" * n]]}
         for i in range(xc.dim + 1):
             x_wt[i] = [1 / xi_of[inv_label[lab]] for lab in xc.labels(i)]
         for k in range(n + 1):
-            i = n - 1 - k
-            lq = weighted_total_laplacian(qx, k)
-            mq = [[e.subs(assign) for e in row] for row in lq]
-            mx = _weighted_tot_fraction(xc, i, x_wt)
-            if frac_char_poly(mq) != frac_char_poly(mx):
+            _, (chi_q, chi_x) = scaled_char_polys([
+                qc.weighted_laplacian(k, q_wt),
+                xc.weighted_laplacian(n - 1 - k, x_wt)])
+            if chi_q != chi_x:
                 return False
     return True

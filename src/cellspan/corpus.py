@@ -15,11 +15,11 @@ import random
 from fractions import Fraction
 
 from .chain import ChainComplex, simplicial
-from .colorful import WEIGHT_TRIALS, colorful_complex, frac_char_poly
+from .colorful import WEIGHT_TRIALS, colorful_complex
 from .cubical import (CubicalComplex, algebraic_boundary, cube,
                       cube_weighted_tot_eigenvalues, laurent_is_zero, mirror,
-                      mirror_on, weight_vars, weighted_total_laplacian)
-from .exact import ring_matmul
+                      mirror_on, weight_vars, xi_weight)
+from .exact import IntPoly, ring_matmul, scaled_char_polys
 
 
 def rp2() -> ChainComplex:
@@ -178,18 +178,16 @@ def colorful_corpus(total: int) -> list:
     return [(a, colorful_complex(a)) for a in colorful_sizes(total)]
 
 
-def identity_corpus(mirror_max: int = 4, colorful_max: int = 9,
-                    colorfuls=None) -> list:
-    """(name, chain) pairs covering cubes, mirrors (shifted included),
-    the projective plane, and colorful complexes.  Prebuilt colorful
-    pairs can be passed in so spectrum caches are shared."""
+def identity_corpus(mirrors, colorfuls) -> list:
+    """(name, chain) pairs covering cubes, the projective plane, and the
+    prebuilt mirror triples (mirror_corpus, shifted included) and
+    colorful pairs (colorful_corpus), so that each complex is built once
+    and its spectrum caches are shared."""
     items = [("rp2", rp2())]
     for n in range(1, 5):
         items.append((f"cube:{n}", cube(n).to_chain()))
-    for name, _fam, x in mirror_corpus(mirror_max):
+    for name, _fam, x in mirrors:
         items.append((name, x.to_chain()))
-    if colorfuls is None:
-        colorfuls = colorful_corpus(colorful_max)
     for a, c in colorfuls:
         items.append((f"colorful:{','.join(map(str, a))}", c))
     return items
@@ -208,35 +206,25 @@ def cube_algebraic_dd_zero(n: int) -> bool:
     return True
 
 
-def _mul_linear(coeffs, r):
-    """Ascending-coefficient product with (y - r)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for j, c in enumerate(coeffs):
-        out[j] -= r * c
-        out[j + 1] += c
-    return out
-
-
 def cube_weighted_spectrum_check(n: int, seed: int = 0) -> bool:
-    """At seeded rational weight assignments, the characteristic
-    polynomial of each weighted total Laplacian of the n-cube must
-    factor exactly into the predicted linear forms.  It does not check
-    that the weighted boundaries compose to zero
-    (cube_algebraic_dd_zero does)."""
+    """At seeded rational weight assignments, the char poly of each
+    weighted total Laplacian of the n-cube, scaled by the lcm D of its
+    denominators, must be the product of (y - D u) over the predicted
+    linear forms u.  It does not check that the weighted boundaries
+    compose to zero (cube_algebraic_dd_zero does)."""
     x = cube(n)
+    c = x.to_chain()
     vs = weight_vars(x.universe)
     rng = random.Random(seed)
     for _ in range(WEIGHT_TRIALS):
         assign = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in vs}
+        xi = {j: [xi_weight(x.universe, f).subs(assign) for f in c.labels(j)]
+              for j in range(n + 1)}
         for i in range(n + 1):
-            lap = weighted_total_laplacian(x, i)
-            m = [[e.subs(assign) for e in row] for row in lap]
-            got = frac_char_poly(m)
-            want = [Fraction(1)]
-            for form, mult in cube_weighted_tot_eigenvalues(n, i):
-                r = form.subs(assign)
-                for _ in range(mult):
-                    want = _mul_linear(want, r)
-            if got != want:
+            d, (chi,) = scaled_char_polys([c.weighted_laplacian(i, xi)])
+            roots = [(form.subs(assign) * d, mult)
+                     for form, mult in cube_weighted_tot_eigenvalues(n, i)]
+            if (any(r.denominator != 1 for r, _ in roots)
+                    or chi != IntPoly.from_roots((int(r), m) for r, m in roots)):
                 return False
     return True

@@ -13,7 +13,7 @@ import itertools
 from bisect import insort
 
 from .chain import ChainComplex, as_int
-from .exact import LaurentPoly, SparseMatrix, gen_binom, outer_sum, sparse_transpose
+from .exact import LaurentPoly, SparseMatrix, gen_binom, gram_sum, sparse_transpose
 
 _RANK = {"0": 0, "1": 1, "*": 2}
 
@@ -65,11 +65,10 @@ def dirset_faces(universe, dirs):
         yield "".join("*" if d in dirs else pin[d] for d in universe)
 
 
-def _boundary_columns(x, i: int, units) -> list:
+def _boundary_columns(x, i: int) -> list:
     """Columns of the boundary from the i-faces to the (i-1)-faces of x,
-    as {row: entry} dicts.  Pinning the j-th star of g (1-based), in
-    universe position pos, to 0 or to 1 enters (-1)^j e0 or -(-1)^j e1,
-    where (e0, e1) = units[pos]."""
+    as {row: entry} dicts.  Pinning the j-th star of g (1-based) to 0
+    or to 1 enters (-1)^j or -(-1)^j."""
     rows_idx = {f: r for r, f in enumerate(x.faces_of_dim(i - 1))}
     cols = []
     for g in x.faces_of_dim(i):
@@ -79,9 +78,8 @@ def _boundary_columns(x, i: int, units) -> list:
             if c == "*":
                 j += 1
                 s = -1 if j % 2 else 1
-                e0, e1 = units[pos]
-                col[rows_idx[g[:pos] + "0" + g[pos + 1:]]] = s * e0
-                col[rows_idx[g[:pos] + "1" + g[pos + 1:]]] = -s * e1
+                col[rows_idx[g[:pos] + "0" + g[pos + 1:]]] = s
+                col[rows_idx[g[:pos] + "1" + g[pos + 1:]]] = -s
         cols.append(col)
     return cols
 
@@ -189,8 +187,7 @@ class CubicalComplex:
                 fs = self.faces_of_dim(i)
                 if fs:
                     cells[i] = fs
-            units = [(1, 1)] * len(self.universe)
-            bnd = {i: SparseMatrix(_boundary_columns(self, i, units), self.n_faces(i - 1))
+            bnd = {i: SparseMatrix(_boundary_columns(self, i), self.n_faces(i - 1))
                    for i in range(1, self.dim + 1)}
             self._chain = ChainComplex(cells, bnd, check=False)
         return self._chain
@@ -452,21 +449,25 @@ def xi_weight(universe, f: str) -> LaurentPoly:
     return LaurentPoly.monomial(weight_vars(universe), powers)
 
 
+def _xi(x: CubicalComplex, i: int) -> list:
+    """The weight monomial of each i-face, in cell order."""
+    return [xi_weight(x.universe, f) for f in x.faces_of_dim(i)]
+
+
+def _dense(x: CubicalComplex, rows, ncols: int) -> list:
+    """{column: entry} rows as lists of ncols Laurent polynomials."""
+    zero = LaurentPoly(weight_vars(x.universe))
+    return [[row.get(s, zero) for s in range(ncols)] for row in rows]
+
+
 def algebraic_boundary(x: CubicalComplex, i: int):
     """Boundary matrix whose (f, g) entry is sign(f, g) times the
     weight ratio of g over f; each entry is a single Laurent monomial
     of the form +-q/x or +-q/y in one direction."""
-    zero = LaurentPoly(weight_vars(x.universe))
-    rows = sparse_transpose(_algebraic_columns(x, i), x.n_faces(i - 1))
-    return [[row.get(c, zero) for c in range(x.n_faces(i))] for row in rows]
-
-
-def _algebraic_columns(x: CubicalComplex, i: int) -> list:
-    """The columns of algebraic_boundary(x, i) as {row: entry} dicts."""
-    vs = weight_vars(x.universe)
-    units = [(LaurentPoly.monomial(vs, {f"q{d}": 1, f"x{d}": -1}),
-              LaurentPoly.monomial(vs, {f"q{d}": 1, f"y{d}": -1})) for d in x.universe]
-    return _boundary_columns(x, i, units)
+    col_xi, row_inv = _xi(x, i), [1 / w for w in _xi(x, i - 1)]
+    rows = sparse_transpose(x.to_chain().sparse_boundary(i).cols, x.n_faces(i - 1))
+    return _dense(x, [{c: a * col_xi[c] * inv for c, a in row.items()}
+                      for row, inv in zip(rows, row_inv)], x.n_faces(i))
 
 
 def laurent_is_zero(rows) -> bool:
@@ -476,24 +477,17 @@ def laurent_is_zero(rows) -> bool:
 def weighted_total_laplacian(x: CubicalComplex, i: int):
     """Total Laplacian of the algebraically weighted boundary maps, a
     square Laurent-polynomial matrix on the i-faces."""
-    zero, n = LaurentPoly(weight_vars(x.universe)), x.n_faces(i)
-    vectors = (_algebraic_columns(x, i + 1)
-               + sparse_transpose(_algebraic_columns(x, i), x.n_faces(i - 1)))
-    return [[row.get(s, zero) for s in range(n)] for row in outer_sum(n, ((v, v) for v in vectors))]
+    xi = {j: _xi(x, j) for j in (i - 1, i, i + 1)}
+    return _dense(x, x.to_chain().weighted_laplacian(i, xi), x.n_faces(i))
 
 
 def weighted_diag_laplacian(x: CubicalComplex, k: int):
-    """The matrix on (k-1)-faces obtained by weighting each k-face
-    column of the integer boundary by its monomial weight: B diag(xi) B^T,
-    whose entry (r, s) is the sum over k-faces g of bnd[r,g] bnd[s,g] xi_g.
-    This is the engine matrix for weighted tree enumeration; the
-    weighted boundary itself composes to zero only in the algebraic
-    mode above."""
+    """B diag(xi) B^T on the (k-1)-faces, B the integer boundary: the
+    gram_sum of its columns with c = xi and d = 1, the engine matrix of
+    weighted tree enumeration.  Only the algebraic weighting above
+    composes to zero."""
     b = x.to_chain().sparse_boundary(k)
-    zero = LaurentPoly(weight_vars(x.universe))
-    weights = [xi_weight(x.universe, g) for g in x.faces_of_dim(k)]
-    pairs = (({r: w * a for r, a in col.items()}, col) for w, col in zip(weights, b.cols))
-    return [[row.get(s, zero) for s in range(b.nrows)] for row in outer_sum(b.nrows, pairs)]
+    return _dense(x, gram_sum(b.nrows, [(b.cols, _xi(x, k), [1] * b.nrows)]), b.nrows)
 
 
 def u_form(universe, subset) -> LaurentPoly:

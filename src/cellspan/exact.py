@@ -68,6 +68,8 @@ __all__ = [
     "integer_spectrum",
     "spectrum_of",
     "outer_sum",
+    "gram_sum",
+    "scaled_char_polys",
     "ring_matmul",
 ]
 
@@ -1324,6 +1326,29 @@ def outer_sum(n: int, pairs) -> list:
     return out
 
 
+def gram_sum(n: int, blocks) -> list:
+    """Sum over the blocks (vectors, c, d) and the sparse vectors v of
+    each of c_v (d o v)(d o v)^T, with c one weight per vector and d one
+    per index, in any commutative ring, as n outer_sum rows.  Every
+    weighted Laplacian is one (see ChainComplex.weighted_laplacian)."""
+    def pairs():
+        for vectors, c, d in blocks:
+            for v, cv in zip(vectors, c, strict=True):
+                w = {r: d[r] * a for r, a in v.items()}
+                yield {r: cv * x for r, x in w.items()}, w
+    return outer_sum(n, pairs())
+
+
+def scaled_char_polys(ms) -> tuple:
+    """(D, [char_poly(D m) for m in ms]) for square Fraction matrices
+    as {index: entry} rows (read as columns: same char poly), D the lcm
+    of all denominators.  Since chi_m(y) = chi_(D m)(D y) / D^side, the
+    roots of chi_(D m) are D times those of chi_m."""
+    d = math.lcm(*(v.denominator for m in ms for row in m for v in row.values()))
+    return d, [char_poly(SparseMatrix([{s: int(v * d) for s, v in row.items() if v}
+                                       for row in m], len(m))) for m in ms]
+
+
 def sparse_transpose(cols, nrows: int) -> list:
     """The rows, as {column: entry} dicts, of the matrix with the given
     {row: entry} columns and nrows rows."""
@@ -1585,6 +1610,13 @@ class LaurentPoly:
         return LaurentPoly._make(self.vars, {e: v for e, v in out.items() if v}, bound)
 
     __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        """other / self, for self a monomial with coefficient +-1."""
+        if len(self._packed) != 1 or abs(next(iter(self._packed.values()))) != 1:
+            raise ArithmeticError(f"{self} is not a unit monomial")
+        (e, c), = self._packed.items()
+        return LaurentPoly._make(self.vars, {-e: c}, self._bound) * other
 
     def __pow__(self, k: int):
         if k < 0:

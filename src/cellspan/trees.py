@@ -76,15 +76,15 @@ class TreeQuery:
                 isinstance(complex, CubicalComplex)
                 and len(complex.faces) == 3 ** len(complex.universe)):
             raise ValueError("closed-form method applies to full cubes only")
+        if weighted and not isinstance(complex, CubicalComplex):
+            raise ValueError("weighted enumeration needs a cubical complex")
         self.complex = complex
         self.chain = _as_chain(complex)
-        _skeleton(self.chain, k, apc=False)
+        _skeleton(self.chain, k, lo=1 if weighted else 0, apc=False)
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         if cap < 1:
             raise ValueError("cap must be positive")
-        if weighted and not isinstance(complex, CubicalComplex):
-            raise ValueError("weighted enumeration needs a cubical complex")
         self.k = k
         self.method = method
         self.weighted = weighted

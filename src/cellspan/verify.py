@@ -159,15 +159,21 @@ def colorful_closed_form_failures(colorfuls) -> list:
 @_suite
 def suite_identities(cap=None, seed: int = 0, colorful_max: int = 8,
                      prism_mirror_max: int = 3) -> list:
+    if prism_mirror_max > 4:
+        raise ValueError("the prism rule takes mirrors on at most 4 vertices")
     colorfuls = colorful_corpus(colorful_max)
-    items = identity_corpus(colorfuls=colorfuls)
+    mirrors = mirror_corpus(4)
+    items = identity_corpus(mirrors, colorfuls)
+    cubicals = [(f"cube:{n}", cube(n)) for n in range(1, 4)]
+    # mirror_corpus lists the mirrors by vertex count: this is a prefix
+    cubicals += [(name, x) for name, _f, x in mirrors
+                 if len(x.universe) <= prism_mirror_max]
+    del mirrors  # items keeps their chains; free the larger complexes
     rows = [_agg("spectral-identities", spectral_identity_failures(items),
                  f"{len(items)} complexes")]
     rows.append(_agg("colorful-closed-forms",
                      colorful_closed_form_failures(colorfuls),
                      f"{len(colorfuls)} size tuples"))
-    cubicals = [(f"cube:{n}", cube(n)) for n in range(1, 4)]
-    cubicals += [(name, x) for name, _f, x in mirror_corpus(prism_mirror_max)]
     rows.append(_agg("prism-identities", prism_failures(cubicals),
                      f"{len(cubicals)} cubical complexes"))
     rows.append(_agg("product-q1-q2-vs-q3", product_cube_failures(),

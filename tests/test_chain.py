@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellspan import exact
 from cellspan.colorful import colorful_complex
-from cellspan.corpus import identity_corpus, mirror_corpus
+from cellspan.corpus import colorful_corpus, identity_corpus, mirror_corpus
 from cellspan.corpus import rp2 as rp2_model
 from cellspan.cubical import cube, mirror
 from cellspan.chain import (
@@ -363,10 +363,14 @@ def _dense_homology(c, i):
     return HomologySummary(i, c.n_cells(i) - rank(i) - rank(i + 1), torsion)
 
 
+def full_corpus():
+    return identity_corpus(mirror_corpus(4), colorful_corpus(9))
+
+
 def test_homology_of_the_corpus_matches_the_dense_oracle():
     """Every complex of identity_corpus, whose mirrors are those of
     mirror_corpus(4), against dense ranks and Smith forms."""
-    items = identity_corpus()
+    items = full_corpus()
     names = {name for name, _ in items}
     assert {name for name, _f, _x in mirror_corpus(4)} <= names
     torsion_seen = False
@@ -381,10 +385,10 @@ def test_homology_of_the_corpus_matches_the_dense_oracle():
 def test_char_polynomials_match_char_polynomial_on_the_corpus():
     """The batched fill, outside any memo and over several flushes, leaves
     the same char polys as char_polynomial on fresh copies."""
-    items = identity_corpus()
+    items = full_corpus()
     char_polynomials([c for _, c in items])
     with char_poly_memo():
-        for (name, c), (_, fresh) in zip(items, identity_corpus()):
+        for (name, c), (_, fresh) in zip(items, full_corpus()):
             want = {(i, fam): fresh.char_polynomial(i, fam)
                     for i in fresh.homology_range() for fam in FAMILIES}
             assert c._chi == want, name
@@ -396,7 +400,7 @@ def test_spectra_read_off_the_certificate_equal_integer_roots():
     family: the spectrum, read off the certificate where char_poly
     certified the char poly, is integer_roots of it, keys in order."""
     certified = set()
-    for name, c in identity_corpus(mirror_max=3, colorful_max=6):
+    for name, c in identity_corpus(mirror_corpus(3), colorful_corpus(6)):
         for i in c.homology_range():
             for fam in FAMILIES:
                 chi = c.char_polynomial(i, fam)

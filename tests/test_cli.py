@@ -1,6 +1,7 @@
 """End-to-end command line behavior: frozen outputs, exit codes,
 deterministic bytes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,46 @@ def test_weighted_trees_q1(capsys):
     d = json.loads(out)
     assert d["tau"] == {"vars": ["q1", "x1", "y1"],
                         "terms": [{"coef": "1", "exp": [1, 0, 0]}]}
+
+
+@pytest.mark.parametrize("method", ["brute", "matrix-tree"])
+def test_weighted_trees_start_at_k1_with_either_method(capsys, method):
+    rc, out, err = run(capsys, "weighted-trees", "--input", "cube:2", "--k", "0",
+                       "--method", method)
+    assert (rc, out, err) == (2, "", "error: k=0 out of range [1, 2]\n")
+
+
+# sha256 of stdout, as first recorded, for the commands whose output the
+# weighted Laplacians decide.
+PINNED_STDOUT = {
+    "weighted-trees --input cube:3 --k 1 --method brute":
+        "d102ea265c9f188756a6bbbede45b756423e252ae41d4f6be1bd48d549c71e84",
+    "weighted-trees --input cube:3 --k 2 --method brute":
+        "f8eb0089f60c204668c4cec2a0b57a09dc5820927885a87d1bb27cfb9433807f",
+    "weighted-trees --input cube:3 --k 3 --method brute":
+        "9ef7b70a04424cd72142255324fe86ac8b4b2439af3a864e76b8aae7c5345d88",
+    "weighted-trees --input cube:3 --k 1 --method matrix-tree":
+        "aafa75544471a25c28f776bdfc417502294c2c0a315395880a7652b113bb3b24",
+    "weighted-trees --input cube:3 --k 2 --method matrix-tree":
+        "ca28ddcc4a0fa4184276ac4653533f9d72c3bd8f67e8f84cd6c893c6095e59a5",
+    "weighted-trees --input cube:3 --k 3 --method matrix-tree":
+        "24e4989cedb6d6d38a4dbe44ccad211a284ce72909669f5e9fae9e86704e486b",
+    "conjecture --n 3 --k 2":
+        "403fe263b17bd41471dfb94e8ca9f947f1393b82a301ad7f39341d81ec94b870",
+    "verify duality --format json --seed 0":
+        "b72ff313474bc28baece3574a1e542d5becae24bf1e919825f0098848e25d6e2",
+    "verify duality --format json --seed 1":
+        "b72ff313474bc28baece3574a1e542d5becae24bf1e919825f0098848e25d6e2",
+    "verify identities --format json --seed 0":
+        "e5bfc75495601c1d0058fc70a324b834eee61a075c584a31fc6a01f24dff04af",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_weighted_outputs_are_pinned(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+from cellspan import colorful
 from cellspan.colorful import (ColorfulSpec, colorful_complex, colorful_etot,
                                colorful_gf_identity_holds, colorful_omega,
                                colorful_spec_poly, colorful_tree_count,
@@ -169,3 +170,16 @@ def test_sampled_positions_match_sampling_the_list(n, k):
 
 def test_weighted_duality():
     assert weighted_duality_check(2, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_weighted_duality_rejects_non_reciprocal_weights(monkeypatch, n):
+    """Negative control: the dual cells of two cube edges trade labels,
+    so each gets the reciprocal weight of the other edge; the spectra
+    must then differ."""
+    real = colorful.cube_face_to_simplex
+    a, b = "0" + "*" * (n - 1), "1" + "*" * (n - 1)
+    trade = {a: b, b: a}
+    monkeypatch.setattr(colorful, "cube_face_to_simplex",
+                        lambda spec, f: real(spec, trade.get(f, f)))
+    assert not weighted_duality_check(n, seed=0)

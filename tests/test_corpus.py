@@ -10,8 +10,9 @@ import itertools
 
 import pytest
 
-from cellspan.corpus import (boundary_family, colorful_sizes, cone_family,
-                             cube_algebraic_dd_zero,
+from cellspan import corpus
+from cellspan.corpus import (boundary_family, colorful_corpus, colorful_sizes,
+                             cone_family, cube_algebraic_dd_zero,
                              cube_weighted_spectrum_check, del_family,
                              family_facets, identity_corpus,
                              is_dominance_closed, link_family, mirror_circle,
@@ -20,6 +21,7 @@ from cellspan.corpus import (boundary_family, colorful_sizes, cone_family,
                              simplicial_chain, simplicial_families,
                              skeleton_family)
 from cellspan.cubical import CubicalComplex, closure_of, cube, face_dim
+from cellspan.exact import LaurentPoly
 
 
 def fams3():
@@ -229,6 +231,29 @@ def test_cube_weighted_spectrum(n):
     assert cube_weighted_spectrum_check(n)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_cube_weighted_spectrum_rejects_a_wrong_form(monkeypatch, n):
+    """Negative control: with q1 and x1 swapped in one predicted form
+    the rational-point check must fail."""
+    real = corpus.cube_weighted_tot_eigenvalues
+
+    def swapped(m, i):
+        forms = real(m, i)
+        form, mult = forms[-1]
+        vs = form.vars
+        a, b = vs.index("q1"), vs.index("x1")
+
+        def swap(e):
+            e = list(e)
+            e[a], e[b] = e[b], e[a]
+            return tuple(e)
+        wrong = LaurentPoly(vs, {swap(e): c for e, c in form.terms.items()})
+        return forms[:-1] + [(wrong, mult)]
+
+    monkeypatch.setattr(corpus, "cube_weighted_tot_eigenvalues", swapped)
+    assert not cube_weighted_spectrum_check(n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cube_algebraic_dd_zero(n):
     assert cube_algebraic_dd_zero(n)
@@ -245,7 +270,7 @@ def test_colorful_sizes_are_weakly_decreasing_partitions():
 
 
 def test_identity_corpus_composition():
-    rows = identity_corpus(mirror_max=4, colorful_max=8)
+    rows = identity_corpus(mirror_corpus(4), colorful_corpus(8))
     names = [name for name, _ in rows]
     assert len(names) == len(set(names))
     assert len(names) == 1 + 4 + 193 + 66

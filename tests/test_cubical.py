@@ -22,9 +22,11 @@ from cellspan.cubical import (
     xi_weight,
     u_form,
 )
-from cellspan.exact import LaurentPoly, ring_matmul
+from cellspan import trees
+from cellspan.exact import LaurentPoly, det_fraction, gram_sum, ring_matmul
 from cellspan.verify import prism_failures
 from fractions import Fraction
+import random
 
 
 def test_face_key_order():
@@ -319,6 +321,83 @@ def test_weighted_specializes_to_unweighted():
     for r in range(len(w1)):
         for s in range(len(w1)):
             assert w1[r][s].subs(ones) == l1.entry(r, s)
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weighted_laplacian_matches_products_of_algebraic_boundaries(n):
+    """The Gram builder, weighted algebraically by the face monomials,
+    against ring_matmul of the dense algebraic boundaries: tot_i is
+    A_(i+1) A_(i+1)^T + A_i^T A_i.  Its ud part alone is tot_0 (there is
+    no boundary of the vertices) and its du part alone is tot_n (there
+    is no (n+1)-face), so each part is checked on its own there."""
+    x = cube(n)
+    c = x.to_chain()
+    zero = LaurentPoly(weight_vars(x.universe))
+    xi = {j: [xi_weight(x.universe, f) for f in x.faces_of_dim(j)]
+          for j in range(-1, n + 1)}
+    for i in range(n + 1):
+        side = x.n_faces(i)
+        blank = [[zero] * side for _ in range(side)]
+        up, down = algebraic_boundary(x, i + 1), algebraic_boundary(x, i)
+        ud = ring_matmul(up, _transpose(up)) if i < n else blank
+        du = ring_matmul(_transpose(down), down) if i > 0 else blank
+        tot = [[p + q for p, q in zip(a, b)] for a, b in zip(ud, du)]
+        got = [[row.get(s, zero) for s in range(side)] for row in c.weighted_laplacian(i, xi)]
+        assert got == tot, (n, i)
+        if i == 0:
+            assert got == ud and not laurent_is_zero(ud), n
+        if i == n:
+            assert got == du and not laurent_is_zero(du), n
+        assert weighted_total_laplacian(x, i) == tot
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weighted_diag_laplacian_matches_b_diag_xi_bt(n):
+    x = cube(n)
+    for k in range(1, n + 1):
+        b = x.to_chain().sparse_boundary(k).rows()
+        xi = [xi_weight(x.universe, g) for g in x.faces_of_dim(k)]
+        b_xi = [[a * w for a, w in zip(row, xi)] for row in b]
+        assert weighted_diag_laplacian(x, k) == ring_matmul(b_xi, _transpose(b)), (n, k)
+
+
+@pytest.mark.parametrize("x", [cube(1), cube(2), cube(3), cube(3).boundary_complex(),
+                               CubicalComplex((1, 2, 3), ["0**", "*0*", "**0"])],
+                         ids=["cube1", "cube2", "cube3", "bd-cube3", "corner-disc"])
+def test_weighted_engine_at_rational_points(x):
+    """At seeded rational points, det_fraction of the reduced diagonal
+    form, built by gram_sum from the evaluated weights, times the
+    torsion ratio, is the weighted engine's enumerator evaluated there."""
+    rng = random.Random(11)
+    vs = weight_vars(x.universe)
+    for k in range(1, x.dim + 1):
+        xs = trees._skeleton(x, k, lo=1)
+        picked, labels = trees._greedy_u(xs, k)
+        t_x, t_u = trees._torsions(xs, k, [labels[j] for j in picked])
+        tau = trees.weighted_tau_matrix_tree(x, k)
+        b = x.to_chain().sparse_boundary(k)
+        keep = [r for r in range(b.nrows) if r not in set(picked)]
+        for _ in range(3):
+            point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in vs}
+            xi = [xi_weight(x.universe, g).subs(point) for g in x.faces_of_dim(k)]
+            rows = gram_sum(b.nrows, [(b.cols, xi, [1] * b.nrows)])
+            det = det_fraction([[rows[r].get(s, 0) for s in keep] for r in keep])
+            assert det * Fraction(t_x, t_u) ** 2 == tau.subs(point), (k, point)
+
+
+def test_unit_monomials_divide_and_others_refuse():
+    vs = weight_vars((1,))
+    m = LaurentPoly.monomial(vs, {"q1": 1, "x1": -2}, -1)
+    assert 1 / m == LaurentPoly.monomial(vs, {"q1": -1, "x1": 2}, -1)
+    assert (1 / m) * m == 1
+    with pytest.raises(ArithmeticError, match="not a unit monomial"):
+        1 / (m * 2)
+    with pytest.raises(ArithmeticError, match="not a unit monomial"):
+        1 / (m + 1)
 
 
 def test_cube_weighted_eigenvalue_forms():

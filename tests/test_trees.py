@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cellspan import trees
 from cellspan.chain import ChainComplex
 from cellspan.colorful import colorful_complex
-from cellspan.corpus import identity_corpus, mirror_corpus
+from cellspan.corpus import colorful_corpus, identity_corpus, mirror_corpus
 from cellspan.cubical import cube, mirror, weight_vars
 from cellspan.exact import LaurentPoly, SparseMatrix, det_exact, rank_exact
 from cellspan.trees import (
@@ -376,7 +376,7 @@ def test_echelon_determinant_matches_bareiss(rows):
 def test_greedy_u_matches_rank_greedy_on_corpus():
     """Cubes, rp2, the mirrors on up to four vertices and the colorful
     complexes of up to seven vertices, in every dimension."""
-    items = identity_corpus(mirror_max=4, colorful_max=7)
+    items = identity_corpus(mirror_corpus(4), colorful_corpus(7))
     items.append(("twisted", twisted()))
     for name, c in items:
         for k in range(1, c.dim + 1):

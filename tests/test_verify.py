@@ -8,7 +8,7 @@ so a regression in either direction is caught.
 
 import pytest
 
-from cellspan import exact, verify
+from cellspan import corpus, exact, verify
 from cellspan.verify import (SUITES, Check, suite_conjectures, suite_duality,
                              suite_engines, suite_identities, suite_shifted)
 
@@ -131,3 +131,25 @@ def test_suite_shifted_builds_one_corpus_for_its_three_helpers(monkeypatch):
     assert len(built) == 1 and len(built[0]) == 1 + 2 + 5 + 17
     assert len(given) == 3
     assert all(corpus is built[0] for corpus in given.values())
+
+
+def test_suite_identities_builds_each_mirror_once(monkeypatch):
+    """The 193 mirrors on at most four vertices are built once, for the
+    spectral identities, and the prism rule takes its mirrors from them."""
+    built = []
+    real = corpus.mirror_on
+
+    def mirror_spy(universe, family):
+        built.append((tuple(universe), frozenset(family)))
+        return real(universe, family)
+
+    monkeypatch.setattr(corpus, "mirror_on", mirror_spy)
+    rows = suite_identities(colorful_max=4)
+    assert len(built) == len(set(built)) == 193
+    assert {r.name: r.detail for r in rows}["prism-identities"] == \
+        f"{3 + 26} cubical complexes"
+
+
+def test_suite_identities_refuses_prism_mirrors_beyond_the_corpus():
+    with pytest.raises(ValueError, match="at most 4 vertices"):
+        suite_identities(prism_mirror_max=5)
