@@ -81,13 +81,12 @@ class SpectrumGF:
     first-class values, never errors.
     """
 
-    __slots__ = ("dim", "family", "eigs", "size", "_chi")
+    __slots__ = ("dim", "family", "eigs", "_chi")
 
-    def __init__(self, dim: int, family: str, eigs, size: int, chi: IntPoly):
+    def __init__(self, dim: int, family: str, eigs, chi: IntPoly):
         self.dim = dim
         self.family = family
         self.eigs = eigs
-        self.size = size
         self._chi = chi
 
     def is_integral(self) -> bool:
@@ -314,7 +313,7 @@ class ChainComplex:
         key = (i, family)
         if key not in self._spec:
             chi = self.char_polynomial(i, family)
-            self._spec[key] = SpectrumGF(i, family, spectrum_of(chi), chi.degree, chi)
+            self._spec[key] = SpectrumGF(i, family, spectrum_of(chi), chi)
         return self._spec[key]
 
     def total_gf(self) -> LaurentPoly:
@@ -425,7 +424,7 @@ class ChainComplex:
         return {"dims": d, "cells": cells, "boundary": boundary, "empty_cell": self.empty_cell}
 
     @classmethod
-    def from_json_dict(cls, data: dict, check: bool = True) -> "ChainComplex":
+    def from_json_dict(cls, data: dict) -> "ChainComplex":
         if not isinstance(data, dict):
             raise ChainError(f"a chain complex is a JSON object, not {type(data).__name__}")
         boundary = data.get("boundary", {})
@@ -443,7 +442,7 @@ class ChainComplex:
                     v = next(v for v in row if type(v) in _NOT_INTEGERS)
                     raise ChainError(f"boundary {key} entry {v!r} is not an integer")
             bnd[i] = SparseMatrix.from_rows(rows, ncols=ncols)
-        return cls(cells, bnd, empty_cell=bool(data.get("empty_cell", False)), check=check)
+        return cls(cells, bnd, empty_cell=bool(data.get("empty_cell", False)))
 
     def __repr__(self):
         counts = ",".join(str(self.n_cells(i)) for i in range(self.dim + 1))

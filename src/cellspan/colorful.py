@@ -37,9 +37,6 @@ class ColorfulSpec:
         self.a = a
         self.n = len(a)
 
-    def size(self, i: int) -> int:
-        return self.a[i - 1]
-
     def A(self, K) -> int:
         return sum(self.a[i - 1] for i in K)
 

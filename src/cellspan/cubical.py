@@ -301,10 +301,8 @@ class NearPrism:
 
 
 def cube(n: int, cap: int = 6) -> CubicalComplex:
-    if n < 0:
-        raise ValueError("cube dimension must be nonnegative")
-    if n > cap:
-        raise ValueError(f"cube({n}) exceeds cap {cap}")
+    if not (0 <= n <= cap):
+        raise ValueError(f"cube dimension {n} out of range [0, {cap}]")
     u = tuple(range(1, n + 1))
     return CubicalComplex(u, closure_of({"*" * n}), closed=True)
 

@@ -50,10 +50,6 @@ def _as_chain(x) -> ChainComplex:
     return x.to_chain() if isinstance(x, CubicalComplex) else x
 
 
-def is_apc(x) -> bool:
-    return _as_chain(x).is_apc()
-
-
 def _skeleton(x, k: int, lo: int = 0, apc: bool = True) -> ChainComplex:
     """The k-skeleton of x, once lo <= k <= dim holds and, with apc,
     once the skeleton is acyclic in positive codimension."""
@@ -380,8 +376,9 @@ def tau_alternating(x, k: int) -> int:
 
 
 def tau_cube_closed_form(n: int, k: int) -> int:
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    """At k = 0 only j = 1 contributes (gen_binom(-1, -1) == 1): 2^n."""
+    if not (0 <= k <= n):
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     out = 1
     for j in range(k + 1, n + 1):
         e = gen_binom(n, j) * gen_binom(j - 2, k - 1)

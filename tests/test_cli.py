@@ -182,6 +182,33 @@ def test_weighted_outputs_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
+# (exit code, sha256 of stdout), as first recorded, of the suites whose
+# corpora and engines verify.py builds; shifted exits 4 by design.
+PINNED_VERIFY = {
+    "verify engines --format json --seed 0":
+        (0, "b57945f632ad24c022542cb208104585d3ae15868dc03a24d1cf2b6495098a11"),
+    "verify shifted --format json --seed 0":
+        (4, "97ec3b41ee3d55193b07af5876574725176fef96ef8e306938b7ba8e49db6193"),
+    "verify conjectures --format json --seed 0":
+        (0, "a9d6123d25519310d1b84304e9fe3b109f3b2b42b94b7ae47e4b204008b03000"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_VERIFY))
+def test_verify_outputs_are_pinned(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED_VERIFY[command]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_every_tree_engine_counts_vertices_at_k0(capsys, n):
+    """A 0-tree of a cube is one vertex: every engine gives 2^n."""
+    for method in ("brute", "matrix-tree", "alternating-product", "closed-form"):
+        rc, out, _ = run(capsys, "trees", "--input", f"cube:{n}", "--k", "0",
+                         "--method", method)
+        assert (rc, json.loads(out)["tau"]) == (0, str(2 ** n)), method
+
+
 # ---------------------------------------------------------------------------
 # conjecture, colorful, dual, shifted-check, mirror
 
@@ -286,6 +313,44 @@ def test_validation_errors_exit_2(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "--input", "cube:11", "--dim", "0"),
+     "cube dimension 11 out of range [0, 10]"),
+    (("spectrum", "--input", "cube:-1", "--dim", "0"),
+     "cube dimension -1 out of range [0, 10]"),
+    (("spectrum", "--input", "cube:2", "--dim", "7"),
+     "dimension 7 out of range [0, 2]"),
+    (("homology", "--input", "cube:2", "--dim", "7"),
+     "dimension 7 out of range [0, 2]"),
+    (("weighted-trees", "--input", "rp2", "--k", "1"),
+     "weighted enumeration needs a cubical complex"),
+    (("weighted-trees", "--input", "rp2"), "trees need --k"),
+    (("conjecture", "--n", "2", "--k", "3"), "k=3 out of range [1, 2]"),
+    (("conjecture", "--n", "3", "--k", "0"), "k=0 out of range [1, 3]"),
+])
+def test_library_rules_reach_the_cli_verbatim(capsys, argv, message):
+    """The CLI leaves these rules to the library functions that own
+    them and prints their messages as they are."""
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--input", "cube:2", "--dim", "0"),
+    ("homology", "--input", "cube:2"),
+    ("trees", "--input", "cube:2", "--k", "1"),
+    ("weighted-trees", "--input", "cube:2", "--k", "1"),
+    ("conjecture", "--n", "2", "--k", "1"),
+    ("colorful", "--input", "colorful:2,2"),
+    ("shifted-check", "--input", "cube:2"),
+    ("mirror", "--input", "cube:2"),
+])
+def test_seed_is_refused_where_nothing_is_random(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -20,7 +20,6 @@ from cellspan.trees import (
     cst_target_size,
     enumerate_trees,
     f_recurrence_check,
-    is_apc,
     is_cst,
     run_query,
     submatrix_det_properties,
@@ -55,8 +54,10 @@ def test_closed_form_values():
     assert tau_cube_closed_form(4, 1) == 4 ** 6 * 6 ** 4 * 8
     for n in range(1, 5):
         assert tau_cube_closed_form(n, n) == 1
+    for n in range(11):
+        assert tau_cube_closed_form(n, 0) == 2 ** n
     with pytest.raises(ValueError):
-        tau_cube_closed_form(2, 0)
+        tau_cube_closed_form(2, -1)
     with pytest.raises(ValueError):
         tau_cube_closed_form(2, 3)
 
@@ -88,10 +89,10 @@ def test_is_cst_rp2():
 
 
 def test_is_apc():
-    assert is_apc(cube(3))
-    assert is_apc(cube(3).pure_skeleton(2).to_chain())
-    assert is_apc(rp2())
-    assert not is_apc(mirror(3, [[1, 2], [1, 3]]))
+    assert _as_chain(cube(3)).is_apc()
+    assert _as_chain(cube(3).pure_skeleton(2).to_chain()).is_apc()
+    assert _as_chain(rp2()).is_apc()
+    assert not _as_chain(mirror(3, [[1, 2], [1, 3]])).is_apc()
 
 
 def test_brute_square():

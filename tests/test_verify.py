@@ -6,6 +6,8 @@ failure (the matroid mirror that is integral after all) is pinned here
 so a regression in either direction is caught.
 """
 
+import sys
+
 import pytest
 
 from cellspan import corpus, exact, verify
@@ -26,7 +28,7 @@ def test_check_coerces_ok_to_bool():
 
 
 def test_identities_suite_rows():
-    rows = suite_identities(colorful_max=4, prism_mirror_max=2)
+    rows = suite_identities(colorful_max=4)
     assert [r.name for r in rows] == [
         "spectral-identities", "colorful-closed-forms", "prism-identities",
         "product-q1-q2-vs-q3", "weighted-cube-spectra"]
@@ -96,8 +98,8 @@ def test_each_suite_run_has_its_own_memo(monkeypatch):
         return real(corpus)
 
     monkeypatch.setattr(verify, "near_prism_betti_rows", spy)
-    suite_shifted(nmax=2)
-    suite_shifted(nmax=2)
+    suite_shifted()
+    suite_shifted()
     assert exact._MEMO.get() is None
     assert len(seen) == 2 and seen[0] and seen[1] and seen[0] is not seen[1]
 
@@ -107,7 +109,7 @@ def test_each_suite_run_has_its_own_memo(monkeypatch):
 
     monkeypatch.setattr(verify, "near_prism_betti_rows", boom)
     with pytest.raises(RuntimeError):
-        suite_shifted(nmax=2)
+        suite_shifted()
     assert seen[2] is not None
     assert exact._MEMO.get() is None
 
@@ -150,6 +152,26 @@ def test_suite_identities_builds_each_mirror_once(monkeypatch):
         f"{3 + 26} cubical complexes"
 
 
-def test_suite_identities_refuses_prism_mirrors_beyond_the_corpus():
-    with pytest.raises(ValueError, match="at most 4 vertices"):
-        suite_identities(prism_mirror_max=5)
+def _spy_everywhere(monkeypatch, fn, calls):
+    """Record the first argument of each call of fn, in every cellspan
+    module that binds it."""
+    def spy(*args, **kw):
+        calls.append(args[0])
+        return fn(*args, **kw)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cellspan") and vars(mod).get(fn.__name__) is fn:
+            monkeypatch.setattr(mod, fn.__name__, spy)
+
+
+def test_suite_engines_builds_each_complex_once(monkeypatch):
+    """The cubes, and the colorful complex of each of the 66 size tuples
+    with sum at most 8, are built once and shared by the engine, CMTT
+    and submatrix checks."""
+    colorfuls, cubes = [], []
+    _spy_everywhere(monkeypatch, corpus.colorful_complex, colorfuls)
+    _spy_everywhere(monkeypatch, corpus.cube, cubes)
+    rows = suite_engines(cap=500)
+    assert all(r.ok for r in rows)
+    assert len(colorfuls) == len(set(colorfuls)) == 66
+    assert sorted(cubes) == [1, 2, 3, 4]
