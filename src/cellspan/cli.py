@@ -21,14 +21,12 @@ from .corpus import rp2
 from .cubical import CubicalComplex, cube, mirror, shifted_spectrum, spectrum_direct
 from .trees import (BRUTE_CAP, CapExceeded, TreeQuery, _as_chain,
                     f_recurrence_check, run_query, verify_conjecture)
-from .verify import SUITES
+from .verify import SUITES, VERIFY_CAP
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_FAILURE = 4
-
-VERIFY_DEFAULT_CAP = 50_000
 
 
 class CliError(Exception):
@@ -316,7 +314,7 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}; "
                        f"choose from {', '.join(sorted(SUITES))}")
-    cap = _cap(args, VERIFY_DEFAULT_CAP)
+    cap = _cap(args, VERIFY_CAP)
     rows = SUITES[args.suite](cap=cap, seed=args.seed)
     hard_failures = [r for r in rows if not r.ok and r.hard]
     if args.format == "json":

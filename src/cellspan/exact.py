@@ -19,21 +19,24 @@ pivot keeps every entry an integer.  The dense routines are also the
 tests' oracles for the sparse path.
 
 numpy is used only for word-size modular arithmetic inside the
-characteristic-polynomial kernel: the Hessenberg passes mod p, the
-candidate-root scan, and the products that certify an integral char
-poly (see char_poly).  A matrix becomes an int64 array there and
-nowhere else: the memo keys on its sparse entries.  The int64
-intermediates are exact at every side.  Residues are below 2^27, so
-each product is below 2^54, and every sum of products adds at most
-_DOT_BLOCK = 511 of them before it is reduced mod p, which stays below
-2^63: the dense dot products (_dot_mod) cut their inner axis into
-blocks of 511, and the certificate's product by a stack in ELL form
-(_ell_mul: the nonzeros of each row as index and value arrays) sums
-chunks of at most 511 terms, reducing between chunks.  Hessenberg
-passes and certificate products of one side run stacked (_stacks), at
-most _STACK_ENTRIES = 2^14 entries a stack or one larger matrix, each
-layer with its own prime, pivots and roots; the bounds hold layer by
-layer, since no operation mixes two layers.
+characteristic-polynomial kernel (see char_poly): the products by a
+large sparse matrix of its sparse route, the Hessenberg passes mod p,
+the candidate-root scans, and the products that certify an integral
+char poly.  A matrix becomes an n x n int64 array only for the
+Hessenberg passes; the memo keys on its sparse entries, and every
+product reads its nonzeros in ELL form (_ell: the nonzeros of each row
+as index and value arrays).  The int64 intermediates are exact at every
+side.  Residues are below 2^27, so each product is below 2^54, and
+every sum of products adds at most _DOT_BLOCK = 511 of them before it
+is reduced mod p, which stays below 2^63: the dense dot products
+(_dot_mod) cut their inner axis into blocks of 511, and the products
+by a stack in ELL form (_ell_mul) reduce after at most 511 terms.
+Hessenberg passes and certificate products of one side run stacked
+(_stacks), at most _STACK_ENTRIES = 2^14 entries a stack or one larger
+matrix, each layer with its own prime, pivots and roots; the bounds
+hold layer by layer, since no operation mixes two layers.  The
+certificate products run on column blocks of the identity of about
+_BLOCK_ENTRIES = 2^16 entries, so the sparse route holds no n x n array.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import contextvars
 import heapq
 import itertools
 import math
+import random
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -633,6 +637,11 @@ _GATHER_ENTRIES = 2**16
 # numpy's per-call cost, few enough that the stack stays in cache.
 _STACK_ENTRIES = 2**14
 
+# The certificate products (_products_vanish) run on column blocks of the
+# identity of about this many entries, or one column a layer when that is
+# larger, so that a large matrix needs no n x n array.
+_BLOCK_ENTRIES = 2**16
+
 
 def _dot_mod(a, b, p, acc=0):
     """(acc + a @ b) % p for int64 arrays of residues below 2^27, exact at
@@ -759,33 +768,52 @@ def char_poly(m: SparseMatrix) -> IntPoly:
     """det(yI - m), computed exactly, for a square SparseMatrix.
 
     Let R be the largest absolute row sum, so every eigenvalue lies in
-    a Gershgorin disc of radius <= R.  The Hessenberg algorithm runs
-    modulo the fixed word-size primes p_0 = _prime(0), p_1, ..., and CRT
-    recombines the results; the prime budget comes from the rigorous
-    bound |c_{n-k}| <= C(n,k) R^k.
+    a Gershgorin disc of radius <= R, and p_0 = _prime(0).  Three routes
+    are tried in turn; each proves what it returns.
 
-    Where the input shows it is cheap, chi is first certified from p_0
-    alone as a product of integer linear factors (_certify).  Take the
-    integers lam in [-R, R] that are roots of chi mod p_0, with their
-    multiplicities m_lam mod p_0.  If the m_lam add up to n and
-    M = prod_lam (m - lam I) is zero over Z, then chi = prod (y -
-    lam)^m_lam.  Proof: M = 0 means the minimal polynomial divides
-    prod (y - lam), so chi = prod (y - lam)^e_lam over Z.  The lam are
-    distinct mod p_0 because p_0 > 2R, so unique factorisation in
-    F_p0[y] gives e_lam = m_lam.  Every entry of M is at most
-    B = prod ||m - lam I||_inf in absolute value, so M is zero once it
-    vanishes modulo check primes whose product exceeds 2B.  Each factor
-    after the first multiplies M from the left in ELL form (_ell_mul):
-    n nnz(m) multiply-adds, against n^3 densely.  The certified result
-    keeps its {lam: m_lam}, so spectrum_of reads the spectrum off it.
+    The sparse route is tried first when n^2 > _STACK_ENTRIES (n > 128)
+    and 2R + 1 < n: one fixed rule.  It needs only products by m and
+    never holds an n x n array (_sparse_split).  Take s_j = u^T m^j v
+    mod p_0 for j < 2 min(n, 2R + 1), u and v from a generator with a
+    fixed seed, and the least generator g of the s_j by Berlekamp-Massey
+    (Wiedemann, IEEE Trans. IT, 1986).  If g has deg g distinct roots
+    lam in [-R, R] mod p_0, and P = prod_lam (m - lam I) is zero over Z
+    (checked as below), the minimal polynomial of m divides
+    prod (y - lam): m is diagonalisable over Q, each lam with some
+    multiplicity m_lam >= 0.  So for P_k = prod_{t<k} (m - lam_t I),
+    tr P_k = sum_{s>=k} m_s prod_{t<k} (lam_s - lam_t): a triangular
+    system in the m_s, whose diagonal p_0 > 2R keeps nonzero mod p_0.
+    Back-substitution mod p_0 solves it, and p_0 > n pins each m_s in
+    [0, n], so the solution is the one over Z.  The traces come from
+    the products that check P.  Roots of multiplicity 0 are dropped.
+    The seed decides only whether this proof is tried, never the answer,
+    and the products run only under the certificate's work rule below.
 
-    The rule counts work.  The certificate is tried when 2R < p_0 (every
-    entry fits int64), 2R < n^2 (the scan of 2R + 1 candidates costs no
-    more than a Hessenberg pass) and CRT needs more than one prime; its
-    products run when the roots account for n and (roots - 1) |check
-    primes| n nnz(m) < (CRT primes - 1) n^3 (_worth_certifying).
-    Otherwise, or when it fails (a non-integral spectrum, or a defective
-    integer eigenvalue), CRT goes on from the residues mod p_0.
+    Otherwise, or when that fails, the Hessenberg algorithm runs modulo
+    p_0, and chi is certified from p_0 alone as a product of integer
+    linear factors where the input shows it is cheap (_certify).  Take
+    the integers lam in [-R, R] that are roots of chi mod p_0, with
+    their multiplicities m_lam mod p_0.  If the m_lam add up to n and P
+    is zero over Z, then chi = prod (y - lam)^m_lam: P = 0 makes chi =
+    prod (y - lam)^e_lam over Z, the lam are distinct mod p_0 because
+    p_0 > 2R, and unique factorisation in F_p0[y] gives e_lam = m_lam.
+    The rule counts work.  It is tried when 2R < p_0 (every entry fits
+    int64), 2R < n^2 (the scan of 2R + 1 candidates costs no more than
+    a Hessenberg pass) and CRT needs more than one prime; its products
+    run when the roots account for n and (roots - 1) |check primes|
+    n nnz(m) < (CRT primes - 1) n^3 (_worth_certifying).
+
+    Both check P = 0 the same way (_products_vanish).  Every entry of P
+    is at most B = prod ||m - lam I||_inf in absolute value, so P is zero
+    once it vanishes modulo check primes whose product exceeds 2B.  The
+    factors multiply column blocks of the identity, m in ELL form
+    (_ell_mul): n nnz(m) multiply-adds a factor, against n^3 densely.
+
+    Last, CRT goes on from the residues mod p_0 over the further primes
+    p_1, p_2, ... that the rigorous bound |c_{n-k}| <= C(n,k) R^k asks
+    for.  It covers non-integral spectra and defective integer
+    eigenvalues.  A certified result (a _Split) keeps its {lam: m_lam},
+    so spectrum_of reads the spectrum off it.
 
     char_polys runs the Hessenberg passes and the certificate products
     of many matrices stacked (see the module docstring); char_poly(m) is
@@ -801,10 +829,11 @@ def char_polys(ms) -> list[IntPoly]:
     """[char_poly(m) for m in ms], computed together.
 
     Equal matrices are computed once, and inside a char_poly_memo block
-    so is every matrix seen before.  The rest go through the p_0 passes,
-    the one-prime certificate and CRT (see char_poly) as one batch: each
-    stage runs stacked passes over the matrices of one side.  A
-    non-square input raises ValueError before any work is done.
+    so is every matrix seen before.  The rest go through the sparse
+    route one by one, where the rule sends them, then through the p_0
+    passes, the one-prime certificate and CRT (see char_poly) as one
+    batch: each stage runs stacked passes over the matrices of one side.
+    A non-square input raises ValueError before any work is done.
     """
     ms = list(ms)
     if any(m.nrows != m.ncols for m in ms):
@@ -831,13 +860,13 @@ def _primes_over(x: int) -> list[int]:
 
 
 class _Job:
-    """A square matrix in char_polys: its side, its nonzero entries as
-    (rows, columns, values) lists, its n x n int64 array pre (None
-    unless every entry is below 2^31 in absolute value), largest
-    absolute row sum R and the CRT primes its coefficient bound asks
-    for."""
+    """A square matrix in char_polys: its side, its nonzero entries
+    (rows, columns, values) column by column, largest absolute row sum R
+    and the CRT primes its coefficient bound asks for.  When small, every
+    entry is below 2^31 in absolute value and the entries are int64
+    arrays; else Python lists."""
 
-    __slots__ = ("n", "coo", "pre", "R", "primes")
+    __slots__ = ("n", "coo", "R", "primes", "small", "_dense")
 
     def __init__(self, m):
         self.n = n = m.nrows
@@ -846,17 +875,20 @@ class _Job:
             r += col
             c += [j] * len(col)
             v += col.values()
-        self.coo = r, c, v
-        if max(map(abs, v), default=0) < 2**31:
-            self.pre = a = np.zeros((n, n), dtype=np.int64)
-            a[r, c] = v
-            self.R = int(np.abs(a).sum(axis=1).max())
+        self.small = max(map(abs, v), default=0) < 2**31
+        self._dense = None
+        if self.small:  # n row sums below n 2^31 < 2^63
+            r, c, v = (np.array(r, dtype=np.intp), np.array(c, dtype=np.intp),
+                       np.array(v, dtype=np.int64))
+            sums = np.zeros(n, dtype=np.int64)
+            np.add.at(sums, r, np.abs(v))
+            self.R = int(sums.max())
         else:
-            self.pre = None
             sums = [0] * n
             for i, x in zip(r, v):
                 sums[i] += abs(x)
             self.R = max(sums)
+        self.coo = r, c, v
         # max_k C(n, k) R^k, each term from the one before
         bound = term = 1
         for k in range(n):
@@ -865,9 +897,15 @@ class _Job:
         self.primes = _primes_over(2 * bound + 1)
 
     def residues(self, p: int):
-        """The matrix mod p as an n x n int64 array."""
-        if self.pre is not None:
-            return self.pre % p
+        """The matrix mod p as an n x n int64 array.  A small job builds
+        its dense int64 array once, on first use: only the Hessenberg
+        passes ask for it."""
+        if self.small:
+            if self._dense is None:
+                r, c, v = self.coo
+                self._dense = np.zeros((self.n, self.n), dtype=np.int64)
+                self._dense[r, c] = v
+            return self._dense % p
         r, c, v = self.coo
         a = np.zeros((self.n, self.n), dtype=np.int64)
         a[r, c] = [x % p for x in v]
@@ -885,11 +923,14 @@ def _char_polys(ms) -> list[IntPoly]:
         job = _Job(m)
         if job.R == 0:
             out[idx] = IntPoly([0] * job.n + [1])
-        else:
+            continue
+        if job.n ** 2 > _STACK_ENTRIES and 2 * job.R + 1 < job.n:  # see char_poly
+            out[idx] = _sparse_split(job)
+        if out[idx] is None:
             jobs.append((idx, job))
     p0 = _prime(0)
     first = _passes([(job, p0) for _, job in jobs])
-    # 2R < p_0 < 2^27 bounds every entry, so job.pre is set
+    # 2R < p_0 < 2^27 bounds every entry, so each tried job is small
     tries = [k for k, (_, job) in enumerate(jobs)
              if len(job.primes) > 1 and 2 * job.R < min(p0, job.n ** 2)]
     for k, chi in zip(tries, _certify([(jobs[k][1], first[k]) for k in tries], p0)):
@@ -941,9 +982,21 @@ def _crt(residues, primes) -> IntPoly:
 
 
 class _Split(IntPoly):
-    """A char poly certified as prod (y - lam)^m; roots: (lam, m), lam ascending."""
+    """A char poly certified as prod (y - lam)^m.  roots: its (lam, m)
+    pairs, lam ascending.  Its coefficients are expanded on first use:
+    reading the spectrum off the roots does not need them."""
 
-    __slots__ = ("roots",)
+    __slots__ = ("roots", "_coeffs")
+
+    def __init__(self, pairs):
+        self.roots = tuple(pairs)
+        self._coeffs = None
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = IntPoly.from_roots(self.roots).coeffs
+        return self._coeffs
 
 
 def _certify(tries, p: int) -> list:
@@ -951,26 +1004,33 @@ def _certify(tries, p: int) -> list:
     2R < p, the char poly certified from p (see char_poly) as a _Split,
     or None.  Products run stacked, a layer per job and check prime."""
     found, layers = {}, []
-    for t, (job, chi) in enumerate(tries):
-        pairs = _roots_mod(chi, job.R, p)
+    scans = _roots_mod([chi for _, chi in tries], [job.R for job, _ in tries], p)
+    for t, ((job, _), pairs) in enumerate(zip(tries, scans)):
         if sum(mult for _, mult in pairs) != job.n:
             continue
         roots = [lam for lam, _ in pairs]
-        diag = np.diagonal(job.pre)
-        off = np.abs(job.pre).sum(axis=1) - np.abs(diag)
-        norms = (off + np.abs(diag - np.array(roots)[:, None])).max(axis=1)
-        check = _primes_over(2 * math.prod(norms.tolist()))
+        check = _check_primes(job, roots)
         if _worth_certifying(job, len(roots), len(check)):
             found[t] = pairs
             layers += [(job, roots, q, t) for q in check]  # none if m = lam I
     layers.sort(key=lambda layer: -len(layer[1]))
-    failed = {layer[3] for layer, ok in zip(layers, _products_vanish(layers)) if not ok}
-    out = [None] * len(tries)
-    for t, pairs in found.items():
-        if t not in failed:
-            out[t] = _Split.from_roots(pairs)
-            out[t].roots = tuple(pairs)
-    return out
+    failed = {layer[3] for layer, tr in zip(layers, _products_vanish(layers)) if tr is None}
+    return [_Split(found[t]) if t in found and t not in failed else None
+            for t in range(len(tries))]
+
+
+def _check_primes(job, roots: list) -> list:
+    """The fewest leading primes whose product exceeds 2B, where B =
+    prod_lam ||m - lam I||_inf over the roots bounds every entry of
+    prod_lam (m - lam I) in absolute value; none when B = 0."""
+    r, c, v = job.coo
+    on = r == c
+    diag = np.zeros(job.n, dtype=np.int64)
+    diag[r[on]] = v[on]
+    off = np.zeros(job.n, dtype=np.int64)
+    np.add.at(off, r[~on], np.abs(v[~on]))
+    norms = (off + np.abs(diag - np.array(roots, dtype=np.int64)[:, None])).max(axis=1)
+    return _primes_over(2 * math.prod(norms.tolist()))
 
 
 def _worth_certifying(job, roots: int, check: int) -> bool:
@@ -980,96 +1040,219 @@ def _worth_certifying(job, roots: int, check: int) -> bool:
     return (roots - 1) * check * n * len(job.coo[2]) < (len(job.primes) - 1) * n ** 3
 
 
-def _roots_mod(chi: list, R: int, p: int) -> list:
-    """(lam, multiplicity) of the roots lam in [-R, R] of chi mod p,
-    ascending; 2R < p keeps them distinct mod p."""
-    cands = np.arange(-R, R + 1, dtype=np.int64)
-    x = cands % p
-    val = np.zeros_like(x)
-    for c in reversed(chi):  # Horner at every candidate at once
-        val = (val * x + c) % p
-    pairs, rem = [], chi
-    for lam in cands[val == 0].tolist():
-        mult = 0
-        while len(rem) > 1:  # synthetic division by (y - lam) mod p
-            out, acc = [], 0
-            for c in reversed(rem):
-                acc = (acc * lam + c) % p
-                out.append(acc)
-            if out.pop():
-                break
-            rem = out[::-1]
-            mult += 1
-        pairs.append((lam, mult))
-    return pairs
+def _roots_mod(chis, Rs, p: int) -> list:
+    """For each chi mod p (ascending coefficients) and its R, the (lam,
+    multiplicity) pairs of the roots lam in [-R, R], ascending; 2R < p
+    keeps them distinct mod p.  One Horner scan runs at every candidate
+    of every chi of one length at once; synthetic division, for the
+    multiplicities, runs only at the candidates that hit."""
+    out = [None] * len(chis)
+    lengths: dict = {}
+    for t, chi in enumerate(chis):
+        lengths.setdefault(len(chi), []).append(t)
+    for ts in lengths.values():
+        radii = np.array([Rs[t] for t in ts], dtype=np.int64)
+        owner = np.repeat(np.arange(len(ts)), 2 * radii + 1)
+        cands = np.arange(owner.size) - np.cumsum(2 * radii + 1)[owner] + radii[owner] + 1
+        x = cands % p
+        val = np.zeros_like(x)
+        for c in np.array([chis[t] for t in ts], dtype=np.int64).T[::-1]:
+            val *= x
+            val += c[owner]
+            val %= p
+        hits = [[] for _ in ts]
+        hit = np.flatnonzero(val == 0)
+        for i, lam in zip(owner[hit].tolist(), cands[hit].tolist()):
+            hits[i].append(lam)
+        for t, lams in zip(ts, hits):
+            pairs, rem = [], chis[t]
+            for lam in lams:
+                mult = 0
+                while len(rem) > 1:  # synthetic division by (y - lam) mod p
+                    quot, acc = [], 0
+                    for c in reversed(rem):
+                        acc = (acc * lam + c) % p
+                        quot.append(acc)
+                    if quot.pop():
+                        break
+                    rem = quot[::-1]
+                    mult += 1
+                pairs.append((lam, mult))
+            out[t] = pairs
+    return out
 
 
-def _products_vanish(layers) -> list[bool]:
-    """Whether prod_lam (m - lam I) over the roots is zero mod q for each
-    (job, roots, q, ...) layer, m the job's matrix, a = m mod q.  A layer
-    x starts as a - lam_0 I and becomes a x - lam x for each further
-    root (_ell_mul).  Root counts must not rise along the layers of one
-    side, so a step takes a leading slice of its stack (_stacks)."""
-    out = [False] * len(layers)
+def _products_vanish(layers) -> list:
+    """For each (job, roots, q, ...) layer, m the job's matrix: when
+    P = prod_lam (m - lam I) over the roots is zero mod q, the traces
+    of its leading products, [tr P_k mod q for k < len(roots)] with
+    P_k = prod_{t<k} (m - lam_t I); else None.
+
+    The layers of one side run stacked (_stacks), each with m mod its q
+    in ELL form, on one column block of the identity at a time: about
+    _BLOCK_ENTRIES entries, or one column a layer, so a large m needs
+    no n x n array.  A block x starts as those columns of m - lam_0 I
+    and becomes m x - lam x for each further root (_ell_mul).  Root
+    counts must not rise along the layers of one side, so a step takes
+    a leading slice of its stack."""
+    out = [None] * len(layers)
     for part in _stacks([job for job, *_ in layers]):
         chunk = [layers[b] for b in part]
+        B, n = len(chunk), chunk[0][0].n
         width = [len(roots) for _, roots, *_ in chunk]
         q = np.array([layer[2] for layer in chunk], dtype=np.int64)
         q3 = q[:, None, None]
         lam = np.array([roots + [0] * (width[0] - len(roots)) for _, roots, *_ in chunk])
         lam %= q[:, None]
-        a = np.stack([job.pre for job, *_ in chunk]) % q3
-        ell, n = _ell(a), a.shape[1]
-        m = (a - lam[:, :1, None] * np.eye(n, dtype=np.int64)) % q3
-        for t in range(1, width[0]):
-            k = sum(w > t for w in width)
-            x = m[:k]
-            x[:] = _ell_mul([e[:k * n] for e in ell], x, q[:k]) - lam[:k, t, None, None] * x
-            x %= q3[:k]
-        for b, nonzero in zip(part, m.reshape(len(part), -1).any(axis=1).tolist()):
-            out[b] = not nonzero
+        # the stack's entries, layer b in rows and columns b n + ...
+        layer = np.concatenate([np.full(len(job.coo[0]), b, dtype=np.intp)
+                                for b, (job, *_) in enumerate(chunk)])
+        row = np.concatenate([job.coo[0] for job, *_ in chunk])
+        col = np.concatenate([job.coo[1] for job, *_ in chunk])
+        val = np.concatenate([job.coo[2] % qb for (job, *_), qb in zip(chunk, q.tolist())])
+        order = np.argsort(layer * n + row, kind="stable")
+        ell = _ell(layer[order] * n + row[order], layer[order] * n + col[order],
+                   val[order], B * n)
+        traces = np.zeros((B, width[0]), dtype=np.int64)
+        traces[:, 0] = n
+        vanish = np.ones(B, dtype=bool)
+        step = max(1, _BLOCK_ENTRIES // (B * n))
+        for j in range(0, n, step):
+            cols = np.arange(j, min(n, j + step))
+            diag = (slice(None), cols, cols - j)
+            x = np.zeros((B, n, cols.size), dtype=np.int64)
+            sel = (col >= j) & (col < j + step)
+            x[layer[sel], row[sel], col[sel] - j] = val[sel]
+            x[diag] -= lam[:, :1]
+            x %= q3
+            for t in range(1, width[0]):
+                k = sum(w > t for w in width)
+                y = x[:k]
+                traces[:k, t] += y[diag].sum(axis=1) % q[:k]
+                prod = _ell_mul([e[:k * n] for e in ell], y, q[:k])
+                y *= lam[:k, t, None, None]
+                prod -= y
+                np.remainder(prod, q3[:k], out=y)
+            vanish &= ~x.reshape(B, -1).any(axis=1)
+            if not vanish.any():
+                break
+        for i, (ok, tr) in enumerate(zip(vanish.tolist(), (traces % q[:, None]).tolist())):
+            out[part[i]] = tr[:width[i]] if ok else None
     return out
 
 
-def _ell(a):
-    """The (B, n, n) int64 stack a in ELL form (idx, val, counts), a row
-    r = b n + i per row i of layer b: a[b, i, c] = val[r, t] with
-    idx[r, t] = b n + c for its counts[r] nonzeros, in column order,
-    padded to the widest row by val 0 at index 0."""
-    B, n, _ = a.shape
-    b, r, c = np.nonzero(a)
-    row = b * n + r
-    counts = np.bincount(row, minlength=B * n)
+def _ell(row, col, val, size):
+    """The size x size matrix with entries val at (row, col), sorted by
+    row and then column, in ELL form (idx, val, counts): row r holds
+    val[r, t] at column idx[r, t] for its counts[r] nonzeros, in column
+    order, padded to the widest row by val 0 at index 0."""
+    counts = np.bincount(row, minlength=size)
     t = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-    idx = np.zeros((B * n, counts.max()), dtype=np.intp)
-    val = np.zeros(idx.shape, dtype=np.int64)
-    idx[row, t] = b * n + c
-    val[row, t] = a[b, r, c]
-    return idx, val, counts
+    idx = np.zeros((size, counts.max()), dtype=np.intp)
+    vals = np.zeros(idx.shape, dtype=np.int64)
+    idx[row, t] = col
+    vals[row, t] = val
+    return idx, vals, counts
 
 
 def _ell_mul(ell, m, q):
     """(F_b m_b) mod q_b for each layer b of the (B, n, k) stack m, F in
     ELL form (_ell), residues mod the primes q < 2^27.  Row r sums
-    val[r, t] times row idx[r, t] of m flattened to B n x k, in chunks
-    of at most _DOT_BLOCK terms reduced between chunks, so the int64
-    sums stay exact as in _dot_mod.  A chunk takes only the rows long
-    enough to reach it, so the work is (nonzeros of F) x k however
-    uneven the rows, and gathers about _GATHER_ENTRIES entries of m at
-    most, or one row of m per row of F."""
+    val[r, t] times row idx[r, t] of m flattened to B n x k, reduced
+    after at most _DOT_BLOCK terms, so the int64 sums stay exact as in
+    _dot_mod.  A chunk takes only the rows long enough to reach it, so
+    the work is (nonzeros of F) x k however uneven the rows, and gathers
+    about _GATHER_ENTRIES entries of m at most, or one row of m per row
+    of F."""
     idx, val, counts = ell
     rows = m.reshape(-1, m.shape[2])
     qs = np.repeat(q, m.shape[1])[:, None]
     step = max(1, min(_DOT_BLOCK, _GATHER_ENTRIES // m.size))
-    out = np.zeros_like(rows)
+    out, pending = np.zeros_like(rows), 0
     for s in range(0, idx.shape[1], step):
+        if pending + step > _DOT_BLOCK:
+            out %= qs
+            pending = 0
         live = np.flatnonzero(counts > s)
         if live.size == counts.size:
             live = slice(None)
-        cut = slice(s, s + step)
-        out[live] += np.einsum("rt,rtk->rk", val[live, cut], rows[idx[live, cut]])
-        out[live] %= qs[live]
+        if step == 1:  # one term a row: cheaper than einsum
+            part = rows[idx[live, s]]
+            part *= val[live, s, None]
+        else:
+            cut = slice(s, s + step)
+            part = np.einsum("rt,rtk->rk", val[live, cut], rows[idx[live, cut]])
+        out[live] += part
+        pending += step
+    out %= qs
     return out.reshape(m.shape)
+
+
+def _projections(n: int):
+    """The vectors u and v of the sparse route: residues below 2^26 from
+    a generator with a fixed seed."""
+    rng = random.Random(0)
+    return np.array([rng.getrandbits(26) for _ in range(2 * n)], dtype=np.int64).reshape(2, n)
+
+
+def _sparse_split(job):
+    """The char poly of a job certified from products by its sparse
+    matrix alone (see char_poly), as a _Split, or None."""
+    n, R, p = job.n, job.R, _prime(0)
+    if not (2 * R < p and n < p):
+        return None
+    r, c, v = job.coo
+    order = np.argsort(r, kind="stable")
+    one = _ell(r[order], c[order], v[order] % p, n)
+    u, x = _projections(n)
+    q, seq = np.array([p], dtype=np.int64), []
+    for _ in range(2 * min(n, 2 * R + 1)):
+        seq.append(int(_dot_mod(u, x, p)))
+        x = _ell_mul(one, x[None, :, None], q)[0, :, 0]
+    g = _least_generator(seq, p)
+    pairs = _roots_mod([g], [R], p)[0]
+    if not pairs or len(pairs) < len(g) - 1:
+        return None
+    roots = [lam for lam, _ in pairs]
+    check = _check_primes(job, roots) or [p]  # check[0] is p
+    if not _worth_certifying(job, len(roots), len(check)):
+        return None
+    found = _products_vanish([(job, roots, q) for q in check])
+    if None in found:
+        return None
+    # tr P_k = sum_{s >= k} m_s prod_{t < k} (lam_s - lam_t), solved mod
+    # p from the last k down
+    mults = [0] * len(roots)
+    for k in reversed(range(len(roots))):
+        acc = found[0][k]
+        for s in range(k + 1, len(roots)):
+            acc -= mults[s] * math.prod(roots[s] - roots[t] for t in range(k))
+        mults[k] = acc * pow(math.prod(roots[k] - roots[t] for t in range(k)), -1, p) % p
+    return _Split((lam, mult) for lam, mult in zip(roots, mults) if mult)
+
+
+def _least_generator(seq: list, p: int) -> list:
+    """The monic polynomial g of least degree, ascending coefficients,
+    with sum_k g[k] seq[i + k] = 0 mod p for every i + deg g <
+    len(seq), by Berlekamp-Massey."""
+    c, b = [1], [1]  # connection polynomials, constant term first
+    length, shift, last = 0, 1, 1
+    for i, s in enumerate(seq):
+        d = (s + sum(c[j] * seq[i - j] for j in range(1, min(len(c), i + 1)))) % p
+        if d == 0:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, p) % p
+        prev = c[:]
+        c += [0] * (len(b) + shift - len(c))
+        for j, bj in enumerate(b):
+            c[j + shift] = (c[j + shift] - coef * bj) % p
+        if 2 * length <= i:
+            length, b, last, shift = i + 1 - length, prev, d, 1
+        else:
+            shift += 1
+    c += [0] * (length + 1 - len(c))
+    return c[length::-1]
 
 
 def char_poly_interpolate(m: SparseMatrix) -> IntPoly:

@@ -58,6 +58,10 @@ def test_criterion_01_cube_spectra():
             got_ud = {e: m for e, m in c.spectrum(k, "ud").items() if e}
             if got_ud != want_ud:
                 bad.append(f"ud n={n} k={k}")
+    # cube:8 in dimension 3, side 1792, from sparse products
+    want = {2 * j: comb(8, j) * comb(j, 3) for j in range(3, 9)}
+    if dict(cube(8, cap=8).to_chain().spectrum(3, "tot").items()) != want:
+        bad.append("tot n=8 k=3")
     ok = _report(1, "cube-spectra", not bad, "; ".join(bad))
     assert ok, bad
 

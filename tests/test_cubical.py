@@ -26,6 +26,7 @@ from cellspan import trees
 from cellspan.exact import LaurentPoly, det_fraction, gram_sum, ring_matmul
 from cellspan.verify import prism_failures
 from fractions import Fraction
+from math import comb
 import random
 
 
@@ -88,6 +89,26 @@ def test_q2_total_spectra():
     assert c.spectrum(0, "tot").eigs == {0: 1, 2: 2, 4: 1}
     assert c.spectrum(1, "tot").eigs == {2: 2, 4: 2}
     assert c.spectrum(2, "tot").eigs == {4: 1}
+
+
+def test_cube7_spectra_match_the_closed_form():
+    """Every Laplacian of the 7-cube, sides 1..672, those above 128 on
+    the sparse route: L^tot_i has eigenvalue 2j with multiplicity
+    C(7, j) C(j, i); the nonzero part of L^ud_i is C(7, j) C(j-1, i), of
+    L^du_i C(7, j) C(j-1, i-1), and 0 fills the rest of the side."""
+    n = 7
+    c = cube(n, cap=n).to_chain()
+    for i in range(n + 1):
+        side = comb(n, i) * 2 ** (n - i)
+        for fam, r in (("tot", None), ("ud", i), ("du", i - 1)):
+            if fam == "tot":
+                want = {2 * j: comb(n, j) * comb(j, i) for j in range(i, n + 1)}
+            else:
+                want = {2 * j: comb(n, j) * comb(j - 1, r)
+                        for j in range(1, n + 1) if r >= 0 and comb(j - 1, r)}
+                if side > sum(want.values()):
+                    want[0] = side - sum(want.values())
+            assert dict(c.spectrum(i, fam).items()) == want, (i, fam)
 
 
 def test_prism_deletion_link():

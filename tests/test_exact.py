@@ -3,6 +3,7 @@ import importlib
 import math
 import pkgutil
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -1318,7 +1319,8 @@ def test_ell_products_sum_past_the_int64_limit():
         rows[0][j] = rows[j][0] = -1
         rows[j][j] = 1
     a = np.array(rows, dtype=np.int64)
-    ell = exact._ell(a[None] % q)
+    r, c = np.nonzero(a)
+    ell = exact._ell(r, c, a[r, c] % q, n)
     idx, val, counts = ell
     diag = idx == np.arange(n)[:, None]
     assert idx.shape == (n, n) and (val[diag] == np.diagonal(a)).all()
@@ -1330,8 +1332,206 @@ def test_ell_products_sum_past_the_int64_limit():
     assert int(val[0] @ m[idx[0], 0]) < 0  # the unreduced sum wraps
     job = exact._Job(mat(rows))
     for roots in ([0, 1, n], [0, n]):
-        assert exact._products_vanish([(job, roots, q)]) == [_python_product_is_zero(rows, roots, q)]
-    assert exact._products_vanish([(job, [0, 1, n], q)]) == [True]
+        got = exact._products_vanish([(job, roots, q)])
+        assert [tr is not None for tr in got] == [_python_product_is_zero(rows, roots, q)]
+    # its eigenvalues are 0, 1 (multiplicity n - 2) and n: tr P_k =
+    # sum_s m_s prod_{t<k} (lam_s - lam_t)
+    assert exact._products_vanish([(job, [0, 1, n], q)]) == [[n, n + n - 2, (n - 1) * n]]
+
+
+# ---------------------------------------------------------------------------
+# the stacked root scan
+
+
+@st.composite
+def root_scans(draw):
+    """Char polys mod p_0 of lengths 1..9 with integer roots in
+    [-6, 6], some repeated, times a factor with or without roots, and a
+    candidate radius R each."""
+    p = exact._prime(0)
+    chis, radii = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        pairs = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)),
+                              max_size=3, unique_by=lambda t: t[0]))
+        extra = IntPoly(draw(st.sampled_from(([1], [1, 0, 1], [-2, 0, 1], [3, 1]))))
+        chi = IntPoly.from_roots(pairs) * extra
+        chis.append([c % p for c in chi.coeffs])
+        radii.append(draw(st.integers(0, 8)))
+    return chis, radii
+
+
+@settings(max_examples=120, deadline=None)
+@given(root_scans())
+def test_stacked_root_scan_matches_division_poly_by_poly(scan):
+    """One scan over every poly of one length, as _certify runs it,
+    finds for each the roots in [-R, R] with their multiplicities, as
+    repeated division mod p finds them poly by poly."""
+    chis, radii = scan
+    p = exact._prime(0)
+    want = []
+    for chi, R in zip(chis, radii):
+        pairs = []
+        for lam in range(-R, R + 1):
+            mult, rem = 0, IntPoly(chi)
+            while rem.degree > 0:
+                quot, r = rem.divide_linear(lam)
+                if r % p:
+                    break
+                rem, mult = IntPoly([c % p for c in quot.coeffs]), mult + 1
+            if mult:
+                pairs.append((lam, mult))
+        want.append(pairs)
+    assert exact._roots_mod(chis, radii, p) == want
+
+
+# ---------------------------------------------------------------------------
+# the sparse route: a generator of u^T m^j v, proved by the products
+
+
+def _route(m):
+    """The sparse route called directly on m, whatever its side, with no
+    work rule to stop it."""
+    with mock.patch.object(exact, "_worth_certifying", return_value=True):
+        return exact._sparse_split(exact._Job(m))
+
+
+def _forced(m, worth=True):
+    """char_poly(m) with every matrix of 2R + 1 < n sent to the sparse
+    route, whatever its side, and the work rule answering worth; and
+    what the route returned."""
+    returned = []
+    real = exact._sparse_split
+
+    def spy(job):
+        returned.append(real(job))
+        return returned[-1]
+
+    with mock.patch.object(exact, "_STACK_ENTRIES", 0), \
+            mock.patch.object(exact, "_worth_certifying", return_value=worth), \
+            mock.patch.object(exact, "_sparse_split", spy):
+        chi = char_poly(m)
+    return chi, returned
+
+
+def test_least_generator_of_known_sequences():
+    p = exact._prime(0)
+    fib = [0, 1]
+    while len(fib) < 12:
+        fib.append(fib[-1] + fib[-2])
+    assert exact._least_generator(fib, p) == [p - 1, p - 1, 1]  # y^2 - y - 1
+    assert exact._least_generator([5 * 3**j % p for j in range(8)], p) == [p - 3, 1]
+    assert exact._least_generator([0] * 6, p) == [1]
+    # 1, 0, 0, ...: m^j v of a nilpotent m, generated by y; 0, 0, 1, 0,
+    # ... needs y^3
+    assert exact._least_generator([1, 0, 0, 0, 0, 0], p) == [0, 1]
+    assert exact._least_generator([0, 0, 1, 0, 0, 0], p) == [0, 0, 0, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(psd_int_matrices().filter(lambda m: m.nrows > 0),
+                 certificate_inputs(), nonsymmetric_int_matrices()))
+def test_sparse_route_against_interpolation_and_crt(m):
+    """Whenever the route returns, it is the char poly, as interpolation
+    and the Hessenberg passes with CRT give it, with no root of
+    multiplicity 0; on a symmetric matrix it returns exactly when the
+    spectrum is integral, since a symmetric matrix is diagonalisable."""
+    want = char_poly_interpolate(m)
+    assert _crt_only(m) == want
+    got = _route(m)
+    if got is not None:
+        assert isinstance(got, exact._Split) and got == want
+        assert all(mult > 0 for _, mult in got.roots)
+    if m == m.transpose():
+        R = max(sum(abs(v) for v in r) for r in m.rows())
+        assert (got is not None) == (_integer_root_count(want, R) == m.nrows)
+
+
+def _path_laplacian(n):
+    """The path on n vertices: eigenvalues 2 - 2 cos(j pi / n)."""
+    return mat([[(1 if i in (0, n - 1) else 2) if i == j else -(abs(i - j) == 1)
+                 for j in range(n)] for i in range(n)])
+
+
+def test_sparse_route_falls_back_on_a_non_integral_or_defective_input():
+    """The path on 12 vertices (R = 4) has irrational eigenvalues; 2 I +
+    E_01 on side 12 (R = 3) has the single eigenvalue 2 with a Jordan
+    block, so its generator (y - 2)^2 has fewer roots than its degree.
+    Both are routed, hand back, and get the char poly of CRT."""
+    for m in (_path_laplacian(12),
+              mat([[2 * (i == j) + ((i, j) == (0, 1)) for j in range(12)] for i in range(12)])):
+        chi, returned = _forced(m)
+        assert returned == [None]
+        assert chi == _crt_only(m) == char_poly_interpolate(m)
+    assert chi == IntPoly.from_roots([(2, 12)])
+
+
+def test_sparse_route_falls_back_on_a_degenerate_projection():
+    """cube:5's L^ud_0 (side 32, R = 10) with v = 0 gives g = 1; with v
+    the all-ones kernel vector it gives g = y, whose one root does not
+    make m vanish.  Either way the route hands back, and CRT gives the
+    spectrum 2k with multiplicity C(5, k)."""
+    lap = cube(5).to_chain().laplacian(0, "ud")
+    want = IntPoly.from_roots([(2 * k, math.comb(5, k)) for k in range(6)])
+    u = np.arange(1, 33, dtype=np.int64)
+    for v in (np.zeros(32, dtype=np.int64), np.ones(32, dtype=np.int64)):
+        with mock.patch.object(exact, "_projections", lambda n, v=v: (u, v)):
+            chi, returned = _forced(lap)
+        assert returned == [None] and chi == want
+    chi, returned = _forced(lap)
+    assert returned == [chi] == [want]
+
+
+def test_sparse_route_keeps_the_work_rule():
+    """When the products would cost more than the CRT passes they save,
+    the route hands back before it runs any, and so does _certify."""
+    lap = cube(5).to_chain().laplacian(0, "ud")
+    spy = mock.Mock(side_effect=exact._products_vanish)
+    with mock.patch.object(exact, "_products_vanish", spy):
+        chi, returned = _forced(lap, worth=False)
+    assert returned == [None] and type(chi) is IntPoly
+    assert chi == IntPoly.from_roots([(2 * k, math.comb(5, k)) for k in range(6)])
+    assert all(call.args == ([],) for call in spy.call_args_list)
+
+
+def test_sparse_route_of_a_scalar_matrix_and_negative_eigenvalues():
+    """5 I (side 12) needs no check prime past p_0: m - 5 I is zero
+    entry by entry.  -L^ud_0 of cube:5 has eigenvalues 0, -2, ..., -10,
+    read off the traces as they are."""
+    chi, returned = _forced(mat([[5 * (i == j) for j in range(12)] for i in range(12)]))
+    assert returned == [chi] and chi.roots == ((5, 12),)
+    lap = cube(5).to_chain().laplacian(0, "ud")
+    neg = mat([[-v for v in r] for r in lap.rows()])
+    chi, returned = _forced(neg)
+    assert returned == [chi] == [_crt_only(neg)]
+    assert chi.roots == tuple((-2 * k, math.comb(5, k)) for k in range(5, -1, -1))
+
+
+def test_sparse_route_refuses_an_entry_past_the_int64_set_up():
+    """An entry of 2^31 puts 2R past p_0: the route hands back at once,
+    and the char poly comes from CRT."""
+    m = mat([[2**31, 1, 0], [1, 2**31, 0], [0, 0, 3]])
+    assert _route(m) is None
+    assert char_poly(m) == char_poly_interpolate(m)
+
+
+def test_sparse_route_holds_no_square_array():
+    """cube:7's L^tot_2, side 672 with eigenvalues 2j of multiplicity
+    C(7, j) C(j, 2), takes the sparse route, runs no Hessenberg pass,
+    and allocates less than one 672 x 672 int64 array at its peak."""
+    lap = cube(7, cap=7).to_chain().laplacian(2, "tot")
+    n = lap.nrows
+    spy = mock.Mock(side_effect=exact._passes)
+    with mock.patch.object(exact, "_passes", spy):
+        tracemalloc.start()
+        try:
+            chi = char_poly(lap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert n == 672 and chi.roots == tuple((2 * j, math.comb(7, j) * math.comb(j, 2))
+                                           for j in range(2, 8))
+    assert all(call.args == ([],) for call in spy.call_args_list)
+    assert peak < 8 * n * n
 
 
 # ---------------------------------------------------------------------------
