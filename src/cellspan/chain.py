@@ -15,11 +15,14 @@ boundary and is therefore zero for complexes without a (-1)-cell.
 
 from __future__ import annotations
 
+import math
+
 from .exact import (
     IntPoly,
     LaurentPoly,
     NotIntegral,
     SparseMatrix,
+    _Split,
     char_poly,
     char_polys,
     gram_sum,
@@ -332,6 +335,11 @@ class ChainComplex:
 
     @staticmethod
     def _nonzero_eig_product(chi: IntPoly) -> int:
+        """Product of the nonzero roots of the char poly chi: read off
+        the roots of a certified chi without expanding it, else off its
+        lowest nonzero coefficient."""
+        if isinstance(chi, _Split):
+            return math.prod(lam ** m for lam, m in chi.roots if lam)
         v = chi.valuation()
         rank = chi.degree - v
         c = chi.coeff(v)

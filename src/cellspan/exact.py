@@ -20,9 +20,10 @@ tests' oracles for the sparse path.
 
 numpy is used only for word-size modular arithmetic inside the
 characteristic-polynomial kernel (see char_poly): the products by a
-large sparse matrix of its sparse route, the Hessenberg passes mod p,
-the candidate-root scans, and the products that certify an integral
-char poly.  A matrix becomes an n x n int64 array only for the
+large sparse matrix that give its candidate g, the Hessenberg passes
+mod p that give its candidate chi, the candidate-root scans, and the
+one certificate's products, which prove an integral char poly from
+either candidate.  A matrix becomes an n x n int64 array only for the
 Hessenberg passes; the memo keys on its sparse entries, and every
 product reads its nonzeros in ELL form (_ell: the nonzeros of each row
 as index and value arrays).  The int64 intermediates are exact at every
@@ -36,7 +37,8 @@ Hessenberg passes and certificate products of one side run stacked
 matrix, each layer with its own prime, pivots and roots; the bounds
 hold layer by layer, since no operation mixes two layers.  The
 certificate products run on column blocks of the identity of about
-_BLOCK_ENTRIES = 2^16 entries, so the sparse route holds no n x n array.
+_BLOCK_ENTRIES = 2^16 entries, so a matrix certified from g is never
+an n x n array.
 """
 
 from __future__ import annotations
@@ -768,46 +770,42 @@ def char_poly(m: SparseMatrix) -> IntPoly:
     """det(yI - m), computed exactly, for a square SparseMatrix.
 
     Let R be the largest absolute row sum, so every eigenvalue lies in
-    a Gershgorin disc of radius <= R, and p_0 = _prime(0).  Three routes
-    are tried in turn; each proves what it returns.
+    a Gershgorin disc of radius <= R, and p_0 = _prime(0).  One
+    certificate proves an integral char poly (_certify); it takes its
+    candidate roots from one of two sources.
 
-    The sparse route is tried first when n^2 > _STACK_ENTRIES (n > 128)
-    and 2R + 1 < n: one fixed rule.  It needs only products by m and
-    never holds an n x n array (_sparse_split).  Take s_j = u^T m^j v
-    mod p_0 for j < 2 min(n, 2R + 1), u and v from a generator with a
-    fixed seed, and the least generator g of the s_j by Berlekamp-Massey
-    (Wiedemann, IEEE Trans. IT, 1986).  If g has deg g distinct roots
-    lam in [-R, R] mod p_0, and P = prod_lam (m - lam I) is zero over Z
-    (checked as below), the minimal polynomial of m divides
-    prod (y - lam): m is diagonalisable over Q, each lam with some
-    multiplicity m_lam >= 0.  So for P_k = prod_{t<k} (m - lam_t I),
-    tr P_k = sum_{s>=k} m_s prod_{t<k} (lam_s - lam_t): a triangular
-    system in the m_s, whose diagonal p_0 > 2R keeps nonzero mod p_0.
-    Back-substitution mod p_0 solves it, and p_0 > n pins each m_s in
-    [0, n], so the solution is the one over Z.  The traces come from
-    the products that check P.  Roots of multiplicity 0 are dropped.
-    The seed decides only whether this proof is tried, never the answer,
-    and the products run only under the certificate's work rule below.
+    The certificate.  Take the integers lam in [-R, R] that are roots
+    of a candidate polynomial mod p_0, and check that P = prod_lam
+    (m - lam I) is zero over Z.  Then the minimal polynomial of m
+    divides prod (y - lam): m is diagonalisable over Q, each lam an
+    eigenvalue of some multiplicity m_lam >= 0.  So for P_k = prod_{t<k}
+    (m - lam_t I), tr P_k = sum_{s>=k} m_s prod_{t<k} (lam_s - lam_t): a
+    triangular system in the m_s, whose diagonal p_0 > 2R keeps nonzero
+    mod p_0.  Back-substitution mod p_0 solves it, and p_0 > n pins each
+    m_s in [0, n], so the solution is the one over Z.  Roots of
+    multiplicity 0 are dropped.  Every entry of P is at most B =
+    prod ||m - lam I||_inf in absolute value, so P is zero once it
+    vanishes modulo check primes whose product exceeds 2B; the traces
+    come from the same products (_products_vanish).  The factors
+    multiply column blocks of the identity, m in ELL form (_ell_mul):
+    n nnz(m) multiply-adds a factor, against n^3 densely.  The proof
+    holds whatever the candidate; the candidate decides only whether it
+    succeeds.
 
-    Otherwise, or when that fails, the Hessenberg algorithm runs modulo
-    p_0, and chi is certified from p_0 alone as a product of integer
-    linear factors where the input shows it is cheap (_certify).  Take
-    the integers lam in [-R, R] that are roots of chi mod p_0, with
-    their multiplicities m_lam mod p_0.  If the m_lam add up to n and P
-    is zero over Z, then chi = prod (y - lam)^m_lam: P = 0 makes chi =
-    prod (y - lam)^e_lam over Z, the lam are distinct mod p_0 because
-    p_0 > 2R, and unique factorisation in F_p0[y] gives e_lam = m_lam.
-    The rule counts work.  It is tried when 2R < p_0 (every entry fits
-    int64), 2R < n^2 (the scan of 2R + 1 candidates costs no more than
-    a Hessenberg pass) and CRT needs more than one prime; its products
-    run when the roots account for n and (roots - 1) |check primes|
+    The rule counts work.  The certificate is tried when 2R < p_0
+    (every entry fits int64), n < p_0, 2R < n^2 (the scan of 2R + 1
+    candidates costs no more than a Hessenberg pass) and CRT needs more
+    than one prime; its products run when (roots - 1) |check primes|
     n nnz(m) < (CRT primes - 1) n^3 (_worth_certifying).
 
-    Both check P = 0 the same way (_products_vanish).  Every entry of P
-    is at most B = prod ||m - lam I||_inf in absolute value, so P is zero
-    once it vanishes modulo check primes whose product exceeds 2B.  The
-    factors multiply column blocks of the identity, m in ELL form
-    (_ell_mul): n nnz(m) multiply-adds a factor, against n^3 densely.
+    The candidates.  When n^2 > _STACK_ENTRIES (n > 128) and 2R + 1 < n,
+    one fixed rule, the first is the least generator g of s_j = u^T m^j
+    v mod p_0 for j < 2 min(n, 2R + 1), u and v from a generator with a
+    fixed seed, by Berlekamp-Massey (Wiedemann, IEEE Trans. IT, 1986).
+    It needs only products by m and never holds an n x n array
+    (_generator).  The seed decides only whether the proof succeeds,
+    never the answer.  Otherwise, or when that fails, the candidate is
+    chi mod p_0 from the Hessenberg algorithm.
 
     Last, CRT goes on from the residues mod p_0 over the further primes
     p_1, p_2, ... that the rigorous bound |c_{n-k}| <= C(n,k) R^k asks
@@ -829,10 +827,11 @@ def char_polys(ms) -> list[IntPoly]:
     """[char_poly(m) for m in ms], computed together.
 
     Equal matrices are computed once, and inside a char_poly_memo block
-    so is every matrix seen before.  The rest go through the sparse
-    route one by one, where the rule sends them, then through the p_0
-    passes, the one-prime certificate and CRT (see char_poly) as one
-    batch: each stage runs stacked passes over the matrices of one side.
+    so is every matrix seen before.  The rest go through the stages of
+    char_poly as one batch: the certificate from g where the rule sends
+    a matrix, then the p_0 passes, the certificate from chi and CRT for
+    those left.  Each stage runs stacked passes over the matrices of one
+    side.
     A non-square input raises ValueError before any work is done.
     """
     ms = list(ms)
@@ -923,18 +922,19 @@ def _char_polys(ms) -> list[IntPoly]:
         job = _Job(m)
         if job.R == 0:
             out[idx] = IntPoly([0] * job.n + [1])
-            continue
-        if job.n ** 2 > _STACK_ENTRIES and 2 * job.R + 1 < job.n:  # see char_poly
-            out[idx] = _sparse_split(job)
-        if out[idx] is None:
+        else:
             jobs.append((idx, job))
     p0 = _prime(0)
+    routed = [(idx, job) for idx, job in jobs  # the rule of char_poly
+              if job.n ** 2 > _STACK_ENTRIES and 2 * job.R + 1 < job.n]
+    gs = [(job, _generator(job, p0)) for _, job in routed]
+    for (idx, _), chi in zip(routed, _certify(gs, p0)):
+        out[idx] = chi
+    jobs = [(idx, job) for idx, job in jobs if out[idx] is None]
     first = _passes([(job, p0) for _, job in jobs])
-    # 2R < p_0 < 2^27 bounds every entry, so each tried job is small
-    tries = [k for k, (_, job) in enumerate(jobs)
-             if len(job.primes) > 1 and 2 * job.R < min(p0, job.n ** 2)]
-    for k, chi in zip(tries, _certify([(jobs[k][1], first[k]) for k in tries], p0)):
-        out[jobs[k][0]] = chi
+    chis = [(job, chi) for (_, job), chi in zip(jobs, first)]
+    for (idx, _), chi in zip(jobs, _certify(chis, p0)):
+        out[idx] = chi
     crt = [(idx, job, chi) for (idx, job), chi in zip(jobs, first) if out[idx] is None]
     rest = iter(_passes([(job, p) for _, job, _ in crt for p in job.primes[1:]]))
     for idx, job, chi in crt:
@@ -1000,23 +1000,41 @@ class _Split(IntPoly):
 
 
 def _certify(tries, p: int) -> list:
-    """For each (job, chi) pair, chi = det(yI - m) mod p ascending and
-    2R < p, the char poly certified from p (see char_poly) as a _Split,
-    or None.  Products run stacked, a layer per job and check prime."""
-    found, layers = {}, []
-    scans = _roots_mod([chi for _, chi in tries], [job.R for job, _ in tries], p)
-    for t, ((job, _), pairs) in enumerate(zip(tries, scans)):
-        if sum(mult for _, mult in pairs) != job.n:
+    """For each (job, candidate) pair, the candidate chi or g mod p
+    (ascending coefficients, see char_poly): the char poly certified
+    from the candidate's roots in [-R, R] as a _Split, or None.  A job
+    is tried when 2R < p and n < p_0, and only where the work rules
+    allow (_worth_scanning, _worth_certifying).  The products run
+    stacked, a layer per job and check prime."""
+    p0 = _prime(0)
+    # 2R < p < 2^27 bounds every entry, so each tried job is small
+    ok = [t for t, (job, _) in enumerate(tries)
+          if 2 * job.R < p and job.n < p0 and _worth_scanning(job)]
+    layers = []
+    scans = _roots_mod([tries[t][1] for t in ok], [tries[t][0].R for t in ok], p)
+    for t, roots in zip(ok, scans):
+        job = tries[t][0]
+        if not roots:
             continue
-        roots = [lam for lam, _ in pairs]
-        check = _check_primes(job, roots)
+        check = _check_primes(job, roots) or [p0]  # check[0] is p_0
         if _worth_certifying(job, len(roots), len(check)):
-            found[t] = pairs
-            layers += [(job, roots, q, t) for q in check]  # none if m = lam I
+            layers += [(job, roots, q, t) for q in check]
     layers.sort(key=lambda layer: -len(layer[1]))
-    failed = {layer[3] for layer, tr in zip(layers, _products_vanish(layers)) if tr is None}
-    return [_Split(found[t]) if t in found and t not in failed else None
-            for t in range(len(tries))]
+    found = list(zip(layers, _products_vanish(layers)))
+    failed = {t for (*_, t), tr in found if tr is None}
+    out = [None] * len(tries)
+    for (_, roots, q, t), tr in found:
+        if q != p0 or t in failed:
+            continue
+        # tr P_k = sum_{s >= k} m_s prod_{i < k} (lam_s - lam_i), solved
+        # mod p_0 from the last k down
+        mults = [0] * len(roots)
+        for k in reversed(range(len(roots))):
+            acc = tr[k] - sum(mults[s] * math.prod(roots[s] - roots[i] for i in range(k))
+                              for s in range(k + 1, len(roots)))
+            mults[k] = acc * pow(math.prod(roots[k] - roots[i] for i in range(k)), -1, p0) % p0
+        out[t] = _Split((lam, mult) for lam, mult in zip(roots, mults) if mult)
+    return out
 
 
 def _check_primes(job, roots: list) -> list:
@@ -1033,6 +1051,12 @@ def _check_primes(job, roots: list) -> list:
     return _primes_over(2 * math.prod(norms.tolist()))
 
 
+def _worth_scanning(job) -> bool:
+    """Whether the scan of the 2R + 1 candidate roots costs no more than
+    a Hessenberg pass (2R < n^2), and CRT needs more than one prime."""
+    return 2 * job.R < job.n ** 2 and len(job.primes) > 1
+
+
 def _worth_certifying(job, roots: int, check: int) -> bool:
     """Whether (roots - 1) products by m mod each check prime, n nnz(m)
     each, cost less than the n^3 of each Hessenberg pass CRT needs."""
@@ -1041,12 +1065,11 @@ def _worth_certifying(job, roots: int, check: int) -> bool:
 
 
 def _roots_mod(chis, Rs, p: int) -> list:
-    """For each chi mod p (ascending coefficients) and its R, the (lam,
-    multiplicity) pairs of the roots lam in [-R, R], ascending; 2R < p
-    keeps them distinct mod p.  One Horner scan runs at every candidate
-    of every chi of one length at once; synthetic division, for the
-    multiplicities, runs only at the candidates that hit."""
-    out = [None] * len(chis)
+    """For each polynomial mod p (ascending coefficients) and its R, the
+    roots lam in [-R, R], ascending; 2R < p keeps them distinct mod p.
+    One Horner scan runs at every candidate of every polynomial of one
+    length at once."""
+    out = [[] for _ in chis]
     lengths: dict = {}
     for t, chi in enumerate(chis):
         lengths.setdefault(len(chi), []).append(t)
@@ -1060,25 +1083,9 @@ def _roots_mod(chis, Rs, p: int) -> list:
             val *= x
             val += c[owner]
             val %= p
-        hits = [[] for _ in ts]
         hit = np.flatnonzero(val == 0)
         for i, lam in zip(owner[hit].tolist(), cands[hit].tolist()):
-            hits[i].append(lam)
-        for t, lams in zip(ts, hits):
-            pairs, rem = [], chis[t]
-            for lam in lams:
-                mult = 0
-                while len(rem) > 1:  # synthetic division by (y - lam) mod p
-                    quot, acc = [], 0
-                    for c in reversed(rem):
-                        acc = (acc * lam + c) % p
-                        quot.append(acc)
-                    if quot.pop():
-                        break
-                    rem = quot[::-1]
-                    mult += 1
-                pairs.append((lam, mult))
-            out[t] = pairs
+            out[ts[i]].append(lam)
     return out
 
 
@@ -1189,46 +1196,25 @@ def _ell_mul(ell, m, q):
 
 
 def _projections(n: int):
-    """The vectors u and v of the sparse route: residues below 2^26 from
+    """The vectors u and v of the generator g: residues below 2^26 from
     a generator with a fixed seed."""
     rng = random.Random(0)
     return np.array([rng.getrandbits(26) for _ in range(2 * n)], dtype=np.int64).reshape(2, n)
 
 
-def _sparse_split(job):
-    """The char poly of a job certified from products by its sparse
-    matrix alone (see char_poly), as a _Split, or None."""
-    n, R, p = job.n, job.R, _prime(0)
-    if not (2 * R < p and n < p):
-        return None
+def _generator(job, p: int) -> list:
+    """The least generator g of s_j = u^T m^j v mod p for j < 2 min(n,
+    2R + 1) (see char_poly), ascending coefficients, from products by
+    the job's sparse matrix alone; its entries must be small."""
     r, c, v = job.coo
     order = np.argsort(r, kind="stable")
-    one = _ell(r[order], c[order], v[order] % p, n)
-    u, x = _projections(n)
+    ell = _ell(r[order], c[order], v[order] % p, job.n)
+    u, x = _projections(job.n)
     q, seq = np.array([p], dtype=np.int64), []
-    for _ in range(2 * min(n, 2 * R + 1)):
+    for _ in range(2 * min(job.n, 2 * job.R + 1)):
         seq.append(int(_dot_mod(u, x, p)))
-        x = _ell_mul(one, x[None, :, None], q)[0, :, 0]
-    g = _least_generator(seq, p)
-    pairs = _roots_mod([g], [R], p)[0]
-    if not pairs or len(pairs) < len(g) - 1:
-        return None
-    roots = [lam for lam, _ in pairs]
-    check = _check_primes(job, roots) or [p]  # check[0] is p
-    if not _worth_certifying(job, len(roots), len(check)):
-        return None
-    found = _products_vanish([(job, roots, q) for q in check])
-    if None in found:
-        return None
-    # tr P_k = sum_{s >= k} m_s prod_{t < k} (lam_s - lam_t), solved mod
-    # p from the last k down
-    mults = [0] * len(roots)
-    for k in reversed(range(len(roots))):
-        acc = found[0][k]
-        for s in range(k + 1, len(roots)):
-            acc -= mults[s] * math.prod(roots[s] - roots[t] for t in range(k))
-        mults[k] = acc * pow(math.prod(roots[k] - roots[t] for t in range(k)), -1, p) % p
-    return _Split((lam, mult) for lam, mult in zip(roots, mults) if mult)
+        x = _ell_mul(ell, x[None, :, None], q)[0, :, 0]
+    return _least_generator(seq, p)
 
 
 def _least_generator(seq: list, p: int) -> list:

@@ -24,7 +24,7 @@ from cellspan.chain import (
     tot_split_holds,
     ud_du_shift_holds,
 )
-from cellspan.exact import LaurentPoly, NotIntegral, SparseMatrix, char_poly_memo
+from cellspan.exact import IntPoly, LaurentPoly, NotIntegral, SparseMatrix, char_poly_memo
 
 
 def edge():
@@ -142,6 +142,21 @@ def test_pi_omega_conventions():
     for k in range(1, c.dim + 1):
         assert c.omega(k) == c.pi(k) * c.pi(k + 1)
     assert c.omega(0) == c.pi(1)
+
+
+def test_eigenvalue_products_read_a_certified_char_poly_off_its_roots():
+    """pi and omega of cube:6 and cube:7 equal the formula on the
+    coefficients of chi, and leave a certified chi (a _Split)
+    unexpanded: its roots give the product."""
+    for n, ks in ((6, range(7)), (7, (3,))):
+        c = cube(n, cap=n).to_chain()
+        for k in ks:
+            for value, key in ((c.omega(k), (k, "tot")), (c.pi(k + 1), (k, "ud"))):
+                chi = c.char_polynomial(*key)
+                if isinstance(chi, exact._Split):
+                    assert chi._coeffs is None, (n, key)
+                assert value == ChainComplex._nonzero_eig_product(IntPoly(chi.coeffs)), (n, key)
+        assert isinstance(c.char_polynomial(3, "tot"), exact._Split)
 
 
 def test_pi_on_torsion_complex():

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import math
 import pkgutil
@@ -966,13 +967,17 @@ def _crt_only(m):
         return char_poly(m)
 
 
-def _split(m, p=None):
-    """_certify on m from its char poly mod p (default p_0), with no
-    work rule to stop it."""
+def _certified(m, source, p=None):
+    """_certify on m from one candidate mod p (default p_0): "chi", its
+    char poly, or "g", the least generator of u^T m^j v; with no work
+    rule to stop it."""
     p = exact._prime(0) if p is None else p
-    chi = _charpoly_layer(m.rows(), m.nrows, p)
-    with mock.patch.object(exact, "_worth_certifying", return_value=True):
-        return exact._certify([(exact._Job(m), chi)], p)[0]
+    job = exact._Job(m)
+    cand = (_charpoly_layer(m.rows(), m.nrows, p) if source == "chi"
+            else exact._generator(job, p))
+    with mock.patch.object(exact, "_worth_scanning", return_value=True), \
+            mock.patch.object(exact, "_worth_certifying", return_value=True):
+        return exact._certify([(job, cand)], p)[0]
 
 
 @st.composite
@@ -1014,7 +1019,7 @@ def test_split_char_poly_against_crt_and_interpolation(m):
     want = char_poly_interpolate(m)
     assert _crt_only(m) == want
     assert char_poly(m) == want
-    got = _split(m)
+    got = _certified(m, "chi")
     if got is not None:
         assert got == want
     if m == m.transpose():
@@ -1035,14 +1040,16 @@ def test_crt_primes_cover_the_largest_binomial_term():
 
 def test_split_char_poly_needs_the_product_check():
     """chi = y^2 - 20 does not split over Z, but mod 101 it is
-    (y - 11)(y + 11) with 11 in [-R, R] = [-20, 20].  Only the check
-    prod (m - lam I) = -101 I != 0 stops the one-prime route."""
+    (y - 11)(y + 11) with 11 in [-R, R] = [-20, 20], and so is the
+    generator g.  From either, only the check prod (m - lam I) = -101 I
+    != 0 stops the certificate."""
     m = mat([[0, 20], [1, 0]])
     assert _charpoly_layer(m.rows(), 2, 101) == [v % 101 for v in (-121, 0, 1)]
-    assert _split(m, p=101) is None
+    assert exact._generator(exact._Job(m), 101) == [v % 101 for v in (-121, 0, 1)]
+    assert _certified(m, "chi", p=101) is None and _certified(m, "g", p=101) is None
     assert char_poly(m) == IntPoly([-20, 0, 1])
     # the same prime certifies a split matrix
-    assert _split(mat([[3, 0], [0, -5]]), p=101) == IntPoly.from_roots([(3, 1), (-5, 1)])
+    assert _certified(mat([[3, 0], [0, -5]]), "chi", p=101) == IntPoly.from_roots([(3, 1), (-5, 1)])
 
 
 def _spied(m):
@@ -1096,10 +1103,15 @@ def wide_range_matrices(draw, max_side=6):
 @example(mat([[1000 * (i == j) for j in range(4)] for i in range(4)]))
 def test_wide_candidate_range_skips_the_one_prime_route(m):
     """With 2R >= n^2 the candidate scan would cost more than a
-    Hessenberg pass, so the route is never tried."""
-    chi, calls, _ = _spied(m)
-    assert calls == []
-    assert chi == _crt_only(m) == char_poly_interpolate(m)
+    Hessenberg pass, so _certify scans no candidate, whatever the
+    product rule says."""
+    scan = mock.Mock(side_effect=exact._roots_mod)
+    chi = _charpoly_layer(m.rows(), m.nrows, exact._prime(0))
+    with mock.patch.object(exact, "_roots_mod", scan), \
+            mock.patch.object(exact, "_worth_certifying", return_value=True):
+        assert exact._certify([(exact._Job(m), chi)], exact._prime(0)) == [None]
+    assert all(call.args[0] == [] for call in scan.call_args_list)
+    assert char_poly(m) == _crt_only(m) == char_poly_interpolate(m)
 
 
 def test_cube_laplacians_are_certified_from_one_prime():
@@ -1364,23 +1376,12 @@ def root_scans(draw):
 @given(root_scans())
 def test_stacked_root_scan_matches_division_poly_by_poly(scan):
     """One scan over every poly of one length, as _certify runs it,
-    finds for each the roots in [-R, R] with their multiplicities, as
-    repeated division mod p finds them poly by poly."""
+    finds for each the roots in [-R, R], as division by y - lam mod p
+    finds them poly by poly."""
     chis, radii = scan
     p = exact._prime(0)
-    want = []
-    for chi, R in zip(chis, radii):
-        pairs = []
-        for lam in range(-R, R + 1):
-            mult, rem = 0, IntPoly(chi)
-            while rem.degree > 0:
-                quot, r = rem.divide_linear(lam)
-                if r % p:
-                    break
-                rem, mult = IntPoly([c % p for c in quot.coeffs]), mult + 1
-            if mult:
-                pairs.append((lam, mult))
-        want.append(pairs)
+    want = [[lam for lam in range(-R, R + 1) if IntPoly(chi).divide_linear(lam)[1] % p == 0]
+            for chi, R in zip(chis, radii)]
     assert exact._roots_mod(chis, radii, p) == want
 
 
@@ -1388,27 +1389,22 @@ def test_stacked_root_scan_matches_division_poly_by_poly(scan):
 # the sparse route: a generator of u^T m^j v, proved by the products
 
 
-def _route(m):
-    """The sparse route called directly on m, whatever its side, with no
-    work rule to stop it."""
-    with mock.patch.object(exact, "_worth_certifying", return_value=True):
-        return exact._sparse_split(exact._Job(m))
-
-
 def _forced(m, worth=True):
-    """char_poly(m) with every matrix of 2R + 1 < n sent to the sparse
-    route, whatever its side, and the work rule answering worth; and
-    what the route returned."""
+    """char_poly(m) with every matrix of 2R + 1 < n routed, whatever its
+    side, and the work rule answering worth; and what _certify returned
+    for the routed candidates g, its first call."""
     returned = []
-    real = exact._sparse_split
+    real = exact._certify
 
-    def spy(job):
-        returned.append(real(job))
-        return returned[-1]
+    def spy(tries, p):
+        out = real(tries, p)
+        if not returned:
+            returned.extend(out)
+        return out
 
     with mock.patch.object(exact, "_STACK_ENTRIES", 0), \
             mock.patch.object(exact, "_worth_certifying", return_value=worth), \
-            mock.patch.object(exact, "_sparse_split", spy):
+            mock.patch.object(exact, "_certify", spy):
         chi = char_poly(m)
     return chi, returned
 
@@ -1437,7 +1433,7 @@ def test_sparse_route_against_interpolation_and_crt(m):
     spectrum is integral, since a symmetric matrix is diagonalisable."""
     want = char_poly_interpolate(m)
     assert _crt_only(m) == want
-    got = _route(m)
+    got = _certified(m, "g")
     if got is not None:
         assert isinstance(got, exact._Split) and got == want
         assert all(mult > 0 for _, mult in got.roots)
@@ -1463,6 +1459,39 @@ def test_sparse_route_falls_back_on_a_non_integral_or_defective_input():
         assert returned == [None]
         assert chi == _crt_only(m) == char_poly_interpolate(m)
     assert chi == IntPoly.from_roots([(2, 12)])
+
+
+@functools.cache
+def _cube_laplacian(n, i, family):
+    return cube(n).to_chain().laplacian(i, family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(psd_int_matrices().filter(lambda m: m.nrows > 0),
+                 certificate_inputs().filter(lambda m: m == m.transpose()),
+                 st.sampled_from([(n, i, fam) for n in (2, 3, 4) for i in range(n + 1)
+                                  for fam in ("ud", "du", "tot")])
+                 .map(lambda key: _cube_laplacian(*key))))
+@example(_path_laplacian(12))
+# eigenvalues far apart: tr P_4 is 2.3 10^15, so its residue mod p_0 is
+# not the trace, and only the solve mod p_0 finds the multiplicities
+@example(_signed_conjugate(_diag(-3000, -3000, 0, 500, 500, 500, 2000, 7000).rows(),
+                           [3, 0, 6, 1, 7, 2, 5, 4], [1, -1, 1, 1, -1, 1, -1, 1]))
+def test_both_candidates_certify_the_same_split(m):
+    """On a symmetric matrix, chi mod p_0 and the generator g certify
+    equal _Splits exactly when the spectrum is integral: the same roots
+    with the same multiplicities, none 0, and the char poly CRT gives."""
+    want = _crt_only(m)
+    from_chi, from_g = _certified(m, "chi"), _certified(m, "g")
+    R = max(sum(abs(v) for v in r) for r in m.rows())
+    if _integer_root_count(want, R) < m.nrows:
+        assert from_chi is None and from_g is None
+    else:
+        assert isinstance(from_chi, exact._Split) and isinstance(from_g, exact._Split)
+        assert from_chi.roots == from_g.roots
+        assert all(mult > 0 for _, mult in from_chi.roots)
+        assert sum(mult for _, mult in from_chi.roots) == m.nrows
+        assert from_chi == want
 
 
 def test_sparse_route_falls_back_on_a_degenerate_projection():
@@ -1507,10 +1536,10 @@ def test_sparse_route_of_a_scalar_matrix_and_negative_eigenvalues():
 
 
 def test_sparse_route_refuses_an_entry_past_the_int64_set_up():
-    """An entry of 2^31 puts 2R past p_0: the route hands back at once,
+    """An entry of 2^31 puts 2R past p_0: _certify hands back at once,
     and the char poly comes from CRT."""
     m = mat([[2**31, 1, 0], [1, 2**31, 0], [0, 0, 3]])
-    assert _route(m) is None
+    assert _certified(m, "chi") is None
     assert char_poly(m) == char_poly_interpolate(m)
 
 
@@ -1592,7 +1621,7 @@ def test_spectrum_of_a_certified_char_poly_against_integer_roots(m, scan):
     """Read off the certificate, the spectrum has integer_roots' keys in
     its order: roots up to _ROOT_SCAN ascending, then the larger ones
     from the largest down; a negative root makes it NotIntegral."""
-    chi = _split(m) or char_poly(m)
+    chi = _certified(m, "chi") or char_poly(m)
     with mock.patch.object(exact, "_ROOT_SCAN", scan):
         got, want = exact.spectrum_of(chi), exact.integer_roots(chi)
     if isinstance(want, NotIntegral):
