@@ -9,6 +9,7 @@ compact separators, or aligned text tables.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -410,8 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing leaves it as it
+    was, and help text reads the terminal width when it is printed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as e:

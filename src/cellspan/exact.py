@@ -7,8 +7,11 @@ point enters any computation.
 There is one integer matrix type, SparseMatrix: one {row: value} dict
 of Python ints per column.  Chain complexes keep their boundaries and
 Laplacians this way; ranks, Smith forms and char polys read it
-directly.  The dense eliminations (det_exact, _rank_dense, _smith_dense,
+directly.  The dense routines (det_exact, _rank_dense, _smith_dense,
 and the oracles det_fraction and det_ring) take a plain list of rows.
+det_exact is multimodular: it lifts det by CRT from its residues mod
+the fewest leading primes whose product exceeds twice the Hadamard
+bound prod_i ||row_i||_2 (see dets_exact).
 
 Ranks and Smith forms start with a sparse elimination of +-1 pivots in
 Markowitz order (_eliminate_units), each pivot one invariant factor 1,
@@ -18,27 +21,30 @@ column operations, which keep the rank and the Smith form, and a +-1
 pivot keeps every entry an integer.  The dense routines are also the
 tests' oracles for the sparse path.
 
-numpy is used only for word-size modular arithmetic inside the
-characteristic-polynomial kernel (see char_poly): the products by a
+numpy is used only for word-size modular arithmetic: the eliminations
+mod p of det_exact (_det_stack), and inside the
+characteristic-polynomial kernel (see char_poly) the products by a
 large sparse matrix that give its candidate g, the Hessenberg passes
 mod p that give its candidate chi, the candidate-root scans, and the
 one certificate's products, which prove an integral char poly from
 either candidate.  A matrix becomes an n x n int64 array only for the
-Hessenberg passes; the memo keys on its sparse entries, and every
-product reads its nonzeros in ELL form (_ell: the nonzeros of each row
-as index and value arrays).  The int64 intermediates are exact at every
-side.  Residues are below 2^27, so each product is below 2^54, and
-every sum of products adds at most _DOT_BLOCK = 511 of them before it
-is reduced mod p, which stays below 2^63: the dense dot products
-(_dot_mod) cut their inner axis into blocks of 511, and the products
-by a stack in ELL form (_ell_mul) reduce after at most 511 terms.
-Hessenberg passes and certificate products of one side run stacked
-(_stacks), at most _STACK_ENTRIES = 2^14 entries a stack or one larger
-matrix, each layer with its own prime, pivots and roots; the bounds
-hold layer by layer, since no operation mixes two layers.  The
-certificate products run on column blocks of the identity of about
-_BLOCK_ENTRIES = 2^16 entries, so a matrix certified from g is never
-an n x n array.
+eliminations and the Hessenberg passes; the memo keys on its sparse
+entries, and every product reads its nonzeros in ELL form (_ell: the
+nonzeros of each row as index and value arrays).  The int64
+intermediates are exact at every side.  Residues are below 2^27, so
+each product is below 2^54, and every sum of products adds at most
+_DOT_BLOCK = 511 of them before it is reduced mod p, which stays below
+2^63: the dense dot products (_dot_mod) cut their inner axis into
+blocks of 511, the products by a stack in ELL form (_ell_mul) reduce
+after at most 511 terms, and an elimination reduces its trailing block
+before its 512th rank-1 update.  Hessenberg passes and certificate
+products of one side run stacked (_stacks), at most _STACK_ENTRIES =
+2^14 entries a stack or one larger matrix, and so do the eliminations
+of one side, at most _DET_ENTRIES = 2^20 entries a stack, each layer
+with its own prime, pivots and roots; the bounds hold layer by layer,
+since no operation mixes two layers.  The certificate products run on
+column blocks of the identity of about _BLOCK_ENTRIES = 2^16 entries,
+so a matrix certified from g is never an n x n array.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ __all__ = [
     "NotIntegral",
     "LaurentPoly",
     "det_exact",
+    "dets_exact",
     "det_fraction",
     "det_ring",
     "rank_exact",
@@ -129,9 +136,9 @@ class SparseMatrix:
     It is the one integer matrix type of the package: boundaries of
     chain complexes and their Laplacians are stored this way, and
     rank_exact, smith_normal_form and char_poly take it.  from_rows
-    builds one from dense rows and rows() gives them back; the dense
-    eliminations (det_exact and the rests of rank_exact and
-    smith_normal_form) take plain lists of rows.
+    builds one from dense rows and rows() gives them back; det_exact
+    and the dense rests of rank_exact and smith_normal_form take plain
+    lists of rows.
     """
 
     __slots__ = ("cols", "nrows", "ncols")
@@ -200,37 +207,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols})"
-
-
-def det_exact(rows) -> int:
-    """Determinant of a square matrix, given as a list of integer rows,
-    by fraction-free (Bareiss) elimination.  Exact."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, n):
-                ri[j] = (pkk * ri[j] - aik * rk[j]) // prev
-            ri[k] = 0
-        prev = pkk
-    return sign * a[n - 1][n - 1]
 
 
 def _eliminate_units(m: SparseMatrix):
@@ -970,15 +946,17 @@ def _passes(pairs) -> list:
 def _crt(residues, primes) -> IntPoly:
     """The polynomial with the given coefficient residues modulo each
     prime, lifted to the symmetric range."""
-    coeffs = []
-    for k in range(len(residues[0])):
-        x, mod = 0, 1
-        for res, p in zip(residues, primes):
-            t = (res[k] - x) * pow(mod, -1, p) % p
-            x += mod * t
-            mod *= p
-        coeffs.append(x - mod if x > mod // 2 else x)
-    return IntPoly(coeffs)
+    return IntPoly(_lift(col, primes) for col in zip(*residues))
+
+
+def _lift(residues, primes) -> int:
+    """The integer x with x = residues[i] mod primes[i] for each i, in
+    the symmetric range (-M/2, M/2], M the product of the primes."""
+    x, mod = 0, 1
+    for r, p in zip(residues, primes):
+        x += mod * ((r - x) * pow(mod, -1, p) % p)
+        mod *= p
+    return x - mod if x > mod // 2 else x
 
 
 class _Split(IntPoly):
@@ -1254,8 +1232,8 @@ def char_poly_interpolate(m: SparseMatrix) -> IntPoly:
         return IntPoly([1])
     rows = m.rows()
     xs = list(range(n + 1))
-    ys = [det_exact([[x * (i == j) - v for j, v in enumerate(r)] for i, r in enumerate(rows)])
-          for x in xs]
+    ys = dets_exact([[x * (i == j) - v for j, v in enumerate(r)] for i, r in enumerate(rows)]
+                    for x in xs)
     # Newton's divided differences over Q, then expand
     coefs = [Fraction(y) for y in ys]
     for j in range(1, n + 1):
@@ -1366,6 +1344,138 @@ def spectrum_of(chi: IntPoly):
 
 
 # ---------------------------------------------------------------------------
+# determinant (exact, CRT over the primes of the Hadamard bound)
+
+# A stacked elimination (_det_stack) holds at most this many entries
+# (8 MB), or one matrix when a single one is larger: every prime of a
+# matrix of side 111 fits one stack, and larger stacks ran no faster.
+_DET_ENTRIES = 2**20
+
+
+def det_exact(rows) -> int:
+    """Determinant of a square matrix, given as a list of integer rows,
+    by multimodular elimination.  Exact: det mod the fewest leading
+    primes whose product exceeds 2 (isqrt(H^2) + 1), H = prod_i
+    ||row_i||_2 the Hadamard bound, lifted by CRT to the symmetric
+    range.  dets_exact([rows])[0]; see there."""
+    return dets_exact([rows])[0]
+
+
+def dets_exact(ms) -> list[int]:
+    """[det_exact(m) for m in ms], each m a list of integer rows,
+    computed together by multimodular elimination.  Exact.
+
+    By Hadamard's inequality |det m| <= H = prod_i ||row_i||_2.  H^2 is
+    computed exactly (a zero row gives det 0 at once), and det m is
+    lifted by CRT, in the symmetric range, from its residues modulo the
+    fewest leading primes _prime(0), _prime(1), ... whose product exceeds
+    2 (isqrt(H^2) + 1) > 2H.  The residues come from Gaussian
+    eliminations mod p (_det_stack), one layer per (matrix, prime), the
+    layers of one side stacked: at most _DET_ENTRIES entries a stack, or
+    one matrix.  A non-square input raises ValueError before any work is
+    done.
+    """
+    ms = list(ms)
+    if any(len(r) != len(m) for m in ms for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    out = [1] * len(ms)
+    sides: dict = {}
+    for i, m in enumerate(ms):
+        if m:
+            sides.setdefault(len(m), []).append(i)
+    for n, idxs in sides.items():
+        try:
+            mats = np.array([ms[i] for i in idxs], dtype=np.int64)
+        except OverflowError:  # an entry beyond int64: residues in Python
+            mats = None
+        if mats is not None and n * max(int(mats.max()), -int(mats.min())) ** 2 < 2**63:
+            norms = (mats * mats).sum(axis=2).tolist()
+        else:
+            norms = [[sum(int(x) ** 2 for x in r) for r in ms[i]] for i in idxs]
+        plan, layers = [], []
+        for t, (i, sq) in enumerate(zip(idxs, norms)):
+            h2 = math.prod(sq)
+            if h2 == 0:
+                out[i] = 0
+                continue
+            primes = _primes_over(2 * (math.isqrt(h2) + 1))
+            plan.append((i, primes))
+            layers += [(t, p) for p in primes]
+        residues = []
+        step = max(1, _DET_ENTRIES // (n * n))
+        for s in range(0, len(layers), step):
+            chunk = layers[s:s + step]
+            p = np.array([q for _, q in chunk], dtype=np.int64)
+            if mats is not None:
+                a = mats[[t for t, _ in chunk]]  # a copy, reduced in place
+                a %= p[:, None, None]
+            else:
+                a = np.array([[[x % q for x in r] for r in ms[idxs[t]]] for t, q in chunk],
+                             dtype=np.int64)
+            residues += _det_stack(a, p).tolist()
+        rest = iter(residues)
+        for i, primes in plan:
+            out[i] = _lift([next(rest) for _ in primes], primes)
+    return out
+
+
+def _det_stack(a, p):
+    """det a[b] mod p[b] for each layer b of a stack, by Gaussian
+    elimination; a (B,) int64 array.
+
+    a is a (B, n, n) int64 array whose layer b holds residues mod the
+    prime p[b] < 2^27, and is overwritten; p is a (B,) int64 array.
+    Each layer takes as pivot the first nonzero of its column on or
+    below the diagonal, swaps its own rows and flips its own sign; a
+    layer with no pivot has det 0 and takes no update.  Only the pivot
+    column and the pivot row are reduced every step.  The trailing block
+    takes rank-1 updates f u^T, f and u residues, so each product is
+    below 2^54, and is reduced before its _DOT_BLOCK + 1-st unreduced
+    update: its entries stay in (-511 * 2^54, 2^27), inside int64, as in
+    _dot_mod.  An update spans the rows and columns up to the last
+    nonzero of f and of u in any layer, so a banded matrix costs work in
+    proportion to its band.
+    """
+    n = a.shape[1]
+    primes = p.tolist()
+    p1, p2 = p[:, None], p[:, None, None]
+    det = np.ones(a.shape[0], dtype=np.int64)
+    lazy = 0  # updates of the trailing block since it was last reduced
+    for k in range(n):
+        col = a[:, k:, k]
+        col %= p1
+        r = (col != 0).argmax(axis=1)
+        if np.count_nonzero(r):
+            swap = np.flatnonzero(r)
+            rows = r[swap] + k
+            top = a[swap, k, k:]
+            a[swap, k, k:] = a[swap, rows, k:]
+            a[swap, rows, k:] = top
+            det[swap] = p[swap] - det[swap]
+        piv = a[:, k, k]
+        det = det * piv % p
+        if k == n - 1:
+            break
+        u = a[:, k, k + 1:]
+        u %= p1
+        inv = np.array([pow(x, -1, q) if x else 0 for x, q in zip(piv.tolist(), primes)],
+                       dtype=np.int64)
+        f = col[:, 1:] * inv[:, None] % p1
+        live_r, live_c = f.any(axis=0), u.any(axis=0)
+        hr = live_r.size - int(live_r[::-1].argmax())
+        hc = live_c.size - int(live_c[::-1].argmax())
+        if not (live_r[hr - 1] and live_c[hc - 1]):
+            continue
+        block = a[:, k + 1:, k + 1:]
+        if lazy == _DOT_BLOCK:
+            block %= p2
+            lazy = 0
+        block[:, :hr, :hc] -= f[:, :hr, None] * u[:, None, :hc]
+        lazy += 1
+    return det
+
+
+# ---------------------------------------------------------------------------
 # ring-generic determinant (for polynomial matrices)
 
 
@@ -1413,8 +1523,9 @@ def det_ring(rows):
     pattern alone (_expansion_order) so that few rows are open at once;
     a symmetric permutation leaves the determinant unchanged.  Entries
     may be ints, Fractions or LaurentPoly.  Meant for the polynomial
-    Laplacian minors, which stay small; as it never divides, it is also
-    an independent check on the Bareiss det_exact.
+    Laplacian minors, which stay small; as it works over the ring
+    itself, never dividing nor reducing mod a prime, it is also an
+    independent check on the multimodular det_exact.
     """
     n = len(rows)
     if n == 0:

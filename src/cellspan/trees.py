@@ -26,7 +26,7 @@ from fractions import Fraction
 from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
                       weight_vars, xi_weight)
-from .exact import LaurentPoly, det_exact, det_ring, gen_binom
+from .exact import LaurentPoly, det_exact, det_ring, dets_exact, gen_binom
 
 BRUTE_CAP = 10 ** 6
 MATRIX_SIDE_CAP = 4096
@@ -558,8 +558,8 @@ def submatrix_det_properties(x, k: int) -> dict:
     cert_s: dict = {}
     checked = 0
     failures = []
-    for rs, cs in pairs:
-        det = det_exact([[b[i][j] for j in cs] for i in rs])
+    dets = dets_exact([[b[i][j] for j in cs] for i in rs] for rs, cs in pairs)
+    for (rs, cs), det in zip(pairs, dets):
         if cs not in cert_t:
             cert_t[cs] = is_cst(xs, k, [k_labels[j] for j in cs])
         tc = cert_t[cs]

@@ -353,6 +353,21 @@ def test_seed_is_refused_where_nothing_is_random(capsys, argv):
     assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
+def test_the_parser_is_built_once_per_process(capsys):
+    """main reuses one parser; help, usage errors and their exit codes
+    are those of a freshly built parser, after other calls too."""
+    from cellspan import cli
+    assert cli._parser() is cli._parser()
+    run(capsys, "spectrum", "--input", "cube:2", "--dim", "1")
+    for argv in (["--help"], ["trees", "--help"], ["trees", "--bogus"], []):
+        got = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            got.append((exc.value.code, capsys.readouterr()))
+        assert got[0] == got[1]
+
+
 @pytest.mark.parametrize("rows, message", [
     ([["x"], [1]], "invalid literal for int() with base 10: 'x'"),
     ([[None], [1]], "int() argument must be a string, a bytes-like object "

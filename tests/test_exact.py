@@ -491,6 +491,104 @@ def test_det_ring_laurent_against_evaluated_det(rows, point):
 
 
 @st.composite
+def det_int_matrices(draw, max_side=12):
+    """Square integer matrices of side 0..max_side with small entries,
+    or some entries past +-2^63; some singular (a repeated row or a zero
+    column), some with a leading entry that is a nonzero multiple of
+    _prime(0), so that only the layer of that prime swaps rows."""
+    n = draw(st.integers(0, max_side))
+    small = st.one_of(st.just(0), st.integers(-3, 3))
+    huge = st.one_of(st.integers(-2**80, -2**63 - 1), st.integers(2**63, 2**80))
+    entry = st.one_of(small, small, huge) if draw(st.booleans()) else small
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("plain", "equal-rows", "zero-column", "zero-pivot")))
+    if n >= 2 and kind == "equal-rows":
+        rows[n - 1] = list(rows[draw(st.integers(0, n - 2))])
+    elif n and kind == "zero-column":
+        j = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[j] = 0
+    elif n and kind == "zero-pivot":
+        rows[0][0] = exact._prime(0) * draw(st.sampled_from((0, 1, -1, exact._prime(1))))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_int_matrices())
+def test_det_exact_against_fractions(rows):
+    assert det_exact(rows) == det_fraction(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(det_int_matrices(max_side=6), max_size=8))
+def test_dets_exact_batch_equals_single_calls(ms):
+    assert exact.dets_exact(iter(ms)) == [det_exact(m) for m in ms]
+
+
+def test_det_exact_rejects_non_square_in_a_batch():
+    with pytest.raises(ValueError, match="non-square"):
+        exact.dets_exact([[[1]], [[1, 2], [3]]])
+    assert exact.dets_exact([]) == []
+
+
+def sylvester(order):
+    """The Sylvester-Hadamard matrix of a power-of-two order."""
+    h = [[1]]
+    while len(h) < order:
+        h = [r + r for r in h] + [r + [-v for v in r] for r in h]
+    return h
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 8, 16])
+def test_det_exact_on_hadamard_matrices_meets_the_bound(order):
+    """|det| = H = order^(order/2) for a Hadamard matrix, and stays H
+    with its first row scaled by s.  For s chosen so that H falls just
+    below the product M of the first j primes, the CRT range must cover
+    2H: primes whose product only exceeds H (here M itself) would lift
+    det = +-H to -+(M - H)."""
+    h = sylvester(order)
+    base = order ** (order // 2)
+    assert abs(det_exact(h)) == base
+    for j in (1, 2, 3):
+        m = math.prod(exact._prime(i) for i in range(j))
+        if 4 * base >= m:
+            continue
+        s = (m - 2) // base
+        scaled = [[s * v for v in h[0]]] + h[1:]
+        assert m // 2 < s * base < m - 1
+        assert det_exact(scaled) == det_fraction(scaled)
+        assert abs(det_exact(scaled)) == s * base
+
+
+def test_det_exact_of_a_large_tridiagonal_matrix():
+    """2 on the diagonal and -1 beside it: det = side + 1, past 511
+    elimination steps.  Its -1 entries are the residues p - 1, the
+    largest there are.  A signed permutation of its rows changes only
+    the sign: here rows 2, 0, 1 move to the top (an even permutation)
+    and the new first row, zero in column 0, is negated, so every layer
+    swaps rows at the first step."""
+    n = 1200
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(n)]
+    assert det_exact(rows) == n + 1
+    signed = [[-v for v in rows[2]], rows[0], rows[1]] + rows[3:]
+    assert det_exact(signed) == -(n + 1)
+
+
+def test_det_stack_reduces_the_trailing_block_in_time():
+    """A = L U mod p, L unit lower and U unit upper triangular with p - 1
+    off the diagonal, so det A = 1 mod p.  Eliminating A takes the
+    diagonal as pivots, the multipliers of L and the rows of U: every
+    step subtracts (p - 1)^2 ~ 2^54 from every trailing entry, so the
+    entries past 511 steps overflow int64 unless the block is reduced
+    at least every 511 updates."""
+    n, p = 640, exact._prime(0)
+    idx = np.arange(n)
+    a = np.minimum.outer(idx, idx) - 1 + 2 * np.eye(n, dtype=np.int64)
+    assert exact._det_stack((a % p)[None], np.array([p], dtype=np.int64)).tolist() == [1]
+
+
+@st.composite
 def product_shapes(draw, entry, max_side=5):
     """Matrices a (nr x k) and b (k x nc), all sides at least 1."""
     nr, k, nc = (draw(st.integers(1, max_side)) for _ in range(3))
