@@ -273,11 +273,6 @@ class ChainComplex:
         """All reduced Betti numbers vanish below the top dimension."""
         return all(self.betti(j) == 0 for j in self.homology_range() if j < self.dim)
 
-    def z_apc_below(self, k: int) -> bool:
-        """Vanishing integer homology (Betti and torsion) below k."""
-        return all(self.betti(j) == 0 and self.torsion_order(j) == 1
-                   for j in self.homology_range() if j < k)
-
     # -- Laplacians and spectra
 
     def laplacian(self, i: int, family: str) -> SparseMatrix:

@@ -4,8 +4,11 @@ A k-tree of X is a set T of k-cells such that Y = T plus the full
 (k-1)-skeleton has trivial top homology, finite homology one below,
 and the forced cell count; any two of the three force the third.
 Engines: brute-force subset scan, reduced-Laplacian determinant with
-torsion correction, alternating product of eigenvalue products, and
-the closed form for full cubes.  All arithmetic exact.
+torsion correction, the cellular matrix-tree theorem
+pi_j = tau_j tau_(j-1) / t_(j-2)^2 (t_i the torsion order of reduced
+H_i) solved upward from tau_(-1) = 1, which without torsion is the
+alternating product of the pi_j, and the closed form for full cubes.
+All arithmetic exact.
 
 The brute engine tests each candidate with one determinant.  Fix a
 (k-1)-tree U, the first basis of the boundary columns one dimension
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
@@ -74,6 +76,8 @@ class TreeQuery:
             raise ValueError("closed-form method applies to full cubes only")
         if weighted and not isinstance(complex, CubicalComplex):
             raise ValueError("weighted enumeration needs a cubical complex")
+        if weighted and method not in ("brute", "matrix-tree"):
+            raise ValueError(f"weighted enumeration has no {method} method")
         self.complex = complex
         self.chain = _as_chain(complex)
         _skeleton(self.chain, k, lo=1 if weighted else 0, apc=False)
@@ -241,13 +245,16 @@ def _greedy_u(xs: ChainComplex, k: int):
     return _pivot_columns(xs.homology_boundary(k - 1)), xs.labels(k - 1)
 
 
+def _torsion_two_below(c: ChainComplex, k: int) -> int:
+    """t_(k-2): the torsion order of reduced H_(k-2) of c, 1 when k < 2."""
+    return c.torsion_order(k - 2) if k >= 2 else 1
+
+
 def _torsions(xs: ChainComplex, k: int, u_cells) -> tuple:
     """(t_X, t_U): torsion orders of H_(k-2) of X and of the
     (k-2)-skeleton plus the (k-1)-tree U."""
-    if k < 2:
-        return 1, 1
-    xu = xs.with_top_cells(k - 1, u_cells)
-    return xs.torsion_order(k - 2), xu.torsion_order(k - 2)
+    xu = xs.with_top_cells(k - 1, u_cells) if k >= 2 else xs
+    return _torsion_two_below(xs, k), _torsion_two_below(xu, k)
 
 
 def _torsion_scaled(value, t_x: int, t_u: int):
@@ -357,22 +364,17 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
 
 
 def tau_alternating(x, k: int) -> int:
-    """Alternating product of the nonzero up-down eigenvalue products.
-    Valid only when integer homology vanishes below k; refuses
-    otherwise (torsion silently breaks the identity)."""
-    xs = _skeleton(x, k, apc=False)
-    if not xs.z_apc_below(k):
-        raise ValueError("integer homology does not vanish below k")
-    val = Fraction(1)
-    for i in range(k + 1):
-        p = xs.pi(i)
-        if (k - i) % 2 == 0:
-            val *= p
-        else:
-            val /= p
-    if val.denominator != 1:
-        raise ArithmeticError("alternating product is not an integer")
-    return int(val)
+    """tau_j = pi_j t_(j-2)^2 / tau_(j-1) for j = 0..k from tau_(-1) = 1
+    on the APC k-skeleton, t_i = |tors H_i| (1 for i < 0); with no
+    torsion below k, the alternating product pi_k / pi_(k-1) * ... ."""
+    xs = _skeleton(x, k)
+    tau = 1
+    for j in range(k + 1):
+        t = _torsion_two_below(xs, j)
+        tau, rem = divmod(xs.pi(j) * t * t, tau)
+        if rem:
+            raise ArithmeticError("alternating product is not an integer")
+    return tau
 
 
 def tau_cube_closed_form(n: int, k: int) -> int:
@@ -533,7 +535,7 @@ def cmtt_pi_identity_holds(x, d: int | None = None) -> bool:
     c = _as_chain(x)
     if d is None:
         d = c.dim
-    t = c.torsion_order(d - 2) if d - 2 >= 0 else 1
+    t = _torsion_two_below(c, d)
     lhs = c.pi(d) * t * t
     rhs = tau_matrix_tree(c, d).tau * tau_matrix_tree(c, d - 1).tau
     return lhs == rhs
@@ -550,7 +552,7 @@ def submatrix_det_properties(x, k: int) -> dict:
     k_labels = xs.labels(k)
     r_labels = xs.labels(k - 1)
     size = cst_target_size(xs, k)
-    t_amb = xs.torsion_order(k - 2) if k - 2 >= 0 else 1
+    t_amb = _torsion_two_below(xs, k)
     col_sets = list(itertools.combinations(range(len(k_labels)), size))
     row_sets = list(itertools.combinations(range(len(r_labels)), size))
     pairs = [(rs, cs) for rs in row_sets for cs in col_sets]

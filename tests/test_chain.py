@@ -111,8 +111,6 @@ def test_homology_rp2():
     assert c.homology(1) == HomologySummary(1, 0, 2)
     assert c.homology(2) == HomologySummary(2, 0, 1)
     assert c.is_apc()
-    assert c.z_apc_below(2) is False  # torsion in dimension 1
-    assert c.z_apc_below(1) is True
     assert [c.torsion_order(j) for j in c.homology_range()] == [1, 2, 1]
 
 

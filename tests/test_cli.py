@@ -133,6 +133,27 @@ def test_trees_closed_form_is_checked_before_k(capsys):
     assert err == "error: closed-form method applies to full cubes only\n"
 
 
+def test_trees_alternating_answers_through_torsion(capsys):
+    """H_1(rp2) = Z/2 lies below k = 2; the engine takes the same APC
+    rule as matrix-tree and gives its count."""
+    rc, out, err = run(capsys, "trees", "--input", "rp2", "--k", "2",
+                       "--method", "alternating-product")
+    assert (rc, err) == (0, "")
+    assert '"tau":"4"' in out
+
+
+def test_trees_engines_share_one_apc_rule(capsys, tmp_path):
+    """A circle of squares has H_1 = Z below k = 2; every counting
+    engine refuses it with the same message."""
+    p = tmp_path / "circle.json"
+    p.write_text(json.dumps({"vertices": 3, "facets": [[1, 2], [1, 3]]}))
+    for method in ("brute", "matrix-tree", "alternating-product"):
+        rc, out, err = run(capsys, "trees", "--input", str(p), "--k", "2",
+                           "--method", method)
+        assert (rc, out) == (2, ""), method
+        assert err == "error: skeleton is not acyclic in positive codimension\n"
+
+
 def test_weighted_trees_q1(capsys):
     rc, out, _ = run(capsys, "weighted-trees", "--input", "cube:1",
                      "--k", "1", "--method", "matrix-tree")

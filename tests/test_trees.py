@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellspan import trees
-from cellspan.chain import ChainComplex
+from cellspan.chain import ChainComplex, product
 from cellspan.colorful import colorful_complex
 from cellspan.corpus import colorful_corpus, identity_corpus, mirror_corpus
 from cellspan.cubical import cube, mirror, weight_vars
@@ -167,8 +167,49 @@ def test_alternating_values():
     assert tau_alternating(cube(3), 2) == 6
     assert tau_alternating(cube(3), 3) == 1
     assert tau_alternating(vertex(), 0) == 1
-    with pytest.raises(ValueError):
-        tau_alternating(rp2(), 2)  # torsion below the top dimension
+    assert tau_alternating(rp2(), 2) == 4  # torsion below the top dimension
+
+
+@pytest.mark.parametrize("factor, counts", [
+    (rp2(), {2: 16, 3: 8, 4: 4}),
+    (cube(2).to_chain(), {0: 4, 1: 4, 2: 1152, 3: 8, 4: 1}),
+    (cube(1).to_chain(), {0: 2, 1: 1, 2: 24, 3: 1}),
+])
+def test_tree_counts_of_products_with_rp2(factor, counts):
+    """rp2 x F has H_1 = Z/2, below every k >= 2, where the recursion
+    needs the paper's torsion factor to match the determinant engine."""
+    c = product(rp2(), factor)
+    for k, tau in counts.items():
+        assert tau_matrix_tree(c, k).tau == tau_alternating(c, k) == tau, k
+
+
+PRODUCT_FACTORS = [
+    rp2(), cube(1).to_chain(), cube(2).to_chain(),
+    mirror(2, [[1], [2]]).to_chain(),
+    mirror(3, [[1, 2], [1, 3]]).to_chain(),
+    mirror(3, [[1, 2], [3]]).to_chain(),
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(PRODUCT_FACTORS), st.sampled_from(PRODUCT_FACTORS))
+def test_engines_agree_on_products(a, b):
+    """Brute force, matrix-tree and the recursion give one count at
+    every k the APC rule accepts, torsion included, and refuse the same
+    k."""
+    c = product(a, b)
+    for k in range(c.dim + 1):
+        try:
+            mt = tau_matrix_tree(c, k).tau
+        except ValueError:
+            with pytest.raises(ValueError):
+                tau_alternating(c, k)
+            continue
+        assert tau_alternating(c, k) == mt, k
+        try:
+            assert enumerate_trees(TreeQuery(c, k, cap=20_000)).tau == mt, k
+        except CapExceeded:
+            pass
 
 
 def test_engine_agreement_cubes():
@@ -196,6 +237,12 @@ def test_run_query_dispatch():
         TreeQuery(cube(2), 5)
     with pytest.raises(ValueError):
         TreeQuery(rp2(), 1, weighted=True)
+
+
+@pytest.mark.parametrize("method", ["alternating-product", "closed-form"])
+def test_weighted_query_needs_an_enumerating_method(method):
+    with pytest.raises(ValueError, match=f"no {method} method"):
+        TreeQuery(cube(2), 1, method=method, weighted=True)
 
 
 def test_report_json():
