@@ -37,6 +37,9 @@ FAMILIES = ("ud", "du", "tot")
 # JSON values that parse to Python numbers but are not integers.
 _NOT_INTEGERS = frozenset((float, bool))
 
+# The one column of the implicit augmentation, shared by every complex.
+_AUGMENTATION = {0: 1}
+
 # char_polynomials holds Laplacians with at most about this many entries
 # in all before it computes their char polys together.
 _PENDING_ENTRIES = 2**15
@@ -152,7 +155,7 @@ class ChainComplex:
         self._spec: dict = {}
         self._chi: dict = {}
         self._hom: dict = {}
-        self._rank: dict = {}
+        self._aug = None
         if check:
             bad = self.validate()
             if bad is not None:
@@ -190,8 +193,10 @@ class ChainComplex:
         """Boundary used for reduced homology: dimension 0 gets the
         implicit all-ones augmentation when no (-1)-cell is stored."""
         if i == 0 and not self.empty_cell:
-            n0 = self.n_cells(0)
-            return SparseMatrix([{0: 1} for _ in range(n0)], 1 if n0 else 0)
+            if self._aug is None:
+                n0 = self.n_cells(0)
+                self._aug = SparseMatrix([_AUGMENTATION] * n0, 1 if n0 else 0)
+            return self._aug
         return self.sparse_boundary(i)
 
     # -- validation
@@ -238,18 +243,10 @@ class ChainComplex:
         if not (lo <= i <= self.dim):
             raise ValueError(f"dimension {i} out of range [{lo}, {self.dim}]")
 
-    def _boundary_rank(self, i: int) -> int:
-        """Rank of homology_boundary(i), computed once per boundary."""
-        if i not in self._rank:
-            self._rank[i] = rank_exact(self.homology_boundary(i))
-        return self._rank[i]
-
     def homology(self, i: int) -> HomologySummary:
         self._check_dim(i)
         if i not in self._hom:
-            # the invariant factors give the rank of the boundary too
             factors = smith_normal_form(self.homology_boundary(i + 1))
-            self._rank.setdefault(i + 1, len(factors))
             torsion = 1
             for f in factors:
                 if f > 1:
@@ -260,7 +257,8 @@ class ChainComplex:
     def betti(self, i: int) -> int:
         """Reduced Betti number from the boundary ranks alone."""
         self._check_dim(i)
-        return self.n_cells(i) - self._boundary_rank(i) - self._boundary_rank(i + 1)
+        return (self.n_cells(i) - rank_exact(self.homology_boundary(i))
+                - rank_exact(self.homology_boundary(i + 1)))
 
     def torsion_order(self, i: int) -> int:
         return self.homology(i).torsion

@@ -7,19 +7,21 @@ point enters any computation.
 There is one integer matrix type, SparseMatrix: one {row: value} dict
 of Python ints per column.  Chain complexes keep their boundaries and
 Laplacians this way; ranks, Smith forms and char polys read it
-directly.  The dense routines (det_exact, _rank_dense, _smith_dense,
-and the oracles det_fraction and det_ring) take a plain list of rows.
-det_exact is multimodular: it lifts det by CRT from its residues mod
-the fewest leading primes whose product exceeds twice the Hadamard
-bound prod_i ||row_i||_2 (see dets_exact).
+directly.  The dense routines (det_exact, _smith_dense, and the oracles
+det_fraction and det_ring) take a plain list of rows.  det_exact is
+multimodular: it lifts det by CRT from its residues mod the fewest
+leading primes whose product exceeds twice the Hadamard bound
+prod_i ||row_i||_2 (see dets_exact).
 
 Ranks and Smith forms start with a sparse elimination of +-1 pivots in
 Markowitz order (_eliminate_units), each pivot one invariant factor 1,
-and finish the rows left with the dense gcd routines (_rank_dense,
-_smith_dense).  The elimination is a sequence of unimodular row and
-column operations, which keep the rank and the Smith form, and a +-1
-pivot keeps every entry an integer.  The dense routines are also the
-tests' oracles for the sparse path.
+which the matrix keeps, so each matrix is reduced once for both.  The
+rows left are finished by the Bareiss echelon (_Echelon, which also
+chooses the trees' U and scans their candidates) for the rank and by
+the dense gcd routine _smith_dense for the Smith form.  The
+elimination is a sequence of unimodular row and column operations,
+which keep the rank and the Smith form, and a +-1 pivot keeps every
+entry an integer.  _smith_dense is also the tests' oracle for both.
 
 numpy is used only for word-size modular arithmetic: the eliminations
 mod p of det_exact (_det_stack), and inside the
@@ -137,16 +139,18 @@ class SparseMatrix:
     chain complexes and their Laplacians are stored this way, and
     rank_exact, smith_normal_form and char_poly take it.  from_rows
     builds one from dense rows and rows() gives them back; det_exact
-    and the dense rests of rank_exact and smith_normal_form take plain
-    lists of rows.
+    and the Smith form of the dense rest take plain lists of rows.
+    `_reduced` keeps the unit elimination that rank_exact and
+    smith_normal_form share (_unit_reduction), None until first used.
     """
 
-    __slots__ = ("cols", "nrows", "ncols")
+    __slots__ = ("cols", "nrows", "ncols", "_reduced")
 
     def __init__(self, cols, nrows: int):
         self.cols = cols
         self.nrows = nrows
         self.ncols = len(cols)
+        self._reduced = None
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "SparseMatrix":
@@ -273,13 +277,23 @@ def _eliminate_units(m: SparseMatrix):
     return units, [[rows[i].get(j, 0) for j in keep] for i in live]
 
 
+def _unit_reduction(m: SparseMatrix):
+    """The (units, rest) of _eliminate_units(m), computed on first use
+    and kept by m, so rank_exact and smith_normal_form reduce each
+    matrix once between them, whichever is asked first and however many
+    complexes share it."""
+    if m._reduced is None:
+        m._reduced = _eliminate_units(m)
+    return m._reduced
+
+
 def rank_exact(m: SparseMatrix) -> int:
     """Rank over Q of a SparseMatrix: the unit pivots of
-    _eliminate_units plus the rank of what they leave (_rank_dense).
-    The elimination is a sequence of row and column operations over Z,
-    which keep the rank."""
-    units, rest = _eliminate_units(m)
-    return units + _rank_dense(rest)
+    _eliminate_units plus the rank of what they leave, the columns that
+    the Bareiss echelon (_pivot_columns) keeps.  The elimination is a
+    sequence of row and column operations over Z, which keep the rank."""
+    units, rest = _unit_reduction(m)
+    return units + len(_pivot_columns(SparseMatrix.from_rows(rest)))
 
 
 def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
@@ -292,47 +306,87 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
     (_smith_dense).  Boundaries of cubical and simplicial complexes have
     +-1 entries and few nonzeros per column, so the rest is small.
     """
-    units, rest = _eliminate_units(m)
+    units, rest = _unit_reduction(m)
     return (1,) * units + _smith_dense(rest)
 
 
-def _rank_dense(rows) -> int:
-    """Rank over Q of a list of integer rows, via integer row echelon
-    with gcd normalization.  rank_exact's solver for the rest after unit
-    pivots, and the tests' oracle for rank_exact."""
-    rows = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    top = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(top, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        pv = rows[top][c]
-        for i in range(top + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                g = math.gcd(pv, f)
-                m1, m2 = pv // g, f // g
-                ri, rt = rows[i], rows[top]
-                for j in range(c, ncols):
-                    ri[j] = m1 * ri[j] - m2 * rt[j]
-                gg = 0
-                for v in ri:
-                    gg = math.gcd(gg, v)
-                if gg > 1:
-                    for j in range(c, ncols):
-                        ri[j] //= gg
-        top += 1
-        rank += 1
-        if top == len(rows):
-            break
-    return rank
+class _Echelon:
+    """Fraction-free (Bareiss) echelon form of sparse integer vectors
+    ({position: value}) added one at a time and removed in stack order.
+
+    Stored row k has zeros at the pivot positions of rows 0..k-1, and
+    each of its entries is, up to sign, a (k+1)-minor of the first k+1
+    vectors (Sylvester's identity), so every division below is exact.
+    Rows are stored with a positive pivot, which changes only signs.
+    """
+
+    def __init__(self):
+        self.rows: list = []
+        self.pivots: list = []
+
+    def reduce(self, v: dict) -> dict:
+        """v reduced by every stored row: an empty dict iff v lies in
+        their span.  After d stored rows each entry is, up to sign, the
+        (d+1)-minor of the stored vectors and v over the pivot positions
+        plus the entry's own; on d+1 vectors of length d+1 the single
+        entry left is the determinant up to sign."""
+        # Bareiss skips a step whose pivot position v misses by scaling
+        # v by p_k / p_(k-1); a run of skipped steps telescopes, so v is
+        # kept unscaled and `div` is the pivot of the step before its
+        # stage.
+        div = 1
+        rows = self.rows
+        for k, c in enumerate(self.pivots):
+            x = v.get(c)
+            if not x:
+                continue
+            rk = rows[k]
+            p = rk[c]
+            w = dict(v) if p == 1 else {j: p * a for j, a in v.items()}
+            for j, a in rk.items():
+                y = w.get(j, 0) - x * a
+                if y:
+                    w[j] = y
+                else:
+                    del w[j]
+            v = w if div == 1 else {j: a // div for j, a in w.items()}
+            div = p
+        last = self.det()
+        if last != div:
+            v = {j: a * last // div for j, a in v.items()}
+        return v
+
+    def det(self) -> int:
+        """The last stored pivot: |det| of the stored vectors over their
+        pivot positions (1 when none is stored)."""
+        return self.rows[-1][self.pivots[-1]] if self.rows else 1
+
+    def push(self, v: dict) -> None:
+        """Store a nonzero vector returned by reduce."""
+        c = min(v)
+        if v[c] < 0:
+            v = {j: -a for j, a in v.items()}
+        self.rows.append(v)
+        self.pivots.append(c)
+
+    def pop(self) -> None:
+        self.rows.pop()
+        self.pivots.pop()
+
+
+def _pivot_columns(b) -> list:
+    """Indices of the lexicographically first basis of the column space
+    of a SparseMatrix: one incremental elimination in
+    column order keeps each column that is independent of those before
+    it."""
+    ech = _Echelon()
+    picked: list = []
+    for j, col in enumerate(b.cols):
+        v = ech.reduce(col)
+        if v:
+            ech.push(v)
+            picked.append(j)
+    return picked
 
 
 def _smith_dense(rows) -> tuple[int, ...]:

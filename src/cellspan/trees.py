@@ -17,7 +17,8 @@ forced size is a k-tree iff det d[Ubar, T] != 0, and then its torsion
 is t_T = |det| t_X / t_U, the Cauchy-Binet step of the simplicial
 matrix-tree theorem (Duval-Klivans-Martin).  The candidates are
 scanned depth first with incremental elimination, so a prefix with
-dependent columns is never extended.
+dependent columns is never extended.  U and the scan use exact's
+Bareiss echelon (_Echelon), the one that finishes rank_exact too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import math
 from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
                       weight_vars, xi_weight)
-from .exact import LaurentPoly, det_exact, det_ring, dets_exact, gen_binom
+from .exact import (LaurentPoly, _Echelon, _pivot_columns, det_exact, det_ring,
+                    dets_exact, gen_binom)
 
 BRUTE_CAP = 10 ** 6
 MATRIX_SIDE_CAP = 4096
@@ -94,14 +96,12 @@ class TreeQuery:
 class TreeReport:
     """Result of a tree computation, JSON-ready."""
 
-    def __init__(self, tau, method: str, trees=None, u_cells=None,
-                 per_tree=None, u_size_ok=None):
+    def __init__(self, tau, method: str, trees=None, u_cells=None, per_tree=None):
         self.tau = tau
         self.method = method
         self.trees = trees
         self.u_cells = tuple(u_cells) if u_cells is not None else None
         self.per_tree = tuple(per_tree) if per_tree is not None else ()
-        self.u_size_ok = u_size_ok
 
     def to_json_dict(self) -> dict:
         tau = self.tau.to_json_dict() if isinstance(self.tau, LaurentPoly) else str(self.tau)
@@ -157,85 +157,6 @@ def is_cst(x, k: int, T) -> CstCertificate:
 
 # ---------------------------------------------------------------------------
 # engines
-
-
-class _Echelon:
-    """Fraction-free (Bareiss) echelon form of sparse integer vectors
-    ({position: value}) added one at a time and removed in stack order.
-
-    Stored row k has zeros at the pivot positions of rows 0..k-1, and
-    each of its entries is, up to sign, a (k+1)-minor of the first k+1
-    vectors (Sylvester's identity), so every division below is exact.
-    Rows are stored with a positive pivot, which changes only signs.
-    """
-
-    def __init__(self):
-        self.rows: list = []
-        self.pivots: list = []
-
-    def reduce(self, v: dict) -> dict:
-        """v reduced by every stored row: an empty dict iff v lies in
-        their span.  After d stored rows each entry is, up to sign, the
-        (d+1)-minor of the stored vectors and v over the pivot positions
-        plus the entry's own; on d+1 vectors of length d+1 the single
-        entry left is the determinant up to sign."""
-        # Bareiss skips a step whose pivot position v misses by scaling
-        # v by p_k / p_(k-1); a run of skipped steps telescopes, so v is
-        # kept unscaled and `div` is the pivot of the step before its
-        # stage.
-        div = 1
-        rows = self.rows
-        for k, c in enumerate(self.pivots):
-            x = v.get(c)
-            if not x:
-                continue
-            rk = rows[k]
-            p = rk[c]
-            w = dict(v) if p == 1 else {j: p * a for j, a in v.items()}
-            for j, a in rk.items():
-                y = w.get(j, 0) - x * a
-                if y:
-                    w[j] = y
-                else:
-                    del w[j]
-            v = w if div == 1 else {j: a // div for j, a in w.items()}
-            div = p
-        last = self.det()
-        if last != div:
-            v = {j: a * last // div for j, a in v.items()}
-        return v
-
-    def det(self) -> int:
-        """The last stored pivot: |det| of the stored vectors over their
-        pivot positions (1 when none is stored)."""
-        return self.rows[-1][self.pivots[-1]] if self.rows else 1
-
-    def push(self, v: dict) -> None:
-        """Store a nonzero vector returned by reduce."""
-        c = min(v)
-        if v[c] < 0:
-            v = {j: -a for j, a in v.items()}
-        self.rows.append(v)
-        self.pivots.append(c)
-
-    def pop(self) -> None:
-        self.rows.pop()
-        self.pivots.pop()
-
-
-def _pivot_columns(b) -> list:
-    """Indices of the lexicographically first basis of the column space
-    of a SparseMatrix: one incremental elimination in
-    column order keeps each column that is independent of those before
-    it."""
-    ech = _Echelon()
-    picked: list = []
-    for j, col in enumerate(b.cols):
-        v = ech.reduce(col)
-        if v:
-            ech.push(v)
-            picked.append(j)
-    return picked
 
 
 def _greedy_u(xs: ChainComplex, k: int):
@@ -350,17 +271,18 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
     xs = _skeleton(x, k)
     if k == 0:
         n0 = xs.n_cells(0)
-        return TreeReport(n0, "matrix-tree", trees=n0, u_cells=(), u_size_ok=True)
+        return TreeReport(n0, "matrix-tree", trees=n0, u_cells=())
+    # a k-skeleton with no k-cells is refused, as by the brute engine
+    xs._check_dim(k)
     if xs.n_cells(k - 1) > MATRIX_SIDE_CAP:
         raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP,
                           "matrix-tree side cap (MATRIX_SIDE_CAP)")
     lap = xs.laplacian(k - 1, "ud").cols
     det, picked, labels = _reduced_det(xs, k, lambda r, s: lap[r].get(s, 0), det_exact)
-    u_size_ok = len(labels) - len(picked) == xs.n_cells(k) - xs.betti(k)
     u_cells = [labels[j] for j in picked]
     t_x, t_u = _torsions(xs, k, u_cells)
     tau = _torsion_scaled(det, t_x * t_x, t_u * t_u)
-    return TreeReport(tau, "matrix-tree", u_cells=u_cells, u_size_ok=u_size_ok)
+    return TreeReport(tau, "matrix-tree", u_cells=u_cells)
 
 
 def tau_alternating(x, k: int) -> int:

@@ -25,6 +25,7 @@ from cellspan.chain import (
     ud_du_shift_holds,
 )
 from cellspan.exact import IntPoly, LaurentPoly, NotIntegral, SparseMatrix, char_poly_memo
+from cellspan.trees import tau_cube_closed_form, tau_matrix_tree
 
 
 def edge():
@@ -368,7 +369,7 @@ def test_validate_reports_the_least_row_then_column():
 
 def _dense_homology(c, i):
     """Reduced homology from the dense rank and Smith form alone."""
-    rank = lambda j: exact._rank_dense(c.homology_boundary(j).rows())
+    rank = lambda j: len(exact._smith_dense(c.homology_boundary(j).rows()))
     factors = exact._smith_dense(c.homology_boundary(i + 1).rows())
     torsion = 1
     for f in factors:
@@ -393,6 +394,44 @@ def test_homology_of_the_corpus_matches_the_dense_oracle():
             assert h == _dense_homology(c, i), (name, i)
             torsion_seen |= h.torsion > 1
     assert torsion_seen
+
+
+def counting_eliminations(monkeypatch) -> list:
+    """The matrices that exact._eliminate_units reduces from now on, in
+    call order; holding them keeps their ids apart."""
+    seen = []
+    real = exact._eliminate_units
+
+    def counting(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(exact, "_eliminate_units", counting)
+    return seen
+
+
+@pytest.mark.parametrize("homology_first", [True, False])
+def test_each_boundary_is_eliminated_once(monkeypatch, homology_first):
+    """homology(i) reads the Smith form and betti(i) the ranks of the
+    same boundaries; in either order each boundary is reduced once."""
+    seen = counting_eliminations(monkeypatch)
+    c = cube(5).to_chain()
+    for i in c.homology_range():
+        if homology_first:
+            c.homology(i)
+        c.betti(i)
+        c.homology(i)
+    stored = [c.homology_boundary(j) for j in range(c.dim + 1)]
+    assert [sum(m is b for m in seen) for b in stored] == [1] * len(stored)
+    assert len({id(m) for m in seen}) == len(seen)
+
+
+def test_tree_engine_eliminates_no_boundary_twice(monkeypatch):
+    """tau_matrix_tree reads ranks and Smith forms on the skeleton and
+    on a with_top_cells copy, which share their stored boundaries."""
+    seen = counting_eliminations(monkeypatch)
+    assert tau_matrix_tree(cube(5), 3).tau == tau_cube_closed_form(5, 3)
+    assert seen and len({id(m) for m in seen}) == len(seen)
 
 
 def test_char_polynomials_match_char_polynomial_on_the_corpus():

@@ -635,9 +635,9 @@ def rectangular_int_matrices(draw, max_side=7):
 @settings(max_examples=120, deadline=None)
 @given(rectangular_int_matrices())
 def test_rank_is_the_number_of_invariant_factors(m):
-    """Homology takes a boundary's rank from its Smith form when it has
-    one; the two must agree.  On square matrices |det| is the product
-    of the invariant factors."""
+    """rank_exact and smith_normal_form read one unit elimination; the
+    rank must be the number of invariant factors.  On square matrices
+    |det| is the product of the invariant factors."""
     factors = smith_normal_form(m)
     assert rank_exact(m) == len(factors)
     if m.nrows == m.ncols:
@@ -673,10 +673,77 @@ NO_UNIT_ENTRY = (mat([[2, 0], [0, 2]]), mat([[2, 3]]),
 @example(NO_UNIT_ENTRY[3])
 def test_unit_pivots_against_dense_smith_and_rank(m):
     """smith_normal_form and rank_exact (unit pivots, then the dense
-    routines on the rest) against the dense routines on the whole
-    matrix."""
+    Smith form or the Bareiss echelon on the rest) against the dense
+    Smith form of the whole matrix, which gives the rank as its number
+    of factors."""
     assert smith_normal_form(m) == exact._smith_dense(m.rows())
-    assert rank_exact(m) == exact._rank_dense(m.rows())
+    assert rank_exact(m) == len(exact._smith_dense(m.rows()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrices())
+@example(NO_UNIT_ENTRY[2])
+@example(NO_UNIT_ENTRY[3])
+def test_rank_and_smith_form_do_not_depend_on_their_order(m):
+    """The matrix keeps its unit elimination, so the second of the two
+    reads the first one's: either order gives the same rank and Smith
+    form as the dense Smith form, each on a fresh copy of m."""
+    a, b = mat(m.rows(), m.ncols), mat(m.rows(), m.ncols)
+    first = (rank_exact(a), smith_normal_form(a))
+    second = smith_normal_form(b)
+    want = exact._smith_dense(m.rows())
+    assert first == (rank_exact(b), second) == (len(want), want)
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination on Fractions."""
+    a = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def unitless_matrices(draw, max_side=6):
+    """Integer matrices with no +-1 entry, so that the unit elimination
+    leaves all of them to the rest: either a product A B scaled by 2, 3
+    or a factor past 2^63, so that low ranks are common, or entries
+    drawn one by one as multiples of 2, 3 or 2^64 + 2."""
+    nr, nc = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        s = draw(st.sampled_from((2, 3, 3 * 2**62, 2**64 + 2)))
+        a = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(nr)]
+        b = [[draw(st.integers(-3, 3)) for _ in range(nc)] for _ in range(k)]
+        rows = [[s * sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)]
+                for i in range(nr)]
+    else:
+        rows = [[draw(st.integers(-3, 3)) * draw(st.sampled_from((2, 3, 2**64 + 2)))
+                 for _ in range(nc)] for _ in range(nr)]
+    return mat(rows, ncols=nc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unitless_matrices())
+@example(NO_UNIT_ENTRY[0])
+@example(NO_UNIT_ENTRY[1])
+@example(NO_UNIT_ENTRY[2])
+@example(NO_UNIT_ENTRY[3])
+def test_rank_of_the_rest_against_dense_oracles(m):
+    """With no unit entry the whole matrix is the rest, whose rank the
+    Bareiss echelon gives: against the number of dense invariant
+    factors and against elimination over Q."""
+    rows = m.rows()
+    assert exact._eliminate_units(m)[0] == 0
+    assert rank_exact(m) == len(exact._smith_dense(rows)) == fraction_rank(rows)
 
 
 def test_matrices_without_a_unit_entry_keep_their_torsion():
@@ -715,7 +782,7 @@ def test_unit_elimination_on_cube_boundaries_leaves_nothing():
         b = c.sparse_boundary(i)
         units, rest = exact._eliminate_units(b)
         assert rest == []
-        assert units == exact._rank_dense(b.rows())
+        assert units == len(exact._smith_dense(b.rows()))
         assert smith_normal_form(b) == (1,) * units
 
 

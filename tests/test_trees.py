@@ -9,7 +9,8 @@ from cellspan.chain import ChainComplex, product
 from cellspan.colorful import colorful_complex
 from cellspan.corpus import colorful_corpus, identity_corpus, mirror_corpus
 from cellspan.cubical import cube, mirror, weight_vars
-from cellspan.exact import LaurentPoly, SparseMatrix, det_exact, rank_exact
+from cellspan.exact import (LaurentPoly, SparseMatrix, _Echelon, _pivot_columns, det_exact,
+                            rank_exact)
 from cellspan.trees import (
     BRUTE_CAP,
     CapExceeded,
@@ -29,9 +30,7 @@ from cellspan.trees import (
     verify_conjecture,
     weighted_tau_matrix_tree,
     _as_chain,
-    _Echelon,
     _greedy_u,
-    _pivot_columns,
 )
 
 
@@ -140,15 +139,13 @@ def test_matrix_tree_values():
     assert tau_matrix_tree(cube(4), 1).tau == tau_cube_closed_form(4, 1)
     rep = tau_matrix_tree(rp2(), 2)
     assert rep.tau == 4 and rep.u_cells == ()
-    assert rep.u_size_ok
 
 
 def test_matrix_tree_u_is_recorded():
     rep = tau_matrix_tree(cube(2), 1)
     assert rep.u_cells == ("00",)
-    assert rep.u_size_ok
     rep3 = tau_matrix_tree(cube(3), 2)
-    assert len(rep3.u_cells) == 7 and rep3.u_size_ok
+    assert len(rep3.u_cells) == 7
 
 
 def test_matrix_tree_k0():
