@@ -24,29 +24,29 @@ which keep the rank and the Smith form, and a +-1 pivot keeps every
 entry an integer.  _smith_dense is also the tests' oracle for both.
 
 numpy is used only for word-size modular arithmetic: the eliminations
-mod p of det_exact (_det_stack), and inside the
-characteristic-polynomial kernel (see char_poly) the products by a
-large sparse matrix that give its candidate g, the Hessenberg passes
-mod p that give its candidate chi, the candidate-root scans, and the
-one certificate's products, which prove an integral char poly from
-either candidate.  A matrix becomes an n x n int64 array only for the
-eliminations and the Hessenberg passes; the memo keys on its sparse
-entries, and every product reads its nonzeros in ELL form (_ell: the
-nonzeros of each row as index and value arrays).  The int64
-intermediates are exact at every side.  Residues are below 2^27, so
-each product is below 2^54, and every sum of products adds at most
-_DOT_BLOCK = 511 of them before it is reduced mod p, which stays below
-2^63: the dense dot products (_dot_mod) cut their inner axis into
-blocks of 511, the products by a stack in ELL form (_ell_mul) reduce
-after at most 511 terms, and an elimination reduces its trailing block
-before its 512th rank-1 update.  Hessenberg passes and certificate
-products of one side run stacked (_stacks), at most _STACK_ENTRIES =
-2^14 entries a stack or one larger matrix, and so do the eliminations
-of one side, at most _DET_ENTRIES = 2^20 entries a stack, each layer
-with its own prime, pivots and roots; the bounds hold layer by layer,
-since no operation mixes two layers.  The certificate products run on
-column blocks of the identity of about _BLOCK_ENTRIES = 2^16 entries,
-so a matrix certified from g is never an n x n array.
+mod p of det_exact (_det_stack), and inside the char poly kernel (see
+char_poly) the products by a large sparse matrix that give its
+candidate g, the Hessenberg passes mod p that give its candidate chi,
+the candidate-root scans, and the one certificate's products, which
+prove an integral char poly from either candidate.  One driver
+(_passes) runs the eliminations and the Hessenberg passes on stacks of
+_Jobs, the only place where a matrix becomes an n x n int64 array,
+reduced mod p; the memo keys on its sparse entries, and every product
+reads its nonzeros in ELL form (_ell: the nonzeros of each row as
+index and value arrays).  The int64 intermediates are exact at every
+side.  Residues are below 2^27, so each product is below 2^54, and
+every sum of products adds at most _DOT_BLOCK = 511 of them before it
+is reduced mod p, which stays below 2^63: the dense dot products
+(_dot_mod) cut their inner axis into blocks of 511, the products by a
+stack in ELL form (_ell_mul) reduce after at most 511 terms, and an
+elimination reduces its trailing block before its 512th rank-1 update.
+_stacks alone groups layers by side: at most _STACK_ENTRIES = 2^14
+entries a stack for the Hessenberg passes and the certificate
+products, _DET_ENTRIES = 2^20 for the eliminations.  Each layer has
+its own prime, pivots and roots; the bounds hold layer by layer, since
+no operation mixes two layers.  The certificate products run on column
+blocks of the identity of about _BLOCK_ENTRIES = 2^16 entries, so a
+matrix certified from g is never an n x n array.
 """
 
 from __future__ import annotations
@@ -281,9 +281,9 @@ def _unit_reduction(m: SparseMatrix):
     """The (units, rest) of _eliminate_units(m), computed on first use
     and kept by m, so rank_exact and smith_normal_form reduce each
     matrix once between them, whichever is asked first and however many
-    complexes share it."""
+    complexes share it; (0, []) at once for a matrix with no nonzero."""
     if m._reduced is None:
-        m._reduced = _eliminate_units(m)
+        m._reduced = _eliminate_units(m) if any(m.cols) else (0, [])
     return m._reduced
 
 
@@ -889,9 +889,9 @@ def _primes_over(x: int) -> list[int]:
 
 
 class _Job:
-    """A square matrix in char_polys: its side, its nonzero entries
-    (rows, columns, values) column by column, largest absolute row sum R
-    and the CRT primes its coefficient bound asks for.  When small, every
+    """A square matrix in char_polys or dets_exact: its side, nonzero
+    entries (rows, columns, values) column by column, largest absolute
+    row sum R and, set by _char_polys, its CRT primes.  When small, every
     entry is below 2^31 in absolute value and the entries are int64
     arrays; else Python lists."""
 
@@ -918,27 +918,20 @@ class _Job:
                 sums[i] += abs(x)
             self.R = max(sums)
         self.coo = r, c, v
-        # max_k C(n, k) R^k, each term from the one before
-        bound = term = 1
-        for k in range(n):
-            term = term * (n - k) // (k + 1) * self.R
-            bound = max(bound, term)
-        self.primes = _primes_over(2 * bound + 1)
 
     def residues(self, p: int):
-        """The matrix mod p as an n x n int64 array.  A small job builds
-        its dense int64 array once, on first use: only the Hessenberg
-        passes ask for it."""
-        if self.small:
-            if self._dense is None:
-                r, c, v = self.coo
-                self._dense = np.zeros((self.n, self.n), dtype=np.int64)
-                self._dense[r, c] = v
-            return self._dense % p
+        """An n x n int64 array congruent to the matrix mod p: a small
+        job's entries, built once and shared (not to be changed), else
+        its residues mod p.  _passes stacks a copy and reduces that."""
         r, c, v = self.coo
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        a[r, c] = [x % p for x in v]
-        return a
+        if not self.small:
+            a = np.zeros((self.n, self.n), dtype=np.int64)
+            a[r, c] = [x % p for x in v]
+            return a
+        if self._dense is None:
+            self._dense = np.zeros((self.n, self.n), dtype=np.int64)
+            self._dense[r, c] = v
+        return self._dense
 
 
 def _char_polys(ms) -> list[IntPoly]:
@@ -953,6 +946,12 @@ def _char_polys(ms) -> list[IntPoly]:
         if job.R == 0:
             out[idx] = IntPoly([0] * job.n + [1])
         else:
+            # max_k C(n, k) R^k, each term from the one before
+            bound = term = 1
+            for k in range(job.n):
+                term = term * (job.n - k) // (k + 1) * job.R
+                bound = max(bound, term)
+            job.primes = _primes_over(2 * bound + 1)
             jobs.append((idx, job))
     p0 = _prime(0)
     routed = [(idx, job) for idx, job in jobs  # the rule of char_poly
@@ -961,39 +960,44 @@ def _char_polys(ms) -> list[IntPoly]:
     for (idx, _), chi in zip(routed, _certify(gs, p0)):
         out[idx] = chi
     jobs = [(idx, job) for idx, job in jobs if out[idx] is None]
-    first = _passes([(job, p0) for _, job in jobs])
+    first = _passes([(job, p0) for _, job in jobs], _charpoly_stack, _STACK_ENTRIES)
     chis = [(job, chi) for (_, job), chi in zip(jobs, first)]
     for (idx, _), chi in zip(jobs, _certify(chis, p0)):
         out[idx] = chi
     crt = [(idx, job, chi) for (idx, job), chi in zip(jobs, first) if out[idx] is None]
-    rest = iter(_passes([(job, p) for _, job, _ in crt for p in job.primes[1:]]))
+    rest = iter(_passes([(job, p) for _, job, _ in crt for p in job.primes[1:]],
+                        _charpoly_stack, _STACK_ENTRIES))
     for idx, job, chi in crt:
         out[idx] = _crt([chi] + [next(rest) for _ in job.primes[1:]], job.primes)
     return out
 
 
-def _stacks(jobs):
+def _stacks(jobs, entries: int):
     """The positions of the jobs by side, in order, in chunks of at most
-    _STACK_ENTRIES entries or one matrix: the layers of stacked passes."""
+    `entries` matrix entries or one matrix: the layers of the stacked
+    passes and of the certificate products."""
     sides: dict = {}
     for idx, job in enumerate(jobs):
         sides.setdefault(job.n, []).append(idx)
     for n, idxs in sides.items():
-        step = max(1, _STACK_ENTRIES // (n * n))
+        step = max(1, entries // (n * n))
         for s in range(0, len(idxs), step):
             yield idxs[s:s + step]
 
 
-def _passes(pairs) -> list:
-    """det(yI - m) mod p, ascending, for each (job, p) pair, in order,
-    in stacked passes (_stacks)."""
+def _passes(pairs, kernel, entries: int) -> list:
+    """kernel(a, p) for each (job, p) pair, in order: a stacks the
+    residues of the jobs mod their primes p, a layer per pair, at most
+    `entries` entries a stack (_stacks).  kernel: _charpoly_stack or
+    _det_stack."""
     out = [None] * len(pairs)
-    for part in _stacks([job for job, _ in pairs]):
+    for part in _stacks([job for job, _ in pairs], entries):
         chunk = [pairs[i] for i in part]
-        h = np.stack([job.residues(p) for job, p in chunk])
+        a = np.stack([job.residues(p) for job, p in chunk])
         primes = np.array([p for _, p in chunk], dtype=np.int64)
-        for i, chi in zip(part, _charpoly_stack(h, primes).tolist()):
-            out[i] = chi
+        a %= primes[:, None, None]
+        for i, res in zip(part, kernel(a, primes).tolist()):
+            out[i] = res
     return out
 
 
@@ -1135,7 +1139,7 @@ def _products_vanish(layers) -> list:
     counts must not rise along the layers of one side, so a step takes
     a leading slice of its stack."""
     out = [None] * len(layers)
-    for part in _stacks([job for job, *_ in layers]):
+    for part in _stacks([job for job, *_ in layers], _STACK_ENTRIES):
         chunk = [layers[b] for b in part]
         B, n = len(chunk), chunk[0][0].n
         width = [len(roots) for _, roots, *_ in chunk]
@@ -1329,7 +1333,8 @@ def integer_roots(chi: IntPoly):
     are taken from the largest down: bisection over (_ROOT_SCAN, S]
     gives the ceiling of the largest root (_top_root_ceiling), divided
     out as often as it divides; if it does not, that root is not an
-    integer.  The cost is polynomial in the degree and bit length of chi.
+    integer.  The keys ascend.  The cost is polynomial in the degree and
+    bit length of chi.
     """
     eigs: dict[int, int] = {}
     v = chi.valuation()
@@ -1356,7 +1361,7 @@ def integer_roots(chi: IntPoly):
             q, r = rem.divide_linear(top)
     if rem.degree > 0:
         return NotIntegral(chi)
-    return eigs
+    return dict(sorted(eigs.items()))
 
 
 def _top_root_ceiling(p: IntPoly, lo: int, hi: int) -> int:
@@ -1387,14 +1392,13 @@ def integer_spectrum(m: SparseMatrix):
 
 
 def spectrum_of(chi: IntPoly):
-    """integer_roots(chi), keys in its order (up to _ROOT_SCAN ascending,
-    then from the largest down), read off a certified chi (a _Split)."""
+    """integer_roots(chi), keys ascending, read off a certified chi (a
+    _Split) without a division."""
     if not isinstance(chi, _Split):
         return integer_roots(chi)
     if chi.roots[0][0] < 0:
         return NotIntegral(chi)
-    small = [pair for pair in chi.roots if pair[0] <= _ROOT_SCAN]
-    return dict(small + list(chi.roots[len(small):])[::-1])
+    return dict(chi.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -1424,52 +1428,33 @@ def dets_exact(ms) -> list[int]:
     lifted by CRT, in the symmetric range, from its residues modulo the
     fewest leading primes _prime(0), _prime(1), ... whose product exceeds
     2 (isqrt(H^2) + 1) > 2H.  The residues come from Gaussian
-    eliminations mod p (_det_stack), one layer per (matrix, prime), the
-    layers of one side stacked: at most _DET_ENTRIES entries a stack, or
-    one matrix.  A non-square input raises ValueError before any work is
-    done.
+    eliminations mod p (_det_stack), one layer per (matrix, prime), run
+    by the stacked driver of the char polys (_passes) with the
+    elimination's entry budget, _DET_ENTRIES.  A non-square input raises
+    ValueError before any work is done.
     """
     ms = list(ms)
     if any(len(r) != len(m) for m in ms for r in m):
         raise ValueError("determinant of a non-square matrix")
     out = [1] * len(ms)
-    sides: dict = {}
+    plan, pairs = [], []
     for i, m in enumerate(ms):
-        if m:
-            sides.setdefault(len(m), []).append(i)
-    for n, idxs in sides.items():
-        try:
-            mats = np.array([ms[i] for i in idxs], dtype=np.int64)
-        except OverflowError:  # an entry beyond int64: residues in Python
-            mats = None
-        if mats is not None and n * max(int(mats.max()), -int(mats.min())) ** 2 < 2**63:
-            norms = (mats * mats).sum(axis=2).tolist()
-        else:
-            norms = [[sum(int(x) ** 2 for x in r) for r in ms[i]] for i in idxs]
-        plan, layers = [], []
-        for t, (i, sq) in enumerate(zip(idxs, norms)):
-            h2 = math.prod(sq)
-            if h2 == 0:
-                out[i] = 0
-                continue
-            primes = _primes_over(2 * (math.isqrt(h2) + 1))
-            plan.append((i, primes))
-            layers += [(t, p) for p in primes]
-        residues = []
-        step = max(1, _DET_ENTRIES // (n * n))
-        for s in range(0, len(layers), step):
-            chunk = layers[s:s + step]
-            p = np.array([q for _, q in chunk], dtype=np.int64)
-            if mats is not None:
-                a = mats[[t for t, _ in chunk]]  # a copy, reduced in place
-                a %= p[:, None, None]
-            else:
-                a = np.array([[[x % q for x in r] for r in ms[idxs[t]]] for t, q in chunk],
-                             dtype=np.int64)
-            residues += _det_stack(a, p).tolist()
-        rest = iter(residues)
-        for i, primes in plan:
-            out[i] = _lift([next(rest) for _ in primes], primes)
+        if not m:
+            continue
+        job = _Job(SparseMatrix.from_rows(m))
+        sq = [0] * job.n
+        for row, x in zip(job.coo[0], np.asarray(job.coo[2], dtype=object)):  # exact: Python ints
+            sq[row] += x * x
+        h2 = math.prod(sq)
+        if h2 == 0:
+            out[i] = 0
+            continue
+        primes = _primes_over(2 * (math.isqrt(h2) + 1))
+        plan.append((i, primes))
+        pairs += [(job, p) for p in primes]
+    rest = iter(_passes(pairs, _det_stack, _DET_ENTRIES))
+    for i, primes in plan:
+        out[i] = _lift([next(rest) for _ in primes], primes)
     return out
 
 

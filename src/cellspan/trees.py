@@ -55,14 +55,16 @@ def _as_chain(x) -> ChainComplex:
 
 
 def _skeleton(x, k: int, lo: int = 0, apc: bool = True) -> ChainComplex:
-    """The k-skeleton of x, once lo <= k <= dim holds and, with apc,
-    once the skeleton is acyclic in positive codimension."""
+    """The k-skeleton of x, once lo <= k <= dim holds, with apc once
+    the skeleton is acyclic in positive codimension, and once the
+    skeleton has k-cells (_check_dim): the one refusal of every engine."""
     c = _as_chain(x)
     if not (lo <= k <= c.dim):
         raise ValueError(f"k={k} out of range [{lo}, {c.dim}]")
     xs = c.skeleton(k)
     if apc and not xs.is_apc():
         raise ValueError("skeleton is not acyclic in positive codimension")
+    xs._check_dim(k)
     return xs
 
 
@@ -272,8 +274,6 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
     if k == 0:
         n0 = xs.n_cells(0)
         return TreeReport(n0, "matrix-tree", trees=n0, u_cells=())
-    # a k-skeleton with no k-cells is refused, as by the brute engine
-    xs._check_dim(k)
     if xs.n_cells(k - 1) > MATRIX_SIDE_CAP:
         raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP,
                           "matrix-tree side cap (MATRIX_SIDE_CAP)")

@@ -434,6 +434,21 @@ def test_tree_engine_eliminates_no_boundary_twice(monkeypatch):
     assert seen and len({id(m) for m in seen}) == len(seen)
 
 
+@pytest.mark.parametrize("make", [lambda: cube(4).to_chain(), rp2_model],
+                         ids=["cube4", "rp2"])
+def test_no_elimination_of_an_empty_matrix(monkeypatch, make):
+    """betti and homology in every dimension, the boundaries above the
+    top (zero matrices) included, agree with the dense oracle, and no
+    matrix without a nonzero entry reaches _eliminate_units."""
+    seen = counting_eliminations(monkeypatch)
+    c = make()
+    for i in c.homology_range():
+        assert c.homology(i) == _dense_homology(c, i)
+        assert c.betti(i) == _dense_homology(c, i).betti
+    assert c.homology_boundary(c.dim + 1).shape == (c.n_cells(c.dim), 0)
+    assert seen and all(any(m.cols) for m in seen)
+
+
 def test_char_polynomials_match_char_polynomial_on_the_corpus():
     """The batched fill, outside any memo and over several flushes, leaves
     the same char polys as char_polynomial on fresh copies."""

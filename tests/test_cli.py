@@ -154,6 +154,19 @@ def test_trees_engines_share_one_apc_rule(capsys, tmp_path):
         assert err == "error: skeleton is not acyclic in positive codimension\n"
 
 
+@pytest.mark.parametrize("cells", [[["a", "b"], [], ["f"]], [["a"], [], ["f"]]])
+def test_trees_engines_refuse_a_skeleton_with_no_k_cells(capsys, tmp_path, cells):
+    """The 1-skeleton of these complexes has no edges: every engine,
+    the alternating-product one included, refuses k = 1 with one
+    message."""
+    p = tmp_path / "gap.json"
+    p.write_text(json.dumps({"cells": cells, "boundary": {"2": []}}))
+    for method in ("brute", "matrix-tree", "alternating-product"):
+        rc, out, err = run(capsys, "trees", "--input", str(p), "--k", "1",
+                           "--method", method)
+        assert (rc, out, err) == (2, "", "error: dimension 1 out of range [0, 0]\n"), method
+
+
 def test_weighted_trees_q1(capsys):
     rc, out, _ = run(capsys, "weighted-trees", "--input", "cube:1",
                      "--k", "1", "--method", "matrix-tree")

@@ -531,6 +531,73 @@ def test_det_exact_rejects_non_square_in_a_batch():
     assert exact.dets_exact([]) == []
 
 
+@st.composite
+def one_side_batches(draw):
+    """2..6 matrices of one side 1..6, each with entries of one range:
+    below 2^31 (int64 residues), in [2^31, 2^63) (Python residues, as
+    a job is small only below 2^31) or beyond int64; some with a zero
+    row."""
+    n = draw(st.integers(1, 6))
+    ranges = {"small": st.integers(-2**31 + 1, 2**31 - 1),
+              "mid": st.integers(2**31, 2**63 - 1) | st.integers(-2**63 + 1, -2**31),
+              "huge": st.integers(2**63, 2**80) | st.integers(-2**80, -2**63 - 1)}
+    ms = []
+    for _ in range(draw(st.integers(2, 6))):
+        entry = st.one_of(st.just(0), st.integers(-3, 3), ranges[draw(st.sampled_from(list(ranges)))])
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if draw(st.integers(0, 3)) == 0:
+            rows[draw(st.integers(0, n - 1))] = [0] * n
+        ms.append(rows)
+    return ms
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_side_batches())
+def test_dets_exact_stacks_one_side_together(ms):
+    """Every layer of a one-side batch, whatever the range of its
+    matrix's entries, goes into one stack of _det_stack (side <= 6 keeps
+    it far below _DET_ENTRIES); each det equals det_fraction and the
+    single call, a zero row giving 0."""
+    stacks = []
+    real = exact._det_stack
+
+    def spy(a, p):
+        stacks.append(a.shape)
+        return real(a, p)
+
+    with mock.patch.object(exact, "_det_stack", spy):
+        got = exact.dets_exact(ms)
+    live = sum(all(any(r) for r in m) for m in ms)
+    assert len(stacks) == (1 if live else 0)
+    assert live <= (stacks[0][0] if stacks else 0)
+    assert got == [det_fraction(m) for m in ms] == [det_exact(m) for m in ms]
+
+
+def test_every_stacked_kernel_groups_its_layers_through_stacks():
+    """dets_exact, the Hessenberg passes and the certificate products
+    (_products_vanish) all take their stacks from _stacks: the
+    eliminations with the budget _DET_ENTRIES, the others with
+    _STACK_ENTRIES."""
+    budgets = {}
+    real = exact._stacks
+
+    def spy(jobs, entries):
+        seen.add(entries)
+        return real(jobs, entries)
+
+    lap = cube(4).to_chain().laplacian(1, "ud")
+    free = mat([[1, 2, 0], [3, 1, 1], [0, 5, 2]])  # a non-integral spectrum
+    for name, fn in (("dets", lambda: exact.dets_exact([[[2, 1], [1, 3]]] * 3)),
+                     ("hessenberg", lambda: exact.char_polys([free])),
+                     ("certificate", lambda: _certified(lap, "chi"))):
+        seen = budgets[name] = set()
+        with mock.patch.object(exact, "_stacks", spy):
+            fn()
+    assert budgets == {"dets": {exact._DET_ENTRIES},
+                       "hessenberg": {exact._STACK_ENTRIES},
+                       "certificate": {exact._STACK_ENTRIES}}
+
+
 def sylvester(order):
     """The Sylvester-Hadamard matrix of a power-of-two order."""
     h = [[1]]
@@ -1193,11 +1260,16 @@ def test_split_char_poly_against_crt_and_interpolation(m):
 
 
 def test_crt_primes_cover_the_largest_binomial_term():
-    """_Job builds the terms C(n, k) R^k of the coefficient bound one
-    from the other; the primes are those of the bound from scratch."""
+    """_char_polys builds the terms C(n, k) R^k of a job's coefficient
+    bound one from the other; the primes it gives the job, read off its
+    first stacked pass, are those of the bound from scratch."""
     for n in (1, 2, 5, 17, 40):
         for R in (1, 3, 40, 2**31 + 5):
-            job = exact._Job(mat([[R * (i == j) for j in range(n)] for i in range(n)]))
+            spy = mock.Mock(side_effect=exact._passes)
+            with mock.patch.object(exact, "_passes", spy):
+                chi = char_poly(mat([[R * (i == j) for j in range(n)] for i in range(n)]))
+            assert chi == IntPoly.from_roots([(R, n)])
+            job = spy.call_args_list[0].args[0][0][0]
             bound = max(gen_binom(n, k) * R**k for k in range(n + 1))
             assert job.R == R
             assert job.primes == exact._primes_over(2 * bound + 1)
@@ -1724,7 +1796,7 @@ def test_sparse_route_holds_no_square_array():
             tracemalloc.stop()
     assert n == 672 and chi.roots == tuple((2 * j, math.comb(7, j) * math.comb(j, 2))
                                            for j in range(2, 8))
-    assert all(call.args == ([],) for call in spy.call_args_list)
+    assert all(call.args[0] == [] for call in spy.call_args_list)
     assert peak < 8 * n * n
 
 
@@ -1784,8 +1856,8 @@ def test_integer_roots_of_huge_eigenvalues():
 @given(certificate_inputs(), st.sampled_from((0, 1, 4, 2**16)))
 def test_spectrum_of_a_certified_char_poly_against_integer_roots(m, scan):
     """Read off the certificate, the spectrum has integer_roots' keys in
-    its order: roots up to _ROOT_SCAN ascending, then the larger ones
-    from the largest down; a negative root makes it NotIntegral."""
+    its order, ascending, whatever _ROOT_SCAN; a negative root makes it
+    NotIntegral."""
     chi = _certified(m, "chi") or char_poly(m)
     with mock.patch.object(exact, "_ROOT_SCAN", scan):
         got, want = exact.spectrum_of(chi), exact.integer_roots(chi)
