@@ -29,11 +29,13 @@ import math
 from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
                       weight_vars, xi_weight)
-from .exact import (LaurentPoly, _Echelon, _pivot_columns, det_exact, det_ring,
-                    dets_exact, gen_binom)
+from .exact import (_RING_SIDE_MAX, LaurentPoly, SparseMatrix, _Echelon, _pivot_columns,
+                    det_exact, det_ring, dets_exact, gen_binom)
 
 BRUTE_CAP = 10 ** 6
 MATRIX_SIDE_CAP = 4096
+# Largest reduced side of the weighted matrix-tree engine: det_ring's.
+WEIGHTED_SIDE_CAP = _RING_SIDE_MAX
 # Most terms the conjecture's expanded products may need (_check_expansion).
 EXPANSION_TERM_CAP = 10 ** 5
 
@@ -168,6 +170,23 @@ def _greedy_u(xs: ChainComplex, k: int):
     return _pivot_columns(xs.homology_boundary(k - 1)), xs.labels(k - 1)
 
 
+def _degree_u(xs: ChainComplex, k: int):
+    """Like _greedy_u, but the greedy takes the columns by decreasing
+    nonzero count of their row in B diag(xi) B^T (B = d_k), ties in
+    stored order: a (k-1)-tree of the densest rows and columns.  That
+    count is the number of (k-1)-cells sharing a k-cell with the row's
+    cell, itself included, read off the pattern of B: distinct k-cells
+    carry distinct weight monomials, so no entry cancels."""
+    near = [set() for _ in range(xs.n_cells(k - 1))]
+    for col in xs.sparse_boundary(k).cols:
+        for r in col:
+            near[r].update(col)
+    order = sorted(range(len(near)), key=lambda r: -len(near[r]))
+    b = xs.homology_boundary(k - 1)
+    picked = _pivot_columns(SparseMatrix([b.cols[j] for j in order], b.nrows))
+    return sorted(order[i] for i in picked), xs.labels(k - 1)
+
+
 def _torsion_two_below(c: ChainComplex, k: int) -> int:
     """t_(k-2): the torsion order of reduced H_(k-2) of c, 1 when k < 2."""
     return c.torsion_order(k - 2) if k >= 2 else 1
@@ -193,15 +212,6 @@ def _torsion_scaled(value, t_x: int, t_u: int):
         return out
     except ArithmeticError:
         raise ArithmeticError("torsion ratio did not divide the determinant") from None
-
-
-def _reduced_det(xs: ChainComplex, k: int, entry, det) -> tuple:
-    """(det, U, labels): U the indices of the greedy (k-1)-tree, det
-    the determinant of entry(r, s) over the rows and columns off U."""
-    picked, labels = _greedy_u(xs, k)
-    u = set(picked)
-    keep = [j for j in range(len(labels)) if j not in u]
-    return det([[entry(r, s) for s in keep] for r in keep]), picked, labels
 
 
 def enumerate_trees(q: TreeQuery) -> TreeReport:
@@ -278,7 +288,10 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
         raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP,
                           "matrix-tree side cap (MATRIX_SIDE_CAP)")
     lap = xs.laplacian(k - 1, "ud").cols
-    det, picked, labels = _reduced_det(xs, k, lambda r, s: lap[r].get(s, 0), det_exact)
+    picked, labels = _greedy_u(xs, k)
+    u = set(picked)
+    keep = [j for j in range(len(labels)) if j not in u]
+    det = det_exact([[lap[r].get(s, 0) for s in keep] for r in keep])
     u_cells = [labels[j] for j in picked]
     t_x, t_u = _torsions(xs, k, u_cells)
     tau = _torsion_scaled(det, t_x * t_x, t_u * t_u)
@@ -314,12 +327,26 @@ def tau_cube_closed_form(n: int, k: int) -> int:
 def weighted_tau_matrix_tree(x: CubicalComplex, k: int) -> LaurentPoly:
     """Reduced determinant of the face-weighted Laplacian: equals the
     sum over k-trees of the squared torsion times the product of face
-    weights.  The torsion-squared ratio enters as an integer factor."""
+    weights.  The torsion-squared ratio enters as an integer factor.
+
+    The rows and columns removed are those of the (k-1)-tree U of
+    _degree_u, which holds the densest rows, so that det_ring's
+    expansion keeps fewer rows open.  By the cellular Matrix-Tree
+    Theorem det * t_X^2 / t_U^2 is the same for every (k-1)-tree U, so
+    the enumerator does not depend on that choice.  CapExceeded once
+    the reduced side exceeds WEIGHTED_SIDE_CAP, before the Laurent
+    Laplacian is built."""
     if not isinstance(x, CubicalComplex):
         raise ValueError("weighted engine needs a cubical complex")
     xs = _skeleton(x, k, lo=1)
+    picked, labels = _degree_u(xs, k)
+    u = set(picked)
+    keep = [j for j in range(len(labels)) if j not in u]
+    if len(keep) > WEIGHTED_SIDE_CAP:
+        raise CapExceeded(len(keep), WEIGHTED_SIDE_CAP,
+                          "weighted matrix-tree side cap (WEIGHTED_SIDE_CAP)")
     lw = weighted_diag_laplacian(x, k)
-    det, picked, labels = _reduced_det(xs, k, lambda r, s: lw[r][s], det_ring)
+    det = det_ring([[lw[r][s] for s in keep] for r in keep])
     if isinstance(det, int):
         det = LaurentPoly.constant(weight_vars(x.universe), det)
     t_x, t_u = _torsions(xs, k, [labels[j] for j in picked])

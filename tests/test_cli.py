@@ -547,6 +547,16 @@ def test_cap_exceeded_exits_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("k, side", [(2, 49), (3, 31)])
+def test_weighted_side_cap_exits_3(capsys, k, side):
+    """The weighted engine names its side cap before it builds the
+    Laurent Laplacian: cube:5 leaves 49 rows at k = 2 and 31 at k = 3."""
+    rc, out, err = run(capsys, "weighted-trees", "--input", "cube:5", "--k", str(k))
+    assert (rc, out) == (3, "")
+    assert err == (f"error: weighted matrix-tree side cap (WEIGHTED_SIDE_CAP): "
+                   f"needs {side}, cap is 20\n")
+
+
 def test_env_cap_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("CELLSPAN_CAP", "3")
     rc, _, _ = run(capsys, "trees", "--input", "cube:3", "--k", "1",

@@ -23,7 +23,8 @@ from cellspan.cubical import (
     u_form,
 )
 from cellspan import trees
-from cellspan.exact import LaurentPoly, det_fraction, gram_sum, ring_matmul
+from cellspan.exact import (LaurentPoly, SparseMatrix, _pivot_columns, det_fraction,
+                            gram_sum, ring_matmul)
 from cellspan.verify import prism_failures
 from fractions import Fraction
 from math import comb
@@ -386,17 +387,36 @@ def test_weighted_diag_laplacian_matches_b_diag_xi_bt(n):
         assert weighted_diag_laplacian(x, k) == ring_matmul(b_xi, _transpose(b)), (n, k)
 
 
-@pytest.mark.parametrize("x", [cube(1), cube(2), cube(3), cube(3).boundary_complex(),
-                               CubicalComplex((1, 2, 3), ["0**", "*0*", "**0"])],
-                         ids=["cube1", "cube2", "cube3", "bd-cube3", "corner-disc"])
-def test_weighted_engine_at_rational_points(x):
+@pytest.mark.parametrize("x, ks", [
+    (cube(1), (1,)), (cube(2), (1, 2)), (cube(3), (1, 2, 3)),
+    (cube(3).boundary_complex(), (1, 2)),
+    (CubicalComplex((1, 2, 3), ["0**", "*0*", "**0"]), (1, 2)),
+    # 3-balls in the 4-cube: the four facets through a corner plus the
+    # facet opposite one of them (corner 0010, direction 3; corner 0000,
+    # direction 4, the benchmark's shape)
+    (CubicalComplex((1, 2, 3, 4), ["0***", "*0**", "**1*", "***0", "**0*"]), (2,)),
+    (CubicalComplex((1, 2, 3, 4), ["0***", "*0**", "**0*", "***0", "***1"]), (2,)),
+], ids=["cube1", "cube2", "cube3", "bd-cube3", "corner-disc", "ball-0010-3", "ball-0000-4"])
+def test_weighted_engine_at_rational_points(x, ks):
     """At seeded rational points, det_fraction of the reduced diagonal
     form, built by gram_sum from the evaluated weights, times the
-    torsion ratio, is the weighted engine's enumerator evaluated there."""
+    torsion ratio, is the weighted engine's enumerator evaluated there.
+    The reference reduces at the stored-order U of _greedy_u, the engine
+    at its maximum-degree U, so this also checks that the enumerator
+    does not depend on U.  The engine's U is a (k-1)-tree, the greedy
+    over the columns by decreasing nonzero count of their row in the
+    weighted Laplacian."""
     rng = random.Random(11)
     vs = weight_vars(x.universe)
-    for k in range(1, x.dim + 1):
+    for k in ks:
         xs = trees._skeleton(x, k, lo=1)
+        u_engine, labels = trees._degree_u(xs, k)
+        assert trees.is_cst(xs, k - 1, [labels[j] for j in u_engine]), k
+        nonzeros = [sum(1 for v in row if v) for row in weighted_diag_laplacian(x, k)]
+        by_degree = sorted(range(len(nonzeros)), key=lambda r: -nonzeros[r])
+        bd = xs.homology_boundary(k - 1)
+        greedy = _pivot_columns(SparseMatrix([bd.cols[j] for j in by_degree], bd.nrows))
+        assert u_engine == sorted(by_degree[i] for i in greedy), k
         picked, labels = trees._greedy_u(xs, k)
         t_x, t_u = trees._torsions(xs, k, [labels[j] for j in picked])
         tau = trees.weighted_tau_matrix_tree(x, k)

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cellspan
-from cellspan import exact
-from cellspan.cubical import cube
+from cellspan import exact, trees
+from cellspan.cubical import CubicalComplex, cube
 from cellspan.exact import (
     IntPoly,
     LaurentPoly,
@@ -377,6 +377,49 @@ def test_laurent_against_a_tuple_key_oracle(case, k, c):
     assert LaurentPoly(vs, small).subs(dict(zip(vs, vals))) == _o_subs(small, vals)
 
 
+@st.composite
+def laurent_sums(draw):
+    """A variable tuple of 1-6 names, up to five (p, c) pairs over it,
+    p a LaurentPoly and c an int or a LaurentPoly, and whether the
+    pairs are followed by their negations, so that the sum cancels."""
+    width = draw(st.integers(1, 6))
+    vs = tuple(f"v{i}" for i in range(width))
+    exp = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    poly = st.dictionaries(st.tuples(*[exp] * width), st.integers(-4, 4),
+                           max_size=4).map(lambda t: LaurentPoly(vs, t))
+    pairs = draw(st.lists(st.tuples(poly, st.one_of(st.integers(-3, 3), poly)), max_size=5))
+    return vs, pairs, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_sums())
+def test_linear_combination_against_a_sum_of_products(case):
+    """The one-dict sum of products that det_ring forms each minor with
+    equals the naive sum of c * p; a sum that cancels is the zero
+    polynomial, which det_ring reads as a row set to drop."""
+    vs, pairs, cancel = case
+    if cancel:
+        pairs = pairs + [(p, -c) for p, c in pairs]
+    got = LaurentPoly.linear_combination(vs, pairs)
+    assert got == sum((p * c for p, c in pairs), LaurentPoly(vs))
+    if cancel:
+        assert not got and got == 0
+
+
+def test_linear_combination_past_the_packing_bound_raises_as_a_product_does():
+    top = (1 << (exact._W - 1)) - 1
+    vs = ("a", "b")
+    a = LaurentPoly(vs, {(top, 0): 1})
+    one_more = LaurentPoly.variable(vs, "b")
+    for p, c in [(a, one_more), (one_more, a)]:
+        with pytest.raises(OverflowError):
+            p * c
+        with pytest.raises(OverflowError):
+            LaurentPoly.linear_combination(vs, [(p, c)])
+    # the int path keeps p's bound, which is below 2^(W-1)
+    assert LaurentPoly.linear_combination(vs, [(a, 3)]) == a * 3
+
+
 def test_laurent_terms_is_a_read_only_view():
     p = LaurentPoly(("x", "y"), {(1, -2): 3})
     with pytest.raises(TypeError):
@@ -461,6 +504,75 @@ def test_det_ring_against_bareiss_and_fractions(rows):
     want = det_exact(rows)
     assert det_ring(rows) == want
     assert det_fraction(rows) == want
+
+
+class _Tracked:
+    """A ring element that remembers the rows and columns of the minor
+    it stands for, and logs every product det_ring forms: (rows,
+    columns, whether the minor multiplied was zero)."""
+
+    def __init__(self, value, rows, cols, log):
+        self.value, self.rows, self.cols, self.log = value, rows, cols, log
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if not other:      # det_ring's zero of the ring
+                return 0
+            other = _Tracked(other, frozenset(), frozenset(), self.log)
+        self.log.append((self.rows | other.rows, self.cols | other.cols, not other.value))
+        return _Tracked(self.value * other.value, self.rows | other.rows,
+                        self.cols | other.cols, self.log)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _Tracked(self.value + other, self.rows, self.cols, self.log)
+        assert (self.rows, self.cols) == (other.rows, other.cols)
+        return _Tracked(self.value + other.value, self.rows, self.cols, self.log)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Tracked(-self.value, self.rows, self.cols, self.log)
+
+    def __bool__(self):
+        return bool(self.value)
+
+
+def _wasted_products(rows) -> tuple:
+    """(det, products, products det_ring then drops) for an integer
+    matrix: a product is dropped when its row set misses a row whose
+    nonzeros all lie in its columns, or when the minor it multiplies
+    is zero."""
+    n = len(rows)
+    log: list = []
+    tracked = [[_Tracked(v, frozenset([i]), frozenset([j]), log) if v else 0
+                for j, v in enumerate(r)] for i, r in enumerate(rows)]
+    support = [frozenset(j for j, v in enumerate(r) if v) for r in rows]
+    det = det_ring(tracked)
+    dropped = sum(1 for rs, cs, zero_minor in log
+                  if zero_minor or any(support[i] <= cs and i not in rs for i in range(n)))
+    return (det.value if isinstance(det, _Tracked) else det), len(log), dropped
+
+
+def test_det_ring_forms_no_product_it_then_drops():
+    """On the reduced Laplacian (k = 2, weights 1) of the benchmark's
+    3-ball, four facets of the 4-cube through a corner and one opposite
+    facet, and on matrices whose minors cancel, det_ring multiplies
+    nothing for a row set it then drops."""
+    x = CubicalComplex((1, 2, 3, 4), ["0***", "*0**", "**0*", "***0", "***1"])
+    xs = trees._skeleton(x, 2, lo=1)
+    picked, labels = trees._greedy_u(xs, 2)
+    lap = xs.laplacian(1, "ud").cols
+    keep = [j for j in range(len(labels)) if j not in set(picked)]
+    rows = [[lap[r].get(s, 0) for s in keep] for r in keep]
+    assert len(rows) == 16
+    det, products, dropped = _wasted_products(rows)
+    assert det == det_exact(rows) == 5292 and products > 0
+    assert dropped == 0
+    for singular in ([[1, 2, 0], [2, 4, 0], [3, 1, 5]], [[1, 1, 1], [1, 1, 1], [0, 1, 2]],
+                     [[2, 0, 1, 1], [1, 3, 0, 0], [4, 0, 2, 2], [0, 1, 1, 1]]):
+        det, _, dropped = _wasted_products(singular)
+        assert (det, dropped) == (0, 0), singular
 
 
 LVARS = ("s", "t")
