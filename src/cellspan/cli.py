@@ -14,14 +14,14 @@ import json
 import os
 import sys
 
-from .chain import ChainComplex, as_int
+from .chain import FAMILIES, ChainComplex, as_int
 from .colorful import (colorful_complex, colorful_etot, colorful_omega,
                        colorful_spec_poly, colorful_tree_count,
                        cross_polytope_cube_duality, weighted_duality_check)
 from .corpus import rp2
 from .cubical import CubicalComplex, cube, mirror, shifted_spectrum, spectrum_direct
-from .trees import (BRUTE_CAP, CapExceeded, TreeQuery, _as_chain,
-                    f_recurrence_check, run_query, verify_conjecture)
+from .trees import (BRUTE_CAP, METHODS, WEIGHTED_METHODS, CapExceeded, TreeQuery,
+                    _as_chain, f_recurrence_check, run_query, verify_conjecture)
 from .verify import SUITES, VERIFY_CAP
 
 EXIT_OK = 0
@@ -31,9 +31,7 @@ EXIT_FAILURE = 4
 
 
 class CliError(Exception):
-    def __init__(self, msg: str, code: int = EXIT_VALIDATION):
-        super().__init__(msg)
-        self.code = code
+    """A validation error found by the CLI itself: exit 2."""
 
 
 def _env_cap() -> int | None:
@@ -349,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="Laplacian spectrum in one dimension")
     common(sp)
     sp.add_argument("--dim", type=int)
-    sp.add_argument("--family", choices=("ud", "du", "tot"), default="tot")
+    sp.add_argument("--family", choices=FAMILIES, default="tot")
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("homology", help="reduced homology (betti, torsion)")
@@ -360,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trees", help="spanning tree enumeration")
     common(sp)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--method",
-                    choices=("brute", "matrix-tree", "alternating-product",
-                             "closed-form"))
+    sp.add_argument("--method", choices=METHODS)
     sp.add_argument("--cap", type=int)
     sp.set_defaults(fn=cmd_trees, weighted=False)
 
@@ -370,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="weighted tree enumerator (cubical complexes)")
     common(sp)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--method", choices=("brute", "matrix-tree"))
+    sp.add_argument("--method", choices=WEIGHTED_METHODS)
     sp.add_argument("--cap", type=int)
     sp.set_defaults(fn=cmd_trees, weighted=True)
 
@@ -422,10 +418,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except CapExceeded as e:

@@ -225,18 +225,8 @@ class CubicalComplex:
         dele = self.deletion(i)
         link = self.link(i)
         p = self._pos(i)
-        cond1 = True
-        for f in dele.faces:
-            for j, c in enumerate(f):
-                if c == "*":
-                    if (f[:j] + "0" + f[j + 1:]) not in link.faces \
-                            or (f[:j] + "1" + f[j + 1:]) not in link.faces:
-                        cond1 = False
-                        break
-            if not cond1:
-                break
-        cond2 = all(f[:p] + "0" + f[p:] in self.faces and f[:p] + "1" + f[p:] in self.faces
-                    for f in dele.faces)
+        cond1 = pinned_once(dele.faces) <= link.faces
+        cond2 = {f[:p] + c + f[p:] for f in dele.faces for c in "01"} <= self.faces
         b = tuple(sorted(dele.faces - link.faces, key=lambda f: (face_dim(f), face_key(f))))
         return NearPrism(i, cond1 and cond2, dele, link, b)
 

@@ -30,9 +30,11 @@ candidate g, the Hessenberg passes mod p that give its candidate chi,
 the candidate-root scans, and the one certificate's products, which
 prove an integral char poly from either candidate.  One driver
 (_passes) runs the eliminations and the Hessenberg passes on stacks of
-_Jobs, the only place where a matrix becomes an n x n int64 array,
-reduced mod p; the memo keys on its sparse entries, and every product
-reads its nonzeros in ELL form (_ell: the nonzeros of each row as
+_Jobs.  A job keeps one array of its nonzero entries, int64 or, from
+2^31, Python ints; each layer of a stack holds its residues mod the
+layer's prime, the only place where a matrix becomes an n x n int64
+array.  The memo keys on the sparse entries, and every product
+reads the nonzeros in ELL form (_ell: the nonzeros of each row as
 index and value arrays).  The int64 intermediates are exact at every
 side.  Residues are below 2^27, so each product is below 2^54, and
 every sum of products adds at most _DOT_BLOCK = 511 of them before it
@@ -890,48 +892,26 @@ def _primes_over(x: int) -> list[int]:
 
 class _Job:
     """A square matrix in char_polys or dets_exact: its side, nonzero
-    entries (rows, columns, values) column by column, largest absolute
-    row sum R and, set by _char_polys, its CRT primes.  When small, every
-    entry is below 2^31 in absolute value and the entries are int64
-    arrays; else Python lists."""
+    entries coo = (rows, columns, values) column by column, largest
+    absolute row sum R and its CRT primes.  The values are int64 when
+    every entry is below 2^31 in absolute value, which keeps n row sums
+    below n 2^31 < 2^63; else an object array of Python ints."""
 
-    __slots__ = ("n", "coo", "R", "primes", "small", "_dense")
+    __slots__ = ("n", "coo", "R", "primes")
 
     def __init__(self, m):
-        self.n = n = m.nrows
+        self.n = m.nrows
         r, c, v = [], [], []
         for j, col in enumerate(m.cols):
             r += col
             c += [j] * len(col)
             v += col.values()
-        self.small = max(map(abs, v), default=0) < 2**31
-        self._dense = None
-        if self.small:  # n row sums below n 2^31 < 2^63
-            r, c, v = (np.array(r, dtype=np.intp), np.array(c, dtype=np.intp),
-                       np.array(v, dtype=np.int64))
-            sums = np.zeros(n, dtype=np.int64)
-            np.add.at(sums, r, np.abs(v))
-            self.R = int(sums.max())
-        else:
-            sums = [0] * n
-            for i, x in zip(r, v):
-                sums[i] += abs(x)
-            self.R = max(sums)
-        self.coo = r, c, v
-
-    def residues(self, p: int):
-        """An n x n int64 array congruent to the matrix mod p: a small
-        job's entries, built once and shared (not to be changed), else
-        its residues mod p.  _passes stacks a copy and reduces that."""
-        r, c, v = self.coo
-        if not self.small:
-            a = np.zeros((self.n, self.n), dtype=np.int64)
-            a[r, c] = [x % p for x in v]
-            return a
-        if self._dense is None:
-            self._dense = np.zeros((self.n, self.n), dtype=np.int64)
-            self._dense[r, c] = v
-        return self._dense
+        small = max(map(abs, v), default=0) < 2**31
+        v = np.array(v, dtype=np.int64 if small else object)
+        self.coo = np.array(r, dtype=np.intp), np.array(c, dtype=np.intp), v
+        sums = np.zeros(self.n, dtype=v.dtype)
+        np.add.at(sums, self.coo[0], np.abs(v))
+        self.R = int(sums.max())
 
 
 def _char_polys(ms) -> list[IntPoly]:
@@ -993,9 +973,12 @@ def _passes(pairs, kernel, entries: int) -> list:
     out = [None] * len(pairs)
     for part in _stacks([job for job, _ in pairs], entries):
         chunk = [pairs[i] for i in part]
-        a = np.stack([job.residues(p) for job, p in chunk])
+        n = chunk[0][0].n
+        a = np.zeros((len(chunk), n, n), dtype=np.int64)
+        for layer, (job, p) in zip(a, chunk):
+            r, c, v = job.coo
+            layer[r, c] = v % p
         primes = np.array([p for _, p in chunk], dtype=np.int64)
-        a %= primes[:, None, None]
         for i, res in zip(part, kernel(a, primes).tolist()):
             out[i] = res
     return out
@@ -1043,7 +1026,7 @@ def _certify(tries, p: int) -> list:
     allow (_worth_scanning, _worth_certifying).  The products run
     stacked, a layer per job and check prime."""
     p0 = _prime(0)
-    # 2R < p < 2^27 bounds every entry, so each tried job is small
+    # 2R < p < 2^27 bounds every entry, so each tried job's values are int64
     ok = [t for t, (job, _) in enumerate(tries)
           if 2 * job.R < p and job.n < p0 and _worth_scanning(job)]
     layers = []
@@ -1241,7 +1224,7 @@ def _projections(n: int):
 def _generator(job, p: int) -> list:
     """The least generator g of s_j = u^T m^j v mod p for j < 2 min(n,
     2R + 1) (see char_poly), ascending coefficients, from products by
-    the job's sparse matrix alone; its entries must be small."""
+    the job's sparse matrix alone; its values must be int64."""
     r, c, v = job.coo
     order = np.argsort(r, kind="stable")
     ell = _ell(r[order], c[order], v[order] % p, job.n)
@@ -1437,24 +1420,24 @@ def dets_exact(ms) -> list[int]:
     if any(len(r) != len(m) for m in ms for r in m):
         raise ValueError("determinant of a non-square matrix")
     out = [1] * len(ms)
-    plan, pairs = [], []
+    jobs = []
     for i, m in enumerate(ms):
         if not m:
             continue
         job = _Job(SparseMatrix.from_rows(m))
         sq = [0] * job.n
-        for row, x in zip(job.coo[0], np.asarray(job.coo[2], dtype=object)):  # exact: Python ints
+        for row, x in zip(job.coo[0].tolist(), job.coo[2].tolist()):  # exact: Python ints
             sq[row] += x * x
         h2 = math.prod(sq)
         if h2 == 0:
             out[i] = 0
             continue
-        primes = _primes_over(2 * (math.isqrt(h2) + 1))
-        plan.append((i, primes))
-        pairs += [(job, p) for p in primes]
-    rest = iter(_passes(pairs, _det_stack, _DET_ENTRIES))
-    for i, primes in plan:
-        out[i] = _lift([next(rest) for _ in primes], primes)
+        job.primes = _primes_over(2 * (math.isqrt(h2) + 1))
+        jobs.append((i, job))
+    rest = iter(_passes([(job, p) for _, job in jobs for p in job.primes],
+                        _det_stack, _DET_ENTRIES))
+    for i, job in jobs:
+        out[i] = _lift([next(rest) for _ in job.primes], job.primes)
     return out
 
 
@@ -1854,7 +1837,7 @@ class LaurentPoly:
         """Sum of c * p over the (p, c) pairs, p a LaurentPoly over
         `vars` and c an int or a LaurentPoly over `vars`, accumulated
         in one term dict: the one sum of products, which det_ring's
-        minors and the brute engine's weighted leaves go through.  A
+        minors and the brute engine's weighted trees go through.  A
         LaurentPoly c adds its bound to p's, checked as * checks it."""
         vs = tuple(vars)
         out: dict = {}

@@ -40,6 +40,7 @@ WEIGHTED_SIDE_CAP = _RING_SIDE_MAX
 EXPANSION_TERM_CAP = 10 ** 5
 
 METHODS = ("brute", "matrix-tree", "alternating-product", "closed-form")
+WEIGHTED_METHODS = ("brute", "matrix-tree")
 
 
 class CapExceeded(RuntimeError):
@@ -82,7 +83,7 @@ class TreeQuery:
             raise ValueError("closed-form method applies to full cubes only")
         if weighted and not isinstance(complex, CubicalComplex):
             raise ValueError("weighted enumeration needs a cubical complex")
-        if weighted and method not in ("brute", "matrix-tree"):
+        if weighted and method not in WEIGHTED_METHODS:
             raise ValueError(f"weighted enumeration has no {method} method")
         self.complex = complex
         self.chain = _as_chain(complex)
@@ -216,8 +217,9 @@ def _torsion_scaled(value, t_x: int, t_u: int):
 
 def enumerate_trees(q: TreeQuery) -> TreeReport:
     """Scan the candidate cell sets of the forced size in combinations
-    order; accumulate the squared torsion of each k-tree, times the
-    face-weight monomial in weighted mode.
+    order and list each k-tree with its torsion t_T.  tau is read off
+    the list: the sum of t_T^2, times the face-weight monomial prod_f
+    xi_f over the cells of T in weighted mode.
 
     With U a (k-1)-tree and Ubar the other (k-1)-cells, T is a k-tree
     iff det d[Ubar, T] != 0, and then t_T = |det| t_X / t_U (the
@@ -240,12 +242,6 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
         raise ArithmeticError("complement of U does not match the tree size")
     pos = {r: t for t, r in enumerate(ubar)}
     cols = [{pos[r]: v for r, v in col.items() if r in pos} for col in b.cols]
-    if q.weighted:
-        weights = [xi_weight(q.complex.universe, f) for f in labels]
-        vs = weight_vars(q.complex.universe)
-        prefix = [LaurentPoly.constant(vs, 1)]   # weight of each prefix
-        leaves = []                              # (weight, t^2) of each tree
-    tau = 0
     per_tree = []
     ech = _Echelon()
     path: list = []
@@ -255,27 +251,25 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
         if d == target:
             t = _torsion_scaled(ech.det(), t_x, t_u)
             per_tree.append((tuple(labels[i] for i in path), t))
-            if q.weighted:
-                leaves.append((prefix[-1], t * t))
-            else:
-                tau += t * t
         if d == target or j > n - target + d:
             if not path:
                 break
             j = path.pop() + 1
             ech.pop()
-            if q.weighted:
-                prefix.pop()
             continue
         v = ech.reduce(cols[j])
         if v:
             ech.push(v)
             path.append(j)
-            if q.weighted:
-                prefix.append(prefix[-1] * weights[j])
         j += 1
     if q.weighted:
-        tau = LaurentPoly.linear_combination(vs, leaves)
+        vs = weight_vars(q.complex.universe)
+        xi = {f: xi_weight(q.complex.universe, f) for f in labels}
+        one = LaurentPoly.constant(vs, 1)
+        tau = LaurentPoly.linear_combination(vs, (
+            (math.prod((xi[f] for f in cells), start=one), t * t) for cells, t in per_tree))
+    else:
+        tau = sum(t * t for _, t in per_tree)
     return TreeReport(tau, "brute", trees=len(per_tree), per_tree=per_tree)
 
 

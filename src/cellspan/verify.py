@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 
-from .chain import (alternating_ud_holds, char_polynomials,
+from .chain import (FAMILIES, alternating_ud_holds, char_polynomials,
                     euler_identity_holds, product, tot_split_holds,
                     ud_du_shift_holds)
 from .colorful import (WEIGHT_TRIALS, colorful_etot, colorful_omega,
@@ -145,7 +145,7 @@ def product_cube_failures() -> list:
     q3 = cube(3).to_chain()
     pr = product(cube(1).to_chain(), cube(2).to_chain())
     for i in range(4):
-        for fam in ("ud", "du", "tot"):
+        for fam in FAMILIES:
             if pr.char_polynomial(i, fam) != q3.char_polynomial(i, fam):
                 bad.append(f"dim {i} family {fam}")
     return bad
@@ -321,7 +321,7 @@ def shifted_integrality_failures(corpus) -> list:
     for name, x in corpus:
         c = x.to_chain()
         for i in range(c.dim + 1):
-            for fam in ("ud", "du", "tot"):
+            for fam in FAMILIES:
                 if not c.spectrum(i, fam).is_integral():
                     bad.append(f"{name} dim {i} {fam}")
     return bad
@@ -357,7 +357,7 @@ def suite_shifted(cap=None, seed: int = 0) -> list:
                       detail="shifted complexes need not be APC"))
     noni = mirror_matroid_example().to_chain()
     found = any(not noni.spectrum(i, fam).is_integral()
-                for i in range(noni.dim + 1) for fam in ("ud", "du", "tot"))
+                for i in range(noni.dim + 1) for fam in FAMILIES)
     rows.append(Check("mirror-matroid-nonintegral", found,
                       detail=("cited counterexample reproduces" if found else
                               "every Laplacian of this mirror is integral"

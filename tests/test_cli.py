@@ -1,6 +1,7 @@
 """End-to-end command line behavior: frozen outputs, exit codes,
 deterministic bytes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -184,8 +185,15 @@ def test_weighted_trees_start_at_k1_with_either_method(capsys, method):
 
 
 # sha256 of stdout, as first recorded, for the commands whose output the
-# weighted Laplacians decide.
+# weighted Laplacians, the brute engine's list of trees or the near-prism
+# test decide.
 PINNED_STDOUT = {
+    "trees --input rp2 --k 2 --method brute":
+        "dfe2be452e686d60835908222dcad98e78d0b847ee0e979d4386c662e1d2aead",
+    "trees --input colorful:1,2,2,2 --k 1 --method brute":
+        "31cd401fbd6d61011222c351a0595953c913be118f00b2d367f5b61db2196b69",
+    "shifted-check --input cube:3":
+        "0f9e44a4c9601294fa18bec899522092687cd91c38975a0618112007db3a91a2",
     "weighted-trees --input cube:3 --k 1 --method brute":
         "d102ea265c9f188756a6bbbede45b756423e252ae41d4f6be1bd48d549c71e84",
     "weighted-trees --input cube:3 --k 2 --method brute":
@@ -328,6 +336,8 @@ def test_shifted_check_reports_a_nonintegral_direct_spectrum_as_null(capsys, tmp
     assert rc == 0
     d = json.loads(out)
     assert d["direct"] is None and d["recursion"] is None and d["match"] is None
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6fef4c5d7ddd2215a93686eff396b596663f914e57a03d01183a799a0f894206")
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +410,39 @@ def test_the_parser_is_built_once_per_process(capsys):
                 parse(argv)
             got.append((exc.value.code, capsys.readouterr()))
         assert got[0] == got[1]
+
+
+# sha256 of --help at 80 columns, as first recorded.
+PINNED_HELP = {
+    "spectrum": "c4334018b0684cbc6ffcb75f4bc04f93ae484b7a174a243eeec0a2dd27bd428e",
+    "trees": "416f54cd202f335b26d7b811d5663e0f70e2372c551418ebb93b5ef22b872e6f",
+    "weighted-trees": "cc8df7a531bfe25eabcbe20811e9331b4988e40449fe5de9525477610acd2a1e",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(PINNED_HELP))
+def test_help_is_pinned(capsys, monkeypatch, subcommand):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP[subcommand]
+
+
+def test_choices_are_the_library_constants():
+    """The parser offers the library's own tuples, not copies."""
+    from cellspan import chain, cli, trees
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+
+    def choices(subcommand, flag):
+        action, = (a for a in sub.choices[subcommand]._actions if flag in a.option_strings)
+        return action.choices
+
+    assert choices("trees", "--method") is trees.METHODS
+    assert choices("weighted-trees", "--method") is trees.WEIGHTED_METHODS
+    assert choices("spectrum", "--family") is chain.FAMILIES
 
 
 @pytest.mark.parametrize("rows, message", [

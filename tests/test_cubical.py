@@ -2,6 +2,7 @@ import pytest
 
 from cellspan import cubical
 from cellspan.chain import isomorphic_under, product
+from cellspan.corpus import mirror_corpus, shifted_corpus
 from cellspan.cubical import (
     CubicalComplex,
     algebraic_boundary,
@@ -13,6 +14,7 @@ from cellspan.cubical import (
     mirror,
     mirror_on,
     near_prism_betti_check,
+    pinned_once,
     shifted_spectrum,
     sign,
     simplicial_closure,
@@ -251,6 +253,46 @@ def test_shifted_spectrum_preconditions():
     with pytest.raises(ValueError):
         shifted_spectrum(CubicalComplex((1, 2), {"*0", "0*"}))  # not near-prism
     assert shifted_spectrum(CubicalComplex((1,), {"0"})) == ()
+
+
+@pytest.mark.parametrize("universe, faces, i, holds", [
+    ((1,), ["0"], 1, False),
+    ((1,), ["1"], 1, False),
+    ((1,), ["0", "1"], 1, True),
+    ((1, 2), ["00", "01"], 1, False),
+    ((1, 2), ["10", "11"], 1, False),
+    ((1, 2), ["*0", "01"], 1, False),
+    ((1, 2), ["*0", "*1"], 1, True),
+])
+def test_near_prism_needs_both_ends_of_the_direction(universe, faces, i, holds):
+    """Every face of the deletion must lie in X at both ends of
+    direction i; here the link condition holds, so that decides."""
+    x = CubicalComplex(universe, faces)
+    assert pinned_once(x.deletion(i).faces) <= x.link(i).faces
+    assert x.near_prism(i).holds is holds
+
+
+def near_prism_loops(x, i):
+    """The near-prism test face by face: each pinned star of a deletion
+    face lies in the link, and each deletion face lies in X at both
+    ends of direction i."""
+    dele, link, p = x.deletion(i), x.link(i), x.universe.index(i)
+    return (all(f[:j] + c + f[j + 1:] in link.faces
+                for f in dele.faces for j, s in enumerate(f) if s == "*" for c in "01")
+            and all(f[:p] + c + f[p:] in x.faces for f in dele.faces for c in "01"))
+
+
+def test_near_prism_matches_the_face_loops():
+    xs = ([x for _, _, x in mirror_corpus(4)] + [x for _, x in shifted_corpus(4)]
+          + [cube(n) for n in range(5)])
+    xs += [x.boundary_complex() for x in xs]
+    seen = set()
+    for x in xs:
+        for i in x.universe:
+            holds = x.near_prism(i).holds
+            seen.add(holds)
+            assert holds == near_prism_loops(x, i)
+    assert seen == {True, False}
 
 
 def test_near_prism_betti_check():

@@ -300,6 +300,30 @@ def test_weighted_matrix_tree_scales_by_the_torsion_ratio(monkeypatch):
         weighted_tau_matrix_tree(cube(2), 1)
 
 
+def brute_weighted(x, k):
+    return enumerate_trees(TreeQuery(x, k, weighted=True)).tau
+
+
+def test_weighted_brute_scales_by_the_torsion_ratio(monkeypatch):
+    """Each tree adds t_T^2 times its monomial: doubling every t_T
+    multiplies tau by 4."""
+    base = brute_weighted(cube(2), 1)
+    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (2, 1))
+    assert brute_weighted(cube(2), 1) == base * 4
+    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (1, 2))
+    with pytest.raises(ArithmeticError, match="torsion ratio did not divide"):
+        brute_weighted(cube(2), 1)
+
+
+@pytest.mark.parametrize("name, k", [("cube:2", 1), ("cube:2", 2), ("cube:3", 1),
+                                     ("cube:3", 2), ("cube:3", 3), ("cube:4", 3),
+                                     ("cube:4", 4), ("boundary:3", 1), ("boundary:3", 2)])
+def test_weighted_engines_agree(name, k):
+    kind, n = name.split(":")
+    x = cube(int(n)) if kind == "cube" else cube(int(n)).boundary_complex()
+    assert brute_weighted(x, k) == weighted_tau_matrix_tree(x, k)
+
+
 def test_verify_conjecture_reports_the_first_difference(monkeypatch):
     vs = weight_vars((1, 2))
     rhs = conjecture_rhs
