@@ -177,8 +177,7 @@ class ChainComplex:
 
     def dims(self):
         """All dimensions carrying cells, the (-1)-cell included."""
-        lo = -1 if self.empty_cell else 0
-        return [i for i in range(lo, self.dim + 1) if self.n_cells(i)]
+        return [i for i in self.homology_range() if self.n_cells(i)]
 
     def sparse_boundary(self, i: int) -> SparseMatrix:
         """Stored boundary C_i -> C_{i-1}; correctly-shaped zero matrix
@@ -239,9 +238,9 @@ class ChainComplex:
     # -- homology
 
     def _check_dim(self, i: int) -> None:
-        lo = -1 if self.empty_cell else 0
-        if not (lo <= i <= self.dim):
-            raise ValueError(f"dimension {i} out of range [{lo}, {self.dim}]")
+        dims = self.homology_range()
+        if i not in dims:
+            raise ValueError(f"dimension {i} out of range [{dims.start}, {self.dim}]")
 
     def homology(self, i: int) -> HomologySummary:
         self._check_dim(i)
@@ -263,9 +262,10 @@ class ChainComplex:
     def torsion_order(self, i: int) -> int:
         return self.homology(i).torsion
 
-    def homology_range(self):
-        lo = -1 if self.empty_cell else 0
-        return range(lo, self.dim + 1)
+    def homology_range(self) -> range:
+        """The dimensions of reduced homology: from -1 with the empty
+        cell, else from 0, up to the top."""
+        return range(-1 if self.empty_cell else 0, self.dim + 1)
 
     def is_apc(self) -> bool:
         """All reduced Betti numbers vanish below the top dimension."""
@@ -399,15 +399,15 @@ class ChainComplex:
             return ChainComplex({}, {}, empty_cell=self.empty_cell, check=False)
         d = self.dual_pairing()
         cells = {}
-        lo = -1 if self.empty_cell else 0
-        for i in range(lo, self.dim + 1):
+        dims = self.homology_range()
+        for i in dims:
             j = d - i
             if j >= 0 and self.n_cells(i):
                 src = self.labels(i) if i >= 0 else ("",)
                 cells[j] = tuple(f + "*" for f in src)
         empty = d - self.dim == -1
         bnd = {}
-        top = d - lo
+        top = d - dims.start
         for j in range(0 if empty else 1, top + 1):
             m = self.sparse_boundary(d - j + 1).transpose()
             if m.nrows or m.ncols:
@@ -619,14 +619,14 @@ def alternating_ud_holds(c: ChainComplex, i: int) -> bool:
     """Nonzero ud spectrum in dimension i equals the alternating-sign
     accumulation of total spectra in dimensions <= i, checked as a
     cross-multiplied characteristic-polynomial identity."""
-    lo = -1 if c.empty_cell else 0
+    below = range(c.homology_range().start, i + 1)
     lhs = c.char_polynomial(i, "ud").strip_valuation()
-    for j in range(lo, i + 1):
+    for j in below:
         chi = c.char_polynomial(j, "tot").strip_valuation()
         if (i - j) % 2:
             lhs = lhs * chi
     rhs = IntPoly([1])
-    for j in range(lo, i + 1):
+    for j in below:
         if (i - j) % 2 == 0:
             rhs = rhs * c.char_polynomial(j, "tot").strip_valuation()
     return lhs == rhs
@@ -634,9 +634,8 @@ def alternating_ud_holds(c: ChainComplex, i: int) -> bool:
 
 def euler_identity_holds(c: ChainComplex) -> bool:
     """Alternating cell-count sum against alternating Betti sum."""
-    lo = -1 if c.empty_cell else 0
-    lhs = sum((-1) ** i * c.n_cells(i) for i in range(lo, c.dim + 1))
-    rhs = sum((-1) ** i * c.betti(i) for i in range(lo, c.dim + 1))
+    lhs = sum((-1) ** i * c.n_cells(i) for i in c.homology_range())
+    rhs = sum((-1) ** i * c.betti(i) for i in c.homology_range())
     if not c.empty_cell:
         rhs += 1
     return lhs == rhs

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .chain import ChainComplex, simplicial
-from .cubical import cube, weight_vars, xi_weight
+from .cubical import _magnitude, cube, weight_vars, xi_weight
 from .exact import LaurentPoly, gen_binom, scaled_char_polys
 from .trees import cst_target_size, is_cst
 
@@ -67,7 +67,7 @@ def colorful_complex(a) -> ChainComplex:
     for v in spec.a:
         total *= v + 1
     if total > FACE_CAP:
-        raise ValueError(f"{total} faces exceed cap {FACE_CAP}")
+        raise ValueError(f"{_magnitude(total)} faces exceed cap {FACE_CAP}")
     classes = tuple(range(1, spec.n + 1))
     by_dim: dict = {}
     for d in range(spec.n):

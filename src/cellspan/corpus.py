@@ -2,10 +2,10 @@
 
 Everything here is deterministic and exhaustive within stated bounds:
 all downward-closed set families on up to four vertices drive the
-mirror corpus, shifted families are the dominance-closed ones among
-them, and colorful class sizes run over unordered partitions (class
-order only relabels vertices and every checked quantity is symmetric
-in the sizes).
+mirror corpus, the shifted families are generated the same way, closed
+under the dominance order's lower covers too, and colorful class sizes
+run over unordered partitions (class order only relabels vertices and
+every checked quantity is symmetric in the sizes).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from fractions import Fraction
 from .chain import ChainComplex, simplicial
 from .colorful import WEIGHT_TRIALS, colorful_complex
 from .cubical import (CubicalComplex, algebraic_boundary, cube,
-                      cube_weighted_tot_eigenvalues, laurent_is_zero, mirror,
-                      mirror_on, weight_vars, xi_weight)
+                      cube_weighted_tot_eigenvalues, laurent_is_zero, lower_covers,
+                      mirror, mirror_on, weight_vars, xi_weight)
 from .exact import IntPoly, ring_matmul, scaled_char_polys
 
 
@@ -33,20 +33,27 @@ def rp2() -> ChainComplex:
 # simplicial set families (nonempty subsets; the empty set is implicit)
 
 
-def simplicial_families(n: int) -> list:
-    """All downward-closed families of nonempty subsets of {1..n},
+def _closed_families(n: int, below) -> list:
+    """All families of nonempty subsets of {1..n} closed under below,
     the empty family included, each a frozenset of frozensets.  The
-    subsets are decided in (size, lex) order, and each family so far
-    branches on taking the next subset only when it already holds every
-    (size - 1)-subset of it."""
+    subsets c are decided in (size, lex) order, and a family takes c
+    only when it holds every set of below(c), all decided before c."""
     families = [frozenset()]
     for k in range(1, n + 1):
         for c in itertools.combinations(range(1, n + 1), k):
-            s = frozenset(c)
-            below = [s - {v} for v in s] if k > 1 else []
-            families += [f | {s} for f in families
-                         if all(t in f for t in below)]
+            s, need = frozenset(c), below(c)
+            families += [f | {s} for f in families if all(t in f for t in need)]
     return families
+
+
+def _faces_below(c) -> list:
+    """The nonempty (size - 1)-subsets of c."""
+    return [frozenset(c) - {v} for v in c] if len(c) > 1 else []
+
+
+def simplicial_families(n: int) -> list:
+    """All downward-closed families of nonempty subsets of {1..n}."""
+    return _closed_families(n, _faces_below)
 
 
 def family_facets(family) -> list:
@@ -91,22 +98,14 @@ def simplicial_chain(family) -> ChainComplex:
     return simplicial(by_dim, 0 in by_dim)
 
 
-def is_dominance_closed(family, n: int) -> bool:
-    """Lowering elements componentwise (sorted order) stays inside."""
-    for s in family:
-        ss = tuple(sorted(s))
-        for c in itertools.combinations(range(1, n + 1), len(ss)):
-            if all(x <= y for x, y in zip(c, ss)) and frozenset(c) not in family:
-                return False
-    return True
-
-
 def shifted_families(n: int) -> list:
     """Families whose mirrors are the shifted cubical complexes on n
-    directions: all singletons present and dominance-closed."""
-    singles = [frozenset((v,)) for v in range(1, n + 1)]
-    return [f for f in simplicial_families(n)
-            if all(s in f for s in singles) and is_dominance_closed(f, n)]
+    directions: downward closed, closed under the lower covers of the
+    dominance order, and holding {n}, so every singleton."""
+    u = tuple(range(1, n + 1))
+    fams = _closed_families(n, lambda c: _faces_below(c) + [
+        frozenset(t) for t in lower_covers(c, u)])
+    return [f for f in fams if n == 0 or frozenset((n,)) in f]
 
 
 def mirror_corpus(nmax: int = 4) -> list:

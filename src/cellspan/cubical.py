@@ -51,9 +51,32 @@ def closure_of(faces) -> frozenset:
     return seen
 
 
+def _magnitude(n: int) -> str:
+    """n, or ~10^e (e its digit count less one) past 20 digits: a
+    refusal stays one short line, where str() fails past 4300 digits."""
+    if n < 10 ** 20:
+        return str(n)
+    e = (n.bit_length() - 1) * 3010299 // 10 ** 7   # log10(2) rounded down
+    while 10 ** (e + 1) <= n:
+        e += 1
+    return f"~10^{e}"
+
+
 def _check_face_bound(bound: int) -> None:
     if bound > FACE_CAP:
-        raise ValueError(f"up to {bound} faces exceed cap {FACE_CAP}")
+        raise ValueError(f"up to {_magnitude(bound)} faces exceed cap {FACE_CAP}")
+
+
+def lower_covers(s, universe) -> list:
+    """The direction sets one step below s in the dominance order: one
+    member moved to the universe element before it, when that element
+    is not in s.  Sets are tuples sorted in universe order."""
+    out = []
+    for j, d in enumerate(s):
+        p = universe.index(d)
+        if p and universe[p - 1] not in s:
+            out.append(s[:j] + (universe[p - 1],) + s[j + 1:])
+    return out
 
 
 def dirset_faces(universe, dirs):
@@ -239,15 +262,9 @@ class CubicalComplex:
         ds = self.dirsets() | {()} | {(d,) for d in self.universe}
         if any(f not in self.faces for s in ds for f in dirset_faces(self.universe, s)):
             return False
-        # (3) direction sets form an ideal in componentwise order
-        for s in ds:
-            k = len(s)
-            if k == 0:
-                continue
-            for t in itertools.combinations(self.universe, k):
-                if all(a <= b for a, b in zip(t, s)) and t not in ds:
-                    return False
-        return True
+        # (3) direction sets form an ideal in the dominance order, which
+        # the lower covers generate
+        return all(t in ds for s in ds for t in lower_covers(s, self.universe))
 
     def pure_skeleton(self, j: int) -> "CubicalComplex":
         return CubicalComplex(self.universe, closure_of(self.faces_of_dim(j)), closed=True)
@@ -315,9 +332,12 @@ def mirror(n: int, facets) -> CubicalComplex:
     """Cubical complex whose faces are the cube faces with direction
     set in the given simplicial complex on [n].  With no facets that
     complex is void, not {empty set}, and so is its mirror.  At most
-    FACE_CAP faces: a facet F spans at most 3^|F| 2^(n-|F|) of them."""
+    FACE_CAP faces, a facet F spanning at most 3^|F| 2^(n-|F|) of them,
+    and at most FACE_CAP vertices, checked first."""
     if n < 0:
         raise ValueError(f"mirror vertex count {n} is negative")
+    if n > FACE_CAP:
+        raise ValueError(f"mirror vertex count {_magnitude(n)} exceeds cap {FACE_CAP}")
     facets = [set(f) for f in facets]
     if any(not (1 <= v <= n) for f in facets for v in f):
         raise ValueError(f"facet vertex outside [1, {n}]")

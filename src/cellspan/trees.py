@@ -10,15 +10,15 @@ H_i) solved upward from tau_(-1) = 1, which without torsion is the
 alternating product of the pi_j, and the closed form for full cubes.
 All arithmetic exact.
 
-The brute engine tests each candidate with one determinant.  Fix a
-(k-1)-tree U, the first basis of the boundary columns one dimension
-down, and let Ubar be the other (k-1)-cells.  A candidate T of the
-forced size is a k-tree iff det d[Ubar, T] != 0, and then its torsion
-is t_T = |det| t_X / t_U, the Cauchy-Binet step of the simplicial
-matrix-tree theorem (Duval-Klivans-Martin).  The candidates are
-scanned depth first with incremental elimination, so a prefix with
-dependent columns is never extended.  U and the scan use exact's
-Bareiss echelon (_Echelon), the one that finishes rank_exact too.
+The determinant engines reduce at one (k-1)-tree U (_reduction): the
+first basis of the boundary columns one dimension down, Ubar the other
+(k-1)-cells, t_X and t_U the torsion orders of H_(k-2) of X and of the
+skeleton plus U.  The matrix-tree engines take det L[Ubar, Ubar] t_X^2
+/ t_U^2, the same at every U (Duval-Klivans-Martin); the brute engine
+takes T of the forced size as a k-tree iff det d[Ubar, T] != 0, with
+t_T = |det| t_X / t_U, the Cauchy-Binet step.  Its candidates are
+scanned depth first with exact's Bareiss echelon (_Echelon), so a
+prefix with dependent columns is never extended.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class CstCertificate:
 
 
 def cst_target_size(xs: ChainComplex, k: int) -> int:
-    below = xs.betti(k - 1) if (k >= 1 or xs.empty_cell) else 0
+    below = xs.betti(k - 1) if k - 1 in xs.homology_range() else 0
     return xs.n_cells(k) - xs.betti(k) + below
 
 
@@ -164,40 +164,38 @@ def is_cst(x, k: int, T) -> CstCertificate:
 # engines
 
 
-def _greedy_u(xs: ChainComplex, k: int):
-    """Indices of a maximal independent set of columns of the reduced
-    boundary one dimension down, first in stored cell order.  These
-    are the facets of a (k-1)-tree."""
-    return _pivot_columns(xs.homology_boundary(k - 1)), xs.labels(k - 1)
-
-
-def _degree_u(xs: ChainComplex, k: int):
-    """Like _greedy_u, but the greedy takes the columns by decreasing
-    nonzero count of their row in B diag(xi) B^T (B = d_k), ties in
-    stored order: a (k-1)-tree of the densest rows and columns.  That
-    count is the number of (k-1)-cells sharing a k-cell with the row's
-    cell, itself included, read off the pattern of B: distinct k-cells
-    carry distinct weight monomials, so no entry cancels."""
-    near = [set() for _ in range(xs.n_cells(k - 1))]
-    for col in xs.sparse_boundary(k).cols:
-        for r in col:
-            near[r].update(col)
-    order = sorted(range(len(near)), key=lambda r: -len(near[r]))
-    b = xs.homology_boundary(k - 1)
-    picked = _pivot_columns(SparseMatrix([b.cols[j] for j in order], b.nrows))
-    return sorted(order[i] for i in picked), xs.labels(k - 1)
-
-
 def _torsion_two_below(c: ChainComplex, k: int) -> int:
     """t_(k-2): the torsion order of reduced H_(k-2) of c, 1 when k < 2."""
     return c.torsion_order(k - 2) if k >= 2 else 1
 
 
-def _torsions(xs: ChainComplex, k: int, u_cells) -> tuple:
-    """(t_X, t_U): torsion orders of H_(k-2) of X and of the
-    (k-2)-skeleton plus the (k-1)-tree U."""
-    xu = xs.with_top_cells(k - 1, u_cells) if k >= 2 else xs
-    return _torsion_two_below(xs, k), _torsion_two_below(xu, k)
+def _reduction(xs: ChainComplex, k: int, order=None) -> tuple:
+    """(U, Ubar, t_X, t_U) on the k-skeleton xs, U and Ubar as row
+    indices of the reduced d_k.  U is the first column basis of the
+    reduced d_(k-1), columns taken in `order` (stored order when None);
+    Ubar the other rows, in stored order; t_X and t_U the torsion
+    orders of H_(k-2) of X and of the (k-2)-skeleton plus U."""
+    b = xs.homology_boundary(k - 1)
+    order = range(b.ncols) if order is None else order
+    basis = _pivot_columns(SparseMatrix([b.cols[j] for j in order], b.nrows))
+    u = sorted(order[i] for i in basis)
+    ubar = sorted(set(range(xs.homology_boundary(k).nrows)) - set(u))
+    labels = xs.labels(k - 1)
+    xu = xs.with_top_cells(k - 1, [labels[j] for j in u]) if k >= 2 else xs
+    return u, ubar, _torsion_two_below(xs, k), _torsion_two_below(xu, k)
+
+
+def _degree_order(xs: ChainComplex, k: int) -> list:
+    """The (k-1)-cells by decreasing nonzero count of their row in
+    B diag(xi) B^T (B = d_k), ties in stored order.  That count is the
+    number of (k-1)-cells sharing a k-cell with the row's cell, itself
+    included, read off the pattern of B: distinct k-cells carry distinct
+    weight monomials, so no entry cancels."""
+    near = [set() for _ in range(xs.n_cells(k - 1))]
+    for col in xs.sparse_boundary(k).cols:
+        for r in col:
+            near[r].update(col)
+    return sorted(range(len(near)), key=lambda r: -len(near[r]))
 
 
 def _torsion_scaled(value, t_x: int, t_u: int):
@@ -219,14 +217,7 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
     """Scan the candidate cell sets of the forced size in combinations
     order and list each k-tree with its torsion t_T.  tau is read off
     the list: the sum of t_T^2, times the face-weight monomial prod_f
-    xi_f over the cells of T in weighted mode.
-
-    With U a (k-1)-tree and Ubar the other (k-1)-cells, T is a k-tree
-    iff det d[Ubar, T] != 0, and then t_T = |det| t_X / t_U (the
-    Cauchy-Binet step of the simplicial matrix-tree theorem).  The scan
-    is depth first with one incremental elimination on the Ubar rows,
-    so a prefix whose columns are already dependent is never extended.
-    """
+    xi_f over the cells of T in weighted mode."""
     xs = _skeleton(q.chain, q.k)
     target = cst_target_size(xs, q.k)
     labels = xs.labels(q.k)
@@ -234,14 +225,12 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
     needed = math.comb(n, target)
     if needed > q.cap:
         raise CapExceeded(needed, q.cap, "brute-force subset cap")
-    b = xs.homology_boundary(q.k)
-    picked, u_labels = _greedy_u(xs, q.k)
-    t_x, t_u = _torsions(xs, q.k, [u_labels[j] for j in picked])
-    ubar = sorted(set(range(b.nrows)) - set(picked))
+    _, ubar, t_x, t_u = _reduction(xs, q.k)
     if len(ubar) != target:
         raise ArithmeticError("complement of U does not match the tree size")
     pos = {r: t for t, r in enumerate(ubar)}
-    cols = [{pos[r]: v for r, v in col.items() if r in pos} for col in b.cols]
+    cols = [{pos[r]: v for r, v in col.items() if r in pos}
+            for col in xs.homology_boundary(q.k).cols]
     per_tree = []
     ech = _Echelon()
     path: list = []
@@ -281,15 +270,11 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
     if xs.n_cells(k - 1) > MATRIX_SIDE_CAP:
         raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP,
                           "matrix-tree side cap (MATRIX_SIDE_CAP)")
+    u, keep, t_x, t_u = _reduction(xs, k)
     lap = xs.laplacian(k - 1, "ud").cols
-    picked, labels = _greedy_u(xs, k)
-    u = set(picked)
-    keep = [j for j in range(len(labels)) if j not in u]
     det = det_exact([[lap[r].get(s, 0) for s in keep] for r in keep])
-    u_cells = [labels[j] for j in picked]
-    t_x, t_u = _torsions(xs, k, u_cells)
     tau = _torsion_scaled(det, t_x * t_x, t_u * t_u)
-    return TreeReport(tau, "matrix-tree", u_cells=u_cells)
+    return TreeReport(tau, "matrix-tree", u_cells=[xs.labels(k - 1)[j] for j in u])
 
 
 def tau_alternating(x, k: int) -> int:
@@ -323,19 +308,14 @@ def weighted_tau_matrix_tree(x: CubicalComplex, k: int) -> LaurentPoly:
     sum over k-trees of the squared torsion times the product of face
     weights.  The torsion-squared ratio enters as an integer factor.
 
-    The rows and columns removed are those of the (k-1)-tree U of
-    _degree_u, which holds the densest rows, so that det_ring's
-    expansion keeps fewer rows open.  By the cellular Matrix-Tree
-    Theorem det * t_X^2 / t_U^2 is the same for every (k-1)-tree U, so
-    the enumerator does not depend on that choice.  CapExceeded once
-    the reduced side exceeds WEIGHTED_SIDE_CAP, before the Laurent
+    U is taken in _degree_order, so it holds the densest rows and
+    det_ring's expansion keeps fewer rows open.  CapExceeded once the
+    reduced side exceeds WEIGHTED_SIDE_CAP, before the Laurent
     Laplacian is built."""
     if not isinstance(x, CubicalComplex):
         raise ValueError("weighted engine needs a cubical complex")
     xs = _skeleton(x, k, lo=1)
-    picked, labels = _degree_u(xs, k)
-    u = set(picked)
-    keep = [j for j in range(len(labels)) if j not in u]
+    _, keep, t_x, t_u = _reduction(xs, k, _degree_order(xs, k))
     if len(keep) > WEIGHTED_SIDE_CAP:
         raise CapExceeded(len(keep), WEIGHTED_SIDE_CAP,
                           "weighted matrix-tree side cap (WEIGHTED_SIDE_CAP)")
@@ -343,7 +323,6 @@ def weighted_tau_matrix_tree(x: CubicalComplex, k: int) -> LaurentPoly:
     det = det_ring([[lw[r][s] for s in keep] for r in keep])
     if isinstance(det, int):
         det = LaurentPoly.constant(weight_vars(x.universe), det)
-    t_x, t_u = _torsions(xs, k, [labels[j] for j in picked])
     return _torsion_scaled(det, t_x * t_x, t_u * t_u)
 
 

@@ -76,8 +76,7 @@ def spectral_identity_failures(items) -> list:
     bad = []
     char_polynomials([c for _, c in items])
     for name, c in items:
-        lo = -1 if c.empty_cell else 0
-        for i in range(lo, c.dim + 1):
+        for i in c.homology_range():
             if not ud_du_shift_holds(c, i):
                 bad.append(f"{name} dim {i} ud-du shift")
             if not tot_split_holds(c, i):

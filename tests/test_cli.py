@@ -566,6 +566,34 @@ def test_oversized_cubical_json_exits_2(capsys, tmp_path):
     assert err == f"error: invalid complex in {p}: up to 531441 faces exceed cap 59049\n"
 
 
+def test_face_caps_past_4300_digits_name_the_cap(capsys, tmp_path):
+    """A bound str() would refuse to print shows as ~10^e, the exponent
+    of its leading digit; a small one stays in full."""
+    mir = tmp_path / "mirror.json"
+    mir.write_text(json.dumps({"vertices": 20000, "facets": [[1]]}))
+    cub = tmp_path / "cubical.json"
+    cub.write_text(json.dumps({"universe": list(range(1, 10001)), "faces": ["*" * 10000]}))
+    for spec, err in [
+            (str(mir), "error: up to ~10^6020 faces exceed cap 59049\n"),
+            (str(cub), f"error: invalid complex in {cub}: up to ~10^4771 faces exceed cap 59049\n"),
+            ("colorful:" + ",".join(["1"] * 15000), "error: ~10^4515 faces exceed cap 4096\n"),
+            ("colorful:" + ",".join(["1"] * 13), "error: 8192 faces exceed cap 4096\n")]:
+        assert run(capsys, "homology", "--input", spec) == (2, "", err)
+
+
+def test_mirror_vertex_count_is_capped_before_building(capsys, tmp_path):
+    """A void mirror on more vertices than FACE_CAP is refused, as is a
+    count whose face bound 2^(n-1) would take long to form; at the cap
+    the void mirror is still built."""
+    for n, facets in [(16_000_000, []), (10 ** 9, [[1]]), (59_050, [])]:
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"vertices": n, "facets": facets}))
+        assert run(capsys, "homology", "--input", str(p)) == (
+            2, "", f"error: mirror vertex count {n} exceeds cap 59049\n")
+    p.write_text(json.dumps({"vertices": 59_049, "facets": []}))
+    assert run(capsys, "homology", "--input", str(p)) == (0, '{"homology":[]}\n', "")
+
+
 def test_cubical_json_face_cap_is_the_10_cube(capsys, tmp_path):
     """The cap counts faces lying in no other listed face, so the
     mirror command's own output, which lists every face, reads back."""

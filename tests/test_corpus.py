@@ -15,7 +15,7 @@ from cellspan.corpus import (boundary_family, colorful_corpus, colorful_sizes,
                              cone_family, cube_algebraic_dd_zero,
                              cube_weighted_spectrum_check, del_family,
                              family_facets, identity_corpus,
-                             is_dominance_closed, link_family, mirror_circle,
+                             link_family, mirror_circle,
                              mirror_corpus, mirror_matroid_example, mirror_on,
                              rp2, shifted_corpus, shifted_families,
                              simplicial_chain, simplicial_families,
@@ -69,8 +69,45 @@ def test_families_on_five_vertices():
     assert all(_downward_closed(f) for f in fams)
 
 
+def is_dominance_closed(family, n: int) -> bool:
+    """Oracle: lowering elements componentwise (sorted order) stays
+    inside."""
+    for s in family:
+        ss = tuple(sorted(s))
+        for c in itertools.combinations(range(1, n + 1), len(ss)):
+            if all(x <= y for x, y in zip(c, ss)) and frozenset(c) not in family:
+                return False
+    return True
+
+
 def test_shifted_family_counts():
     assert [len(shifted_families(n)) for n in range(1, 5)] == [1, 2, 5, 17]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_shifted_families_match_the_dominance_filter(n):
+    """The generator gives the families the oracle keeps among all
+    downward-closed ones: every singleton present, dominance closed."""
+    got = shifted_families(n)
+    want = {f for f in simplicial_families(n)
+            if all(frozenset((v,)) in f for v in range(1, n + 1))
+            and is_dominance_closed(f, n)}
+    assert len(set(got)) == len(got)
+    assert set(got) == want
+
+
+def test_shifted_families_on_six_directions():
+    assert len(shifted_families(6)) == 1054
+
+
+def test_shiftedness_reads_universe_positions():
+    """Lower covers step to the universe element before, not to d - 1:
+    relabelling a family onto (2, 5, 7) keeps it shifted or not."""
+    relabel = dict(zip((1, 2, 3), (2, 5, 7)))
+    for fam in simplicial_families(3):
+        moved = [frozenset(relabel[v] for v in s) for s in fam]
+        assert (mirror_on((2, 5, 7), moved).is_shifted()
+                == mirror_on((1, 2, 3), fam).is_shifted()), family_facets(fam)
 
 
 def test_mirror_corpus_size_and_names():

@@ -443,7 +443,7 @@ def test_weighted_engine_at_rational_points(x, ks):
     """At seeded rational points, det_fraction of the reduced diagonal
     form, built by gram_sum from the evaluated weights, times the
     torsion ratio, is the weighted engine's enumerator evaluated there.
-    The reference reduces at the stored-order U of _greedy_u, the engine
+    The reference reduces at the stored-order U of _reduction, the engine
     at its maximum-degree U, so this also checks that the enumerator
     does not depend on U.  The engine's U is a (k-1)-tree, the greedy
     over the columns by decreasing nonzero count of their row in the
@@ -452,15 +452,15 @@ def test_weighted_engine_at_rational_points(x, ks):
     vs = weight_vars(x.universe)
     for k in ks:
         xs = trees._skeleton(x, k, lo=1)
-        u_engine, labels = trees._degree_u(xs, k)
+        labels = xs.labels(k - 1)
+        u_engine = trees._reduction(xs, k, trees._degree_order(xs, k))[0]
         assert trees.is_cst(xs, k - 1, [labels[j] for j in u_engine]), k
         nonzeros = [sum(1 for v in row if v) for row in weighted_diag_laplacian(x, k)]
         by_degree = sorted(range(len(nonzeros)), key=lambda r: -nonzeros[r])
         bd = xs.homology_boundary(k - 1)
         greedy = _pivot_columns(SparseMatrix([bd.cols[j] for j in by_degree], bd.nrows))
         assert u_engine == sorted(by_degree[i] for i in greedy), k
-        picked, labels = trees._greedy_u(xs, k)
-        t_x, t_u = trees._torsions(xs, k, [labels[j] for j in picked])
+        picked, _, t_x, t_u = trees._reduction(xs, k)
         tau = trees.weighted_tau_matrix_tree(x, k)
         b = x.to_chain().sparse_boundary(k)
         keep = [r for r in range(b.nrows) if r not in set(picked)]

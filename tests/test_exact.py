@@ -561,9 +561,8 @@ def test_det_ring_forms_no_product_it_then_drops():
     nothing for a row set it then drops."""
     x = CubicalComplex((1, 2, 3, 4), ["0***", "*0**", "**0*", "***0", "***1"])
     xs = trees._skeleton(x, 2, lo=1)
-    picked, labels = trees._greedy_u(xs, 2)
+    _, keep, _, _ = trees._reduction(xs, 2)
     lap = xs.laplacian(1, "ud").cols
-    keep = [j for j in range(len(labels)) if j not in set(picked)]
     rows = [[lap[r].get(s, 0) for s in keep] for r in keep]
     assert len(rows) == 16
     det, products, dropped = _wasted_products(rows)

@@ -30,7 +30,8 @@ from cellspan.trees import (
     verify_conjecture,
     weighted_tau_matrix_tree,
     _as_chain,
-    _greedy_u,
+    _degree_order,
+    _reduction,
 )
 
 
@@ -167,17 +168,38 @@ def test_alternating_values():
     assert tau_alternating(rp2(), 2) == 4  # torsion below the top dimension
 
 
-@pytest.mark.parametrize("factor, counts", [
+PRODUCTS_WITH_RP2 = [
     (rp2(), {2: 16, 3: 8, 4: 4}),
     (cube(2).to_chain(), {0: 4, 1: 4, 2: 1152, 3: 8, 4: 1}),
     (cube(1).to_chain(), {0: 2, 1: 1, 2: 24, 3: 1}),
-])
+]
+
+
+@pytest.mark.parametrize("factor, counts", PRODUCTS_WITH_RP2)
 def test_tree_counts_of_products_with_rp2(factor, counts):
     """rp2 x F has H_1 = Z/2, below every k >= 2, where the recursion
     needs the paper's torsion factor to match the determinant engine."""
     c = product(rp2(), factor)
     for k, tau in counts.items():
         assert tau_matrix_tree(c, k).tau == tau_alternating(c, k) == tau, k
+
+
+@pytest.mark.parametrize("factor, counts", PRODUCTS_WITH_RP2)
+def test_reduction_is_the_same_at_every_column_order(factor, counts):
+    """det L[Ubar, Ubar] t_X^2 / t_U^2 at the stored, degree and
+    reversed column orders of _reduction is the pinned tau, torsion
+    below included, with L = B B^T for the reduced boundary B = d_k."""
+    c = product(rp2(), factor)
+    for k, tau in counts.items():
+        xs = c.skeleton(k)
+        rows = xs.homology_boundary(k).rows()
+        stored = range(xs.homology_boundary(k - 1).ncols)
+        for order in (None, _degree_order(xs, k), stored[::-1]):
+            _, ubar, t_x, t_u = _reduction(xs, k, order)
+            lap = [[sum(a * b for a, b in zip(rows[r], rows[s])) for s in ubar]
+                   for r in ubar]
+            det, rem = divmod(det_exact(lap) * t_x * t_x, t_u * t_u)
+            assert (det, rem) == (tau, 0), (k, order)
 
 
 PRODUCT_FACTORS = [
@@ -289,13 +311,19 @@ def test_weighted_engine_starts_at_k1():
         weighted_tau_matrix_tree(cube(2), 0)
 
 
+def set_torsions(monkeypatch, t_x, t_u):
+    """Make _reduction report (t_X, t_U) = (t_x, t_u) at its U."""
+    monkeypatch.setattr(trees, "_reduction",
+                        lambda *a: _reduction(*a)[:2] + (t_x, t_u))
+
+
 def test_weighted_matrix_tree_scales_by_the_torsion_ratio(monkeypatch):
     base = weighted_tau_matrix_tree(cube(2), 1)
-    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (2, 1))
+    set_torsions(monkeypatch, 2, 1)
     assert weighted_tau_matrix_tree(cube(2), 1) == base * 4
-    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (6, 3))
+    set_torsions(monkeypatch, 6, 3)
     assert weighted_tau_matrix_tree(cube(2), 1) == base * 4
-    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (1, 2))
+    set_torsions(monkeypatch, 1, 2)
     with pytest.raises(ArithmeticError, match="torsion ratio did not divide"):
         weighted_tau_matrix_tree(cube(2), 1)
 
@@ -308,9 +336,9 @@ def test_weighted_brute_scales_by_the_torsion_ratio(monkeypatch):
     """Each tree adds t_T^2 times its monomial: doubling every t_T
     multiplies tau by 4."""
     base = brute_weighted(cube(2), 1)
-    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (2, 1))
+    set_torsions(monkeypatch, 2, 1)
     assert brute_weighted(cube(2), 1) == base * 4
-    monkeypatch.setattr(trees, "_torsions", lambda xs, k, u: (1, 2))
+    set_torsions(monkeypatch, 1, 2)
     with pytest.raises(ArithmeticError, match="torsion ratio did not divide"):
         brute_weighted(cube(2), 1)
 
@@ -450,9 +478,9 @@ def test_greedy_u_matches_rank_greedy_on_corpus():
     for name, c in items:
         for k in range(1, c.dim + 1):
             xs = c.skeleton(k)
-            picked, labels = _greedy_u(xs, k)
+            picked, ubar, _, _ = _reduction(xs, k)
             assert picked == rank_greedy(xs.homology_boundary(k - 1)), (name, k)
-            assert labels == xs.labels(k - 1)
+            assert sorted(picked + ubar) == list(range(xs.n_cells(k - 1)))
 
 
 # ---------------------------------------------------------------------------
