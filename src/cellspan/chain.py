@@ -443,7 +443,10 @@ class ChainComplex:
                     v = next(v for v in row if type(v) in _NOT_INTEGERS)
                     raise ChainError(f"boundary {key} entry {v!r} is not an integer")
             bnd[i] = SparseMatrix.from_rows(rows, ncols=ncols)
-        return cls(cells, bnd, empty_cell=bool(data.get("empty_cell", False)))
+        empty = data.get("empty_cell", False)
+        if type(empty) is not bool:
+            raise ChainError(f"empty_cell must be true or false, not {empty!r}")
+        return cls(cells, bnd, empty_cell=empty)
 
     def __repr__(self):
         counts = ",".join(str(self.n_cells(i)) for i in range(self.dim + 1))

@@ -141,10 +141,13 @@ class CubicalComplex:
         """Without closed, the faces are closed downward here, to at
         most FACE_CAP faces.  The bound, checked before building, sums
         3^stars over the given faces, leaving out each that is another
-        given face with one star pinned."""
-        u = tuple(sorted({as_int(d, "universe entry") for d in universe}))
+        given face with one star pinned.  The universe must be strictly
+        increasing: face positions are read against it as given."""
+        u = tuple(as_int(d, "universe entry") for d in universe)
         if any(d <= 0 for d in u):
             raise ValueError("directions are positive integers")
+        if any(a >= b for a, b in zip(u, u[1:])):
+            raise ValueError(f"universe {u} is not strictly increasing")
         self.universe = u
         fs = set()
         for f in faces:

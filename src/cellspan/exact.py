@@ -18,10 +18,12 @@ Markowitz order (_eliminate_units), each pivot one invariant factor 1,
 which the matrix keeps, so each matrix is reduced once for both.  The
 rows left are finished by the Bareiss echelon (_Echelon, which also
 chooses the trees' U and scans their candidates) for the rank and by
-the dense gcd routine _smith_dense for the Smith form.  The
-elimination is a sequence of unimodular row and column operations,
-which keep the rank and the Smith form, and a +-1 pivot keeps every
-entry an integer.  _smith_dense is also the tests' oracle for both.
+_smith_dense for the Smith form: one diagonalising pass of
+nearest-integer quotient steps, each remainder at most half its pivot,
+then gcd/lcm steps that order the diagonal.  The elimination is a
+sequence of unimodular row and column operations, which keep the rank
+and the Smith form, and a +-1 pivot keeps every entry an integer.
+_smith_dense is also the tests' oracle for both.
 
 numpy is used only for word-size modular arithmetic: the eliminations
 mod p of det_exact (_det_stack), and inside the char poly kernel (see
@@ -115,18 +117,28 @@ def gen_binom(a: int, b: int) -> int:
 _INT_ONLY = frozenset((int,))
 
 
+def _int_entry(v) -> int:
+    """int(v), refusing a non-string entry that int() would change, such
+    as 1.5 or Fraction(1, 2); a decimal string reads as int() reads it."""
+    x = int(v)
+    if x != v and not isinstance(v, str):
+        raise ValueError(f"entry {v} is not an integer")
+    return x
+
+
 def _nonzeros(row) -> tuple:
     """(width, positions, values) of the nonzero entries of a row, each
-    entry converted by int(), in order, so a bad entry raises as int()
-    does.  A list of Python ints, the common row, needs no int() call
-    and no pass over its types: its truthy entries are ints and every
-    other entry equals 0 (list.count meets the cached 0 by identity)."""
+    entry converted by _int_entry, in order, so a bad entry raises as
+    int() does and a non-integral one raises ValueError.  A list of
+    Python ints, the common row, needs no conversion and no pass over
+    its types: its truthy entries are ints and every other entry equals
+    0 (list.count meets the cached 0 by identity)."""
     if type(row) is list or type(row) is tuple:
         pos = list(itertools.compress(range(len(row)), row))
         vals = [row[j] for j in pos]
         if _INT_ONLY.issuperset(map(type, vals)) and row.count(0) + len(pos) == len(row):
             return len(row), pos, vals
-    row = [int(v) for v in row]
+    row = [_int_entry(v) for v in row]
     pos = list(itertools.compress(range(len(row)), row))
     return len(row), pos, [row[j] for j in pos]
 
@@ -396,91 +408,53 @@ def _smith_dense(rows) -> tuple[int, ...]:
     rows: smith_normal_form's solver for the rest after unit pivots,
     and the tests' oracle for smith_normal_form.
 
-    Gcd-pivot reduction: repeatedly move a smallest nonzero entry of the
-    trailing submatrix to the pivot, clear its row and column by exact
-    quotient steps, and restore the divisibility chain by folding any
-    offending entry back into the pivot row.
+    One diagonalising pass: move a smallest nonzero entry p of the
+    trailing block (the first in row-major order) to (t, t), then
+    subtract from the first row below with a nonzero in column t the
+    multiple of row t by the nearest integer to its quotient by p, and
+    swap the two rows if the remainder is nonzero; then the same along
+    row t with columns.  Each remainder is at most |p|/2, so each swap
+    at least halves |p|, and both are clear after finitely many steps.
+    Then one ordering step: diag(a, b) and diag(gcd, lcm) are equivalent
+    over Z, and taking every pair i < j in turn makes the diagonal the
+    divisibility chain.
     """
     a = [list(r) for r in rows]
     nr, nc = len(a), len(a[0]) if a else 0
-    factors = []
-    t = 0
-    while t < min(nr, nc):
-        # smallest nonzero entry of the trailing block
-        best = None
-        pos = None
-        for i in range(t, nr):
-            ri = a[i]
-            for j in range(t, nc):
-                v = ri[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if best is None or av < best:
-                        best, pos = av, (i, j)
-                        if av == 1:
-                            break
-            if best == 1:
-                break
-        if pos is None:
+    diag = []
+    for t in range(min(nr, nc)):
+        block = [(abs(v), i, j) for i in range(t, nr) for j, v in enumerate(a[i][t:], t) if v]
+        if not block:
             break
-        i0, j0 = pos
+        _, i0, j0 = min(block)
         a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
+        for row in a[t:]:
+            row[t], row[j0] = row[j0], row[t]
         while True:
-            if a[t][t] < 0:
-                a[t] = [-v for v in a[t]]
-            p = a[t][t]
-            moved = False
-            for i in range(t + 1, nr):
-                v = a[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        ai, at = a[i], a[t]
-                        for j in range(t, nc):
-                            ai[j] -= q * at[j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        moved = True
-            if moved:
+            i = next((i for i in range(t + 1, nr) if a[i][t]), None)
+            if i is not None:
+                at, ai = a[t], a[i]
+                q = (2 * ai[t] + at[t]) // (2 * at[t])
+                for j in range(t, nc):
+                    ai[j] -= q * at[j]
+                if ai[t]:
+                    a[t], a[i] = ai, at
                 continue
-            for j in range(t + 1, nc):
-                v = a[t][j]
-                if v:
-                    q = v // a[t][t]
-                    if q:
-                        for i in range(t, nr):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        moved = True
-            if moved:
-                continue
-            if any(a[i][t] for i in range(t + 1, nr)):
-                continue
-            # divisibility repair: every entry below-right must be a
-            # multiple of the pivot before we freeze it
-            p = a[t][t]
-            bad = None
-            for i in range(t + 1, nr):
-                ai = a[i]
-                for j in range(t + 1, nc):
-                    if ai[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
+            j = next((j for j in range(t + 1, nc) if a[t][j]), None)
+            if j is None:
                 break
-            at, ab = a[t], a[bad]
-            for j in range(t, nc):
-                at[j] += ab[j]
-        factors.append(a[t][t])
-        t += 1
-    return tuple(factors)
+            q = (2 * a[t][j] + a[t][t]) // (2 * a[t][t])
+            for row in a[t:]:
+                row[j] -= q * row[t]
+            if a[t][j]:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+        diag.append(abs(a[t][t]))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return tuple(diag)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,23 @@ def test_json_accepts_plain_ints():
     assert c.sparse_boundary(1).rows() == ((-1,), (1,))
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_json_empty_cell_reads_true_and_false(value):
+    data = {"cells": [["a", "b"], ["e"]], "boundary": {"1": [[-1], [1]]}, "empty_cell": value}
+    if value:
+        data["boundary"]["0"] = [["1", "1"]]
+    assert ChainComplex.from_json_dict(data).empty_cell is value
+
+
+@pytest.mark.parametrize("value", ["false", "no", 1, None])
+def test_json_empty_cell_is_a_boolean_or_absent(value):
+    """A string, number or null is not read by its truthiness."""
+    data = {"cells": [["a", "b"], ["e"]], "boundary": {"1": [[-1], [1]]}, "empty_cell": value}
+    with pytest.raises(ChainError) as info:
+        ChainComplex.from_json_dict(data)
+    assert str(info.value) == f"empty_cell must be true or false, not {value!r}"
+
+
 def test_dual_single_vertex_with_empty_cell():
     c = ChainComplex({0: ("v",)}, {0: [[1]]}, empty_cell=True)
     y = c.dual()

@@ -525,6 +525,29 @@ def test_non_integer_cubical_json_exits_2(capsys, tmp_path, data, message):
     assert err == f"error: invalid complex in {p}: {message}\n"
 
 
+@pytest.mark.parametrize("command", [("homology",), ("weighted-trees", "--k", "1")])
+@pytest.mark.parametrize("data, message", [
+    ({"universe": [2, 1], "faces": ["0*"]}, "universe (2, 1) is not strictly increasing"),
+    ({"universe": [1, 1], "faces": ["0*"]}, "universe (1, 1) is not strictly increasing"),
+    ({"cells": [["a", "b"], ["e"]], "boundary": {"1": [[-1], [1]]}, "empty_cell": "false"},
+     "empty_cell must be true or false, not 'false'"),
+    ({"cells": [["a", "b"], ["e"]], "boundary": {"1": [[-1], [1]]}, "empty_cell": "no"},
+     "empty_cell must be true or false, not 'no'"),
+    ({"cells": [["a", "b"], ["e"]], "boundary": {"1": [[-1], [1]]}, "empty_cell": 1},
+     "empty_cell must be true or false, not 1"),
+])
+def test_unordered_universe_or_non_boolean_empty_cell_exits_2(capsys, tmp_path, command,
+                                                              data, message):
+    """A universe is not sorted under its faces, and empty_cell is not
+    read by truthiness: either would silently answer for another
+    complex."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    rc, out, err = run(capsys, command[0], "--input", str(p), *command[1:])
+    assert (rc, out) == (2, "")
+    assert err == f"error: invalid complex in {p}: {message}\n"
+
+
 @pytest.mark.parametrize("data, message", [
     ({"vertices": 2.9, "facets": [[1, 2]]}, "vertex count 2.9 is not an integer"),
     ({"vertices": True, "facets": [[1]]}, "vertex count True is not an integer"),

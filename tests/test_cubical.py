@@ -345,6 +345,15 @@ def test_json_round_trip():
     assert z == cube(2)
 
 
+@pytest.mark.parametrize("universe", [(2, 1), (1, 1)])
+def test_universe_must_be_strictly_increasing(universe):
+    """Faces are read against the universe as given, so a universe out
+    of order or with a repeat is refused, not sorted under the faces."""
+    with pytest.raises(ValueError) as info:
+        CubicalComplex(universe, {"0*"})
+    assert str(info.value) == f"universe {universe} is not strictly increasing"
+
+
 def test_xi_weight():
     u = (1, 2)
     w = xi_weight(u, "0*")

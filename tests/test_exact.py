@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import itertools
 import math
 import pkgutil
 import random
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cellspan
 from cellspan import exact, trees
+from cellspan.chain import ChainComplex
 from cellspan.cubical import CubicalComplex, cube
 from cellspan.exact import (
     IntPoly,
@@ -480,7 +482,7 @@ def test_det_ring_laurent_matrix():
 
 
 @st.composite
-def sparse_int_matrices(draw, max_side=9):
+def square_int_matrices(draw, max_side=9):
     """Square integer matrices of side 0..max_side, mostly zeros, some
     with a zero column or two equal rows (singular)."""
     n = draw(st.integers(0, max_side))
@@ -498,7 +500,7 @@ def sparse_int_matrices(draw, max_side=9):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_int_matrices())
+@given(square_int_matrices())
 def test_det_ring_against_bareiss_and_fractions(rows):
     n = len(rows)
     want = det_exact(rows)
@@ -838,6 +840,15 @@ NO_UNIT_ENTRY = (mat([[2, 0], [0, 2]]), mat([[2, 3]]),
                  mat([[2, 3, 0], [0, 2, 3], [3, 0, 2]]),
                  mat([[-2, 2], [2, 2], [3, -3]]))
 
+# A dense 9x9 matrix (seed 331 of a sweep) on which gcd elimination
+# with floor quotients and a divisibility repair runs for minutes, its
+# entries growing; its factors are (1,) * 8 + (123888,).
+DENSE_SEED_331 = mat([[-2, 3, 2, 1, 2, 2, 2, 2, 3], [1, 0, 1, 3, 0, 3, 2, 3, -2],
+                      [1, -1, 1, 2, -3, 2, 2, 1, 2], [3, 2, 3, -3, -3, 2, 3, -1, -2],
+                      [1, -1, -2, 2, 3, -3, -1, -2, -2], [0, 3, 2, 2, 1, -3, 1, -2, 2],
+                      [3, 0, 1, 1, 0, -1, 0, -3, 1], [0, 0, -1, -2, 0, -1, -1, -3, -1],
+                      [1, 3, -2, -2, 1, 0, -2, 2, 0]])
+
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_int_matrices())
@@ -849,6 +860,7 @@ NO_UNIT_ENTRY = (mat([[2, 0], [0, 2]]), mat([[2, 3]]),
 @example(NO_UNIT_ENTRY[1])
 @example(NO_UNIT_ENTRY[2])
 @example(NO_UNIT_ENTRY[3])
+@example(DENSE_SEED_331)
 def test_unit_pivots_against_dense_smith_and_rank(m):
     """smith_normal_form and rank_exact (unit pivots, then the dense
     Smith form or the Bareiss echelon on the rest) against the dense
@@ -862,6 +874,7 @@ def test_unit_pivots_against_dense_smith_and_rank(m):
 @given(sparse_int_matrices())
 @example(NO_UNIT_ENTRY[2])
 @example(NO_UNIT_ENTRY[3])
+@example(DENSE_SEED_331)
 def test_rank_and_smith_form_do_not_depend_on_their_order(m):
     """The matrix keeps its unit elimination, so the second of the two
     reads the first one's: either order gives the same rank and Smith
@@ -871,6 +884,88 @@ def test_rank_and_smith_form_do_not_depend_on_their_order(m):
     second = smith_normal_form(b)
     want = exact._smith_dense(m.rows())
     assert first == (rank_exact(b), second) == (len(want), want)
+
+
+def minors_gcd(rows, k) -> int:
+    """The gcd of the k x k minors of rows, by det_exact."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    subs = [[[rows[i][j] for j in cs] for i in rs]
+            for rs in itertools.combinations(range(nr), k)
+            for cs in itertools.combinations(range(nc), k)]
+    return math.gcd(*exact.dets_exact(subs))
+
+
+def determinantal_divisors(rows) -> tuple:
+    """Invariant factors d_k = D_k / D_(k-1), D_k the gcd of the k x k
+    minors by det_fraction, up to the rank: no elimination over Z."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    out, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for rs in itertools.combinations(range(nr), k):
+            for cs in itertools.combinations(range(nc), k):
+                d = math.gcd(d, int(det_fraction([[rows[i][j] for j in cs] for i in rs])))
+        if not d:
+            break
+        out.append(d // prev)
+        prev = d
+    return tuple(out)
+
+
+def seeded_small_matrix(seed):
+    """Up to 5 x 5, from random.Random(seed): dense, sparse, or low rank
+    scaled by 1, 2 or 6, so that the factors are often not in order on
+    the diagonal that the pass leaves."""
+    rng = random.Random(seed)
+    nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+    kind = rng.choice(("dense", "sparse", "low rank"))
+    if kind == "low rank":
+        k, s = rng.randint(0, 3), rng.choice((1, 2, 6))
+        a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+        b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+        return [[s * sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)]
+                for i in range(nr)]
+    d = 1.0 if kind == "dense" else 0.4
+    return [[rng.randint(-6, 6) if rng.random() < d else 0 for _ in range(nc)]
+            for _ in range(nr)]
+
+
+def test_dense_smith_against_determinantal_divisors():
+    """_smith_dense, diagonal pass and gcd/lcm ordering, against the
+    determinantal divisors: two diagonals out of divisibility order,
+    then seeded matrices."""
+    for rows in ([[6, 0, 0], [0, 4, 0], [0, 0, 0]], [[0, 0, 9], [0, -10, 0], [15, 0, 0]],
+                 *map(seeded_small_matrix, range(400))):
+        assert exact._smith_dense(rows) == determinantal_divisors(rows), rows
+
+
+def test_dense_smith_of_a_dense_seeded_12x12_matrix():
+    """2 randint(-3, 3) from random.Random(1), row by row, on which gcd
+    elimination with floor quotients runs for minutes.  Checked against routes that do not use the Smith form: the product
+    of the factors is |det|, and all but the last multiply to the gcd of
+    the 144 11-minors."""
+    rng = random.Random(1)
+    rows = [[2 * rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]
+    factors = smith_normal_form(mat(rows))
+    assert factors == (2,) * 11 + (44519772,)
+    assert math.prod(factors) == abs(det_exact(rows)) == 2**11 * 44519772
+    assert math.prod(factors[:11]) == minors_gcd(rows, 11) == 2**11
+
+
+def test_homology_of_a_dense_seeded_boundary():
+    """12 vertices and 12 edges, the first 11 rows of the boundary
+    2 randint(-3, 3) from random.Random(0) and the last the negated sum
+    of the others, so that every column sums to 0 as the augmentation
+    needs: gcd elimination with floor quotients runs for minutes here.  H_0's torsion is
+    the gcd of the 11-minors of the boundary."""
+    rng = random.Random(0)
+    rows = [[2 * rng.randint(-3, 3) for _ in range(12)] for _ in range(11)]
+    rows.append([-sum(col) for col in zip(*rows)])
+    c = ChainComplex({0: [f"v{i}" for i in range(12)], 1: [f"e{j}" for j in range(12)]},
+                     {1: rows})
+    assert minors_gcd(rows, 11) == 4096
+    assert (c.homology(0).torsion, c.homology(0).betti) == (4096, 0)
+    assert (c.homology(1).torsion, c.homology(1).betti) == (1, 1)
 
 
 def fraction_rank(rows) -> int:
@@ -993,6 +1088,19 @@ def test_from_rows_converts_every_entry_by_int(rows):
     assert s.rows() == tuple(tuple(int(v) for v in r) for r in rows)
     assert s == SparseMatrix.from_rows([[int(v) for v in r] for r in rows])
     assert all(type(v) is int and v for col in s.cols for v in col.values())
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, Fraction(1, 2), np.float64(2.5)])
+def test_non_integral_entries_are_refused_not_truncated(bad):
+    """int() would truncate these to 0, 1, 0 and 2; from_rows, det_exact
+    and the chain complex constructor refuse them instead."""
+    message = f"entry {bad} is not an integer"
+    with pytest.raises(ValueError, match=message):
+        SparseMatrix.from_rows([[bad, 2]])
+    with pytest.raises(ValueError, match=message):
+        det_exact([[bad, 0], [0, 4]])
+    with pytest.raises(ValueError, match=message):
+        ChainComplex({0: ("a", "b"), 1: ("e",)}, {1: [[-1], [bad]]})
 
 
 @pytest.mark.parametrize("rows, error", [
