@@ -22,13 +22,14 @@ from .exact import (
     LaurentPoly,
     NotIntegral,
     SparseMatrix,
-    _Split,
     char_poly,
     char_polys,
     gram_sum,
+    nonzero_root_product,
     outer_sum,
     rank_exact,
     smith_normal_form,
+    sparse_transpose,
     spectrum_of,
 )
 
@@ -51,6 +52,14 @@ def as_int(v, what: str) -> int:
     if type(v) in _NOT_INTEGERS:
         raise ValueError(f"{what} {v!r} is not an integer")
     return int(v)
+
+
+def as_list(v, what: str) -> list:
+    """v, refusing anything but a list (a JSON array): a string would be
+    read one character at a time."""
+    if type(v) is not list:
+        raise ValueError(f"{what} must be a JSON list, not {type(v).__name__}")
+    return v
 
 
 class ChainError(ValueError):
@@ -201,10 +210,10 @@ class ChainComplex:
     # -- validation
 
     def validate(self):
-        """None when consistent; else the first offending (i, row, col)
-        of a nonzero product entry in sparse_boundary(i) *
-        sparse_boundary(i+1), scanning i upward.  Shape and label
-        problems raise directly."""
+        """None when consistent; else the first offending (i, row, col):
+        the least (row, col) of a nonzero entry of sparse_boundary(i) *
+        sparse_boundary(i+1), one exact.outer_sum, scanning i upward.
+        Shape and label problems raise directly."""
         for d, labels in self.cells.items():
             if len(set(labels)) != len(labels):
                 raise ChainError(f"duplicate labels in dimension {d}")
@@ -216,23 +225,14 @@ class ChainComplex:
                 raise ChainError(f"boundary {i} has shape {m.shape}, expected {want}")
         if self.empty_cell and 0 not in self.bnd and self.n_cells(0):
             raise ChainError("empty cell present but no augmentation row stored")
-        lo = 0 if self.empty_cell else 1
-        cols = [self.sparse_boundary(i).cols for i in range(lo, self.dim + 2)]
-        for i in range(lo, self.dim + 1):
-            below, above = cols[i - lo], cols[i - lo + 1]
-            # column c of the product, summed over the nonzeros of
-            # column c of the upper boundary; keep the least (row, col)
-            bad = None
-            for c, col in enumerate(above):
-                acc: dict = {}
-                for k, a in col.items():
-                    for r, b in below[k].items():
-                        acc[r] = acc.get(r, 0) + a * b
-                r = min((r for r, v in acc.items() if v), default=None)
-                if r is not None and (bad is None or r < bad[0]):
-                    bad = (r, c)
-            if bad is not None:
-                return (i,) + bad
+        for i in range(0 if self.empty_cell else 1, self.dim + 1):
+            below, above = self.sparse_boundary(i), self.sparse_boundary(i + 1)
+            prod = outer_sum(below.nrows,
+                             zip(below.cols, sparse_transpose(above.cols, above.nrows)))
+            for r, row in enumerate(prod):
+                bad = [c for c, v in row.items() if v]
+                if bad:
+                    return (i, r, min(bad))
         return None
 
     # -- homology
@@ -245,11 +245,7 @@ class ChainComplex:
     def homology(self, i: int) -> HomologySummary:
         self._check_dim(i)
         if i not in self._hom:
-            factors = smith_normal_form(self.homology_boundary(i + 1))
-            torsion = 1
-            for f in factors:
-                if f > 1:
-                    torsion *= f
+            torsion = math.prod(smith_normal_form(self.homology_boundary(i + 1)))
             self._hom[i] = HomologySummary(i, self.betti(i), torsion)
         return self._hom[i]
 
@@ -274,16 +270,16 @@ class ChainComplex:
     # -- Laplacians and spectra
 
     def laplacian(self, i: int, family: str) -> SparseMatrix:
-        """L^ud_i = B B^T with B = sparse_boundary(i + 1), L^du_i = B^T B
-        with B = sparse_boundary(i), or L^tot_i, their sum, each by
-        exact.outer_sum: O(sum of nnz^2) exact Python-int work."""
+        """L^ud_i = B B^T with B = sparse_boundary(i + 1), L^du_i = A^T A
+        with A = sparse_boundary(i), or L^tot_i, their sum, as one
+        exact.outer_sum over the columns of B, the rows of A, or both
+        lists (one Gram sum, not ud + du): O(sum of nnz^2) exact work."""
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         self._check_dim(i)
-        if family == "tot":
-            return self.laplacian(i, "ud") + self.laplacian(i, "du")
-        b = self.sparse_boundary(i + 1) if family == "ud" else self.sparse_boundary(i).transpose()
-        out = outer_sum(self.n_cells(i), ((v, v) for v in b.cols))
+        ud = self.sparse_boundary(i + 1).cols if family != "du" else []
+        du = self.sparse_boundary(i).transpose().cols if family != "ud" else []
+        out = outer_sum(self.n_cells(i), ((v, v) for v in ud + du))
         return SparseMatrix([{r: v for r, v in col.items() if v} for col in out], len(out))
 
     def weighted_laplacian(self, i: int, xi: dict) -> list:
@@ -326,18 +322,6 @@ class ChainComplex:
 
     # -- products of nonzero eigenvalues
 
-    @staticmethod
-    def _nonzero_eig_product(chi: IntPoly) -> int:
-        """Product of the nonzero roots of the char poly chi: read off
-        the roots of a certified chi without expanding it, else off its
-        lowest nonzero coefficient."""
-        if isinstance(chi, _Split):
-            return math.prod(lam ** m for lam, m in chi.roots if lam)
-        v = chi.valuation()
-        rank = chi.degree - v
-        c = chi.coeff(v)
-        return c if rank % 2 == 0 else -c
-
     def pi(self, k: int) -> int:
         """Product of the nonzero eigenvalues of the up-down Laplacian
         one dimension below k.  pi(0) is the vertex count (via the
@@ -346,17 +330,17 @@ class ChainComplex:
             return 1
         if k == 0:
             if self.empty_cell:
-                return self._nonzero_eig_product(self.char_polynomial(-1, "ud"))
+                return nonzero_root_product(self.char_polynomial(-1, "ud"))
             n0 = self.n_cells(0)
             return n0 if n0 else 1
         if k - 1 > self.dim:
             return 1
-        return self._nonzero_eig_product(self.char_polynomial(k - 1, "ud"))
+        return nonzero_root_product(self.char_polynomial(k - 1, "ud"))
 
     def omega(self, k: int) -> int:
         """Product of the nonzero eigenvalues of the total Laplacian."""
         self._check_dim(k)
-        return self._nonzero_eig_product(self.char_polynomial(k, "tot"))
+        return nonzero_root_product(self.char_polynomial(k, "tot"))
 
     # -- derived complexes
 
@@ -431,12 +415,15 @@ class ChainComplex:
         boundary = data.get("boundary", {})
         if not isinstance(boundary, dict):
             raise ChainError(f"boundary is a JSON object, not {type(boundary).__name__}")
-        cells = {i: tuple(ls) for i, ls in enumerate(data.get("cells", []))}
+        cells = {i: tuple(as_list(ls, f"cells of dimension {i}"))
+                 for i, ls in enumerate(as_list(data.get("cells", []), "cells"))}
         bnd = {}
         for key, rows in boundary.items():
             i = int(key)
             ncols = len(cells.get(i, ())) if i != -1 else 0
-            for row in rows:
+            for r, row in enumerate(as_list(rows, f"boundary {key}")):
+                if type(row) is not list:
+                    as_list(row, f"boundary {key} row {r}")
                 # int() would truncate 1.5 and true to 1, and overflow on
                 # 1e400; decimal strings, as to_json_dict writes, stay
                 if not _NOT_INTEGERS.isdisjoint(map(type, row)):
@@ -573,14 +560,10 @@ def char_polynomials(complexes) -> None:
     slots, laps, entries = [], [], 0
     for c in complexes:
         for i in c.homology_range():
-            made: dict = {}
             for family in FAMILIES:
                 if (i, family) in c._chi:
                     continue
-                # tot is ud + du; add the two just built, if both were
-                lap = (made["ud"] + made["du"] if len(made) == 2
-                       else c.laplacian(i, family))
-                made[family] = lap
+                lap = c.laplacian(i, family)
                 slots.append((c, (i, family)))
                 laps.append(lap)
                 entries += lap.nrows ** 2

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .chain import FAMILIES, ChainComplex, as_int
+from .chain import FAMILIES, ChainComplex, as_int, as_list
 from .colorful import (colorful_complex, colorful_etot, colorful_omega,
                        colorful_spec_poly, colorful_tree_count,
                        cross_polytope_cube_duality, weighted_duality_check)
@@ -69,7 +69,8 @@ def _read_json(path: str) -> dict:
 def _mirror_from_dict(data: dict) -> CubicalComplex:
     try:
         n = as_int(data["vertices"], "vertex count")
-        facets = [tuple(as_int(v, "facet vertex") for v in f) for f in data["facets"]]
+        facets = [tuple(as_int(v, "facet vertex") for v in as_list(f, f"facet {j}"))
+                  for j, f in enumerate(as_list(data["facets"], "facets"))]
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"mirror input needs vertices and facets: {e}")
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 
-from .chain import ChainComplex, as_int
+from .chain import ChainComplex, as_int, as_list
 from .exact import LaurentPoly, SparseMatrix, gen_binom, gram_sum, sparse_transpose
 
 _RANK = {"0": 0, "1": 1, "*": 2}
@@ -284,7 +284,8 @@ class CubicalComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CubicalComplex":
-        return cls(tuple(data["universe"]), data.get("faces", ()))
+        return cls(tuple(as_list(data["universe"], "universe")),
+                   as_list(data.get("faces", []), "faces"))
 
     def __repr__(self):
         counts = ",".join(str(self.n_faces(i)) for i in range(self.dim + 1))

@@ -86,6 +86,7 @@ __all__ = [
     "integer_roots",
     "integer_spectrum",
     "spectrum_of",
+    "nonzero_root_product",
     "outer_sum",
     "gram_sum",
     "scaled_char_polys",
@@ -180,11 +181,7 @@ class SparseMatrix:
         w = widths.pop() if widths else 0 if ncols is None else int(ncols)
         if ncols is not None and ncols != w:
             raise ValueError("ncols disagrees with row width")
-        cols = [{} for _ in range(w)]
-        for r, (_, pos, vals) in enumerate(rs):
-            for j, v in zip(pos, vals):
-                cols[j][r] = v
-        return cls(cols, len(rs))
+        return cls(sparse_transpose([dict(zip(pos, vals)) for _, pos, vals in rs], w), len(rs))
 
     @property
     def shape(self):
@@ -195,17 +192,6 @@ class SparseMatrix:
 
     def trace(self) -> int:
         return sum(col.get(j, 0) for j, col in enumerate(self.cols))
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            c = dict(a)
-            for r, v in b.items():
-                c[r] = c.get(r, 0) + v
-            cols.append({r: v for r, v in c.items() if v})
-        return SparseMatrix(cols, self.nrows)
 
     def rows(self) -> tuple:
         """The dense rows, as a tuple of int tuples."""
@@ -246,10 +232,7 @@ def _eliminate_units(m: SparseMatrix):
     multiplier of each row operation is an entry times the pivot.
     """
     cols = [dict(c) for c in m.cols]
-    rows = [{} for _ in range(m.nrows)]
-    for j, col in enumerate(cols):
-        for i, a in col.items():
-            rows[i][j] = a
+    rows = sparse_transpose(cols, m.nrows)
     heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j)
             for j, col in enumerate(cols) for i, a in col.items() if a == 1 or a == -1]
     heapq.heapify(heap)
@@ -1358,6 +1341,18 @@ def spectrum_of(chi: IntPoly):
     return dict(chi.roots)
 
 
+def nonzero_root_product(chi: IntPoly) -> int:
+    """Product of the nonzero roots of the char poly chi (pi_j and
+    omega_j of a complex): read off the roots of a certified chi (a
+    _Split) without expanding it, else off its lowest nonzero
+    coefficient."""
+    if isinstance(chi, _Split):
+        return math.prod(lam ** m for lam, m in chi.roots if lam)
+    v = chi.valuation()
+    c = chi.coeff(v)
+    return c if (chi.degree - v) % 2 == 0 else -c
+
+
 # ---------------------------------------------------------------------------
 # determinant (exact, CRT over the primes of the Hadamard bound)
 
@@ -1624,8 +1619,10 @@ def outer_sum(n: int, pairs) -> list:
     """The sum of u v^T over the pairs (u, v) of sparse vectors
     ({index: entry} dicts, entries in any commutative ring), as n
     {index: entry} rows, from the products of the entry pairs:
-    O(sum of nnz(u) nnz(v)) ring operations.  Every Laplacian is built
-    this way: B B^T from the columns of B, B^T B from its rows."""
+    O(sum of nnz(u) nnz(v)) ring operations.  Every Laplacian is one
+    call: B B^T from the columns of B, A^T A from the rows of A, and
+    L^tot from both lists at once, not as ud + du.  So is the d d = 0
+    check: A B from the columns of A zipped with the rows of B."""
     out = [{} for _ in range(n)]
     for u, v in pairs:
         items = v.items()

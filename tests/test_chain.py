@@ -154,7 +154,7 @@ def test_eigenvalue_products_read_a_certified_char_poly_off_its_roots():
                 chi = c.char_polynomial(*key)
                 if isinstance(chi, exact._Split):
                     assert chi._coeffs is None, (n, key)
-                assert value == ChainComplex._nonzero_eig_product(IntPoly(chi.coeffs)), (n, key)
+                assert value == exact.nonzero_root_product(IntPoly(chi.coeffs)), (n, key)
         assert isinstance(c.char_polynomial(3, "tot"), exact._Split)
 
 

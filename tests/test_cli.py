@@ -186,7 +186,8 @@ def test_weighted_trees_start_at_k1_with_either_method(capsys, method):
 
 # sha256 of stdout, as first recorded, for the commands whose output the
 # weighted Laplacians, the brute engine's list of trees or the near-prism
-# test decide.
+# test decide, and for those that read the three Laplacians (L^tot as one
+# Gram sum), the Smith forms of homology and pi off a certified char poly.
 PINNED_STDOUT = {
     "trees --input rp2 --k 2 --method brute":
         "dfe2be452e686d60835908222dcad98e78d0b847ee0e979d4386c662e1d2aead",
@@ -214,6 +215,22 @@ PINNED_STDOUT = {
         "b72ff313474bc28baece3574a1e542d5becae24bf1e919825f0098848e25d6e2",
     "verify identities --format json --seed 0":
         "e5bfc75495601c1d0058fc70a324b834eee61a075c584a31fc6a01f24dff04af",
+    "spectrum --input cube:4 --dim 2 --family ud":
+        "5c76704108b54799865cce7186bb76dc02044d20bc142d32da48186f74edf595",
+    "spectrum --input cube:4 --dim 2 --family du":
+        "9a789a08114f208b5d4b4df8ba0192951b36fedfe46b49f36197d8cbfaee4e98",
+    "spectrum --input cube:4 --dim 2 --family tot":
+        "ba578348a106ca9b36a0252d8d9eda26fcf301bf257546c0eb59b1af3374144c",
+    "spectrum --input rp2 --dim 1":
+        "86dd422d14b69d6f98a5c7d284bab1636876543cfb402ed079771f10fc1686b2",
+    "spectrum --input colorful:2,2,2 --dim -1":
+        "ebb5a9021fb9011cfcc3411b76517290aff0a260a3973cbcf070cf5902e6d261",
+    "homology --input rp2":
+        "68092983345c0e3848816eb526af0fa6065ec04b3ec366e31416d4f20ca7e0b6",
+    "homology --input colorful:2,2,2":
+        "3c01583b2595faed852f3e85bf7c4623d322d0cc1b6aedb4f8bd9562d59ac52b",
+    "trees --input cube:5 --k 3 --method alternating-product":
+        "26d042ed2229ce2a7baf15217827a0fae8b2933e95d47e006540e0d09138c8b0",
 }
 
 
@@ -535,12 +552,22 @@ def test_non_integer_cubical_json_exits_2(capsys, tmp_path, data, message):
      "empty_cell must be true or false, not 'no'"),
     ({"cells": [["a", "b"], ["e"]], "boundary": {"1": [[-1], [1]]}, "empty_cell": 1},
      "empty_cell must be true or false, not 1"),
+    # a string where a list belongs is not read one character at a time
+    ({"cells": [["a"], "xy"], "boundary": {}},
+     "cells of dimension 1 must be a JSON list, not str"),
+    ({"cells": "ab"}, "cells must be a JSON list, not str"),
+    ({"cells": [["a", "b"], ["e", "f"]], "boundary": {"1": ["11", "99"]}},
+     "boundary 1 row 0 must be a JSON list, not str"),
+    ({"cells": [["a", "b"], ["e", "f"]], "boundary": {"1": "11"}},
+     "boundary 1 must be a JSON list, not str"),
+    ({"universe": "12", "faces": ["**"]}, "universe must be a JSON list, not str"),
+    ({"universe": [1, 2], "faces": "**"}, "faces must be a JSON list, not str"),
 ])
 def test_unordered_universe_or_non_boolean_empty_cell_exits_2(capsys, tmp_path, command,
                                                               data, message):
-    """A universe is not sorted under its faces, and empty_cell is not
-    read by truthiness: either would silently answer for another
-    complex."""
+    """A universe is not sorted under its faces, empty_cell is not read
+    by truthiness, and a string is not read as a list of its
+    characters: each would silently answer for another complex."""
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))
     rc, out, err = run(capsys, command[0], "--input", str(p), *command[1:])
@@ -552,6 +579,8 @@ def test_unordered_universe_or_non_boolean_empty_cell_exits_2(capsys, tmp_path, 
     ({"vertices": 2.9, "facets": [[1, 2]]}, "vertex count 2.9 is not an integer"),
     ({"vertices": True, "facets": [[1]]}, "vertex count True is not an integer"),
     ({"vertices": 2, "facets": [[1.7, 2]]}, "facet vertex 1.7 is not an integer"),
+    ({"vertices": 3, "facets": ["12", [2, 3]]}, "facet 0 must be a JSON list, not str"),
+    ({"vertices": 3, "facets": "12"}, "facets must be a JSON list, not str"),
 ])
 def test_non_integer_mirror_json_exits_2(capsys, tmp_path, data, message):
     p = tmp_path / "bad.json"

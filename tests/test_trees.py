@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from cellspan.colorful import colorful_complex
 from cellspan.corpus import colorful_corpus, identity_corpus, mirror_corpus
 from cellspan.cubical import cube, mirror, weight_vars
 from cellspan.exact import (LaurentPoly, SparseMatrix, _Echelon, _pivot_columns, det_exact,
-                            rank_exact)
+                            rank_exact, smith_normal_form)
 from cellspan.trees import (
     BRUTE_CAP,
     CapExceeded,
@@ -229,6 +230,50 @@ def test_engines_agree_on_products(a, b):
             assert enumerate_trees(TreeQuery(c, k, cap=20_000)).tau == mt, k
         except CapExceeded:
             pass
+
+
+def test_tot_spectrum_of_a_product_is_the_sum_rule():
+    """L^tot(X x Y) = L^tot_X (x) 1 + 1 (x) L^tot_Y: in dimension k its
+    spectrum is {lam + mu} over lam in spec_i(X) and mu in
+    spec_(k-i)(Y), multiplicities multiplied."""
+    for a, b in itertools.product(PRODUCT_FACTORS, repeat=2):
+        c = product(a, b)
+        for k in range(c.dim + 1):
+            want = Counter()
+            for i in range(max(0, k - b.dim), min(k, a.dim) + 1):
+                for lam, m in a.spectrum(i, "tot").items():
+                    for mu, n in b.spectrum(k - i, "tot").items():
+                        want[lam + mu] += m * n
+            assert c.spectrum(k, "tot").items() == sorted(want.items()), (a, b, k)
+
+
+def _unreduced_homology(x) -> list:
+    """(betti, torsion invariant factors) of H_i(x), i = 0..dim."""
+    return [(x.betti(i) + (i == 0),
+             [f for f in smith_normal_form(x.homology_boundary(i + 1)) if f > 1])
+            for i in range(x.dim + 1)]
+
+
+def test_homology_of_a_product_is_kunneth_with_tor():
+    """H_n(X x Y) = sum over i + j = n of H_i (x) H_j, plus Tor(H_i, H_j)
+    over i + j = n - 1, with Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t);
+    homology is reduced, so one Z comes back in degree 0."""
+    for a, b in itertools.product(PRODUCT_FACTORS, repeat=2):
+        ha, hb, c = _unreduced_homology(a), _unreduced_homology(b), product(a, b)
+        for n in range(c.dim + 1):
+            betti, torsion = 0, 1
+            for i, (ba, ta) in enumerate(ha):
+                for j, (bb, tb) in enumerate(hb):
+                    tor = math.prod(math.gcd(s, t) for s in ta for t in tb)
+                    if i + j == n:
+                        betti += ba * bb
+                        torsion *= math.prod(ta) ** bb * math.prod(tb) ** ba * tor
+                    elif i + j == n - 1:
+                        torsion *= tor
+            h = c.homology(n)
+            assert (h.betti + (n == 0), h.torsion) == (betti, torsion), (a, b, n)
+    rp2xrp2 = product(rp2(), rp2())
+    assert [rp2xrp2.torsion_order(n) for n in range(5)] == [1, 4, 2, 2, 1]
 
 
 def test_engine_agreement_cubes():
