@@ -270,16 +270,16 @@ class ChainComplex:
     # -- Laplacians and spectra
 
     def laplacian(self, i: int, family: str) -> SparseMatrix:
-        """L^ud_i = B B^T with B = sparse_boundary(i + 1), L^du_i = A^T A
-        with A = sparse_boundary(i), or L^tot_i, their sum, as one
-        exact.outer_sum over the columns of B, the rows of A, or both
-        lists (one Gram sum, not ud + du): O(sum of nnz^2) exact work."""
+        """L^ud_i = B B^T with B = sparse_boundary(i + 1), L^du_i = B^T B
+        with B = sparse_boundary(i), or L^tot_i, their sum, each by
+        exact.outer_sum: O(sum of nnz^2) exact Python-int work."""
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         self._check_dim(i)
-        ud = self.sparse_boundary(i + 1).cols if family != "du" else []
-        du = self.sparse_boundary(i).transpose().cols if family != "ud" else []
-        out = outer_sum(self.n_cells(i), ((v, v) for v in ud + du))
+        if family == "tot":
+            return self.laplacian(i, "ud") + self.laplacian(i, "du")
+        b = self.sparse_boundary(i + 1) if family == "ud" else self.sparse_boundary(i).transpose()
+        out = outer_sum(self.n_cells(i), ((v, v) for v in b.cols))
         return SparseMatrix([{r: v for r, v in col.items() if v} for col in out], len(out))
 
     def weighted_laplacian(self, i: int, xi: dict) -> list:
@@ -423,7 +423,8 @@ class ChainComplex:
             ncols = len(cells.get(i, ())) if i != -1 else 0
             for r, row in enumerate(as_list(rows, f"boundary {key}")):
                 if type(row) is not list:
-                    as_list(row, f"boundary {key} row {r}")
+                    raise ChainError(f"boundary {key} row {r} must be a JSON list, "
+                                     f"not {type(row).__name__}")
                 # int() would truncate 1.5 and true to 1, and overflow on
                 # 1e400; decimal strings, as to_json_dict writes, stay
                 if not _NOT_INTEGERS.isdisjoint(map(type, row)):
@@ -560,10 +561,14 @@ def char_polynomials(complexes) -> None:
     slots, laps, entries = [], [], 0
     for c in complexes:
         for i in c.homology_range():
+            made: dict = {}
             for family in FAMILIES:
                 if (i, family) in c._chi:
                     continue
-                lap = c.laplacian(i, family)
+                # tot is ud + du; add the two just built, if both were
+                lap = (made["ud"] + made["du"] if len(made) == 2
+                       else c.laplacian(i, family))
+                made[family] = lap
                 slots.append((c, (i, family)))
                 laps.append(lap)
                 entries += lap.nrows ** 2

@@ -193,6 +193,17 @@ class SparseMatrix:
     def trace(self) -> int:
         return sum(col.get(j, 0) for j, col in enumerate(self.cols))
 
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            c = dict(a)
+            for r, v in b.items():
+                c[r] = c.get(r, 0) + v
+            cols.append({r: v for r, v in c.items() if v})
+        return SparseMatrix(cols, self.nrows)
+
     def rows(self) -> tuple:
         """The dense rows, as a tuple of int tuples."""
         idx = range(self.ncols)
@@ -1619,10 +1630,10 @@ def outer_sum(n: int, pairs) -> list:
     """The sum of u v^T over the pairs (u, v) of sparse vectors
     ({index: entry} dicts, entries in any commutative ring), as n
     {index: entry} rows, from the products of the entry pairs:
-    O(sum of nnz(u) nnz(v)) ring operations.  Every Laplacian is one
-    call: B B^T from the columns of B, A^T A from the rows of A, and
-    L^tot from both lists at once, not as ud + du.  So is the d d = 0
-    check: A B from the columns of A zipped with the rows of B."""
+    O(sum of nnz(u) nnz(v)) ring operations.  L^ud and L^du are one
+    call each: B B^T from the columns of B, A^T A from the rows of A
+    (L^tot is their sum).  So is the d d = 0 check: A B from the
+    columns of A zipped with the rows of B."""
     out = [{} for _ in range(n)]
     for u, v in pairs:
         items = v.items()
