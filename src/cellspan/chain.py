@@ -256,7 +256,9 @@ class ChainComplex:
                 - rank_exact(self.homology_boundary(i + 1)))
 
     def torsion_order(self, i: int) -> int:
-        return self.homology(i).torsion
+        """t_i, the torsion order of reduced H_i, and 1 outside
+        homology_range(): t_(-1) = |H_(-1)| with a (-1)-cell, else 1."""
+        return self.homology(i).torsion if i in self.homology_range() else 1
 
     def homology_range(self) -> range:
         """The dimensions of reduced homology: from -1 with the empty
@@ -323,19 +325,12 @@ class ChainComplex:
     # -- products of nonzero eigenvalues
 
     def pi(self, k: int) -> int:
-        """Product of the nonzero eigenvalues of the up-down Laplacian
-        one dimension below k.  pi(0) is the vertex count (via the
-        augmentation Laplacian when an empty cell exists); pi(-1) = 1."""
-        if k == -1:
-            return 1
-        if k == 0:
-            if self.empty_cell:
-                return nonzero_root_product(self.char_polynomial(-1, "ud"))
-            n0 = self.n_cells(0)
-            return n0 if n0 else 1
-        if k - 1 > self.dim:
-            return 1
-        return nonzero_root_product(self.char_polynomial(k - 1, "ud"))
+        """Product of the nonzero eigenvalues of L^ud_(k-1) when k - 1 is
+        in homology_range(), so pi(0) = sum of the squared augmentation
+        entries; else the vertex count (or 1) at k = 0, and 1 otherwise."""
+        if k - 1 in self.homology_range():
+            return nonzero_root_product(self.char_polynomial(k - 1, "ud"))
+        return (self.n_cells(0) or 1) if k == 0 else 1
 
     def omega(self, k: int) -> int:
         """Product of the nonzero eigenvalues of the total Laplacian."""
@@ -417,6 +412,10 @@ class ChainComplex:
             raise ChainError(f"boundary is a JSON object, not {type(boundary).__name__}")
         cells = {i: tuple(as_list(ls, f"cells of dimension {i}"))
                  for i, ls in enumerate(as_list(data.get("cells", []), "cells"))}
+        # str() would name cells after objects, null, true and 1.5 too
+        bad = [v for ls in cells.values() for v in ls if type(v) not in (str, int)]
+        if bad:
+            raise ChainError(f"cell label {bad[0]!r} is not a string or an integer")
         bnd = {}
         for key, rows in boundary.items():
             i = int(key)

@@ -145,11 +145,7 @@ def colorful_omega(a, i: int) -> int:
         for J in itertools.combinations(range(1, spec.n + 1), j):
             if len(J) == spec.n:
                 continue
-            mult = gen_binom(spec.n - j, i + 1 - j)
-            e = 1
-            for v in J:
-                e *= spec.a[v - 1] - 1
-            out *= spec.A(spec.complement(J)) ** (mult * e)
+            out *= spec.B(J) ** gen_binom(spec.n - j, i + 1 - j)
     return out
 
 

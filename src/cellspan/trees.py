@@ -5,15 +5,15 @@ A k-tree of X is a set T of k-cells such that Y = T plus the full
 and the forced cell count; any two of the three force the third.
 Engines: brute-force subset scan, reduced-Laplacian determinant with
 torsion correction, the cellular matrix-tree theorem
-pi_j = tau_j tau_(j-1) / t_(j-2)^2 (t_i the torsion order of reduced
-H_i) solved upward from tau_(-1) = 1, which without torsion is the
-alternating product of the pi_j, and the closed form for full cubes.
-All arithmetic exact.
+pi_j = tau_j tau_(j-1) / t_(j-2)^2 (t_i = ChainComplex.torsion_order(i),
+the torsion order of reduced H_i, 1 outside the homology range) solved
+upward from tau_(-1) = 1, which without torsion is the alternating
+product of the pi_j, and the closed form for full cubes.  All exact.
 
 The determinant engines reduce at one (k-1)-tree U (_reduction): the
 first basis of the boundary columns one dimension down, Ubar the other
 (k-1)-cells, t_X and t_U the torsion orders of H_(k-2) of X and of the
-skeleton plus U.  The matrix-tree engines take det L[Ubar, Ubar] t_X^2
+(k-2)-skeleton plus U.  The matrix-tree engines take det L[Ubar, Ubar] t_X^2
 / t_U^2, the same at every U (Duval-Klivans-Martin); the brute engine
 takes T of the forced size as a k-tree iff det d[Ubar, T] != 0, with
 t_T = |det| t_X / t_U, the Cauchy-Binet step.  Its candidates are
@@ -30,7 +30,7 @@ from .chain import ChainComplex
 from .cubical import (CubicalComplex, cube, weighted_diag_laplacian,
                       weight_vars, xi_weight)
 from .exact import (_RING_SIDE_MAX, LaurentPoly, SparseMatrix, _Echelon, _pivot_columns,
-                    det_exact, det_ring, dets_exact, gen_binom)
+                    det_exact, det_ring, dets_exact, gen_binom, smith_normal_form)
 
 BRUTE_CAP = 10 ** 6
 MATRIX_SIDE_CAP = 4096
@@ -151,12 +151,9 @@ def is_cst(x, k: int, T) -> CstCertificate:
     y = xs.with_top_cells(k, T)
     size_ok = len(set(T)) == cst_target_size(xs, k)
     top_acyclic = y.betti(k) == 0 if k <= y.dim else True
-    if k == 0:
-        finite_below = len(T) >= 1
-        torsion = 1 if finite_below else None
-    else:
-        finite_below = y.betti(k - 1) == 0
-        torsion = y.torsion_order(k - 1) if finite_below else None
+    # below the homology range (k = 0, no (-1)-cell) T needs a vertex
+    finite_below = y.betti(k - 1) == 0 if k - 1 in y.homology_range() else len(T) >= 1
+    torsion = y.torsion_order(k - 1) if finite_below else None
     return CstCertificate(size_ok, top_acyclic, finite_below, torsion)
 
 
@@ -164,25 +161,20 @@ def is_cst(x, k: int, T) -> CstCertificate:
 # engines
 
 
-def _torsion_two_below(c: ChainComplex, k: int) -> int:
-    """t_(k-2): the torsion order of reduced H_(k-2) of c, 1 when k < 2."""
-    return c.torsion_order(k - 2) if k >= 2 else 1
-
-
 def _reduction(xs: ChainComplex, k: int, order=None) -> tuple:
     """(U, Ubar, t_X, t_U) on the k-skeleton xs, U and Ubar as row
     indices of the reduced d_k.  U is the first column basis of the
     reduced d_(k-1), columns taken in `order` (stored order when None);
-    Ubar the other rows, in stored order; t_X and t_U the torsion
-    orders of H_(k-2) of X and of the (k-2)-skeleton plus U."""
+    Ubar the other rows, in stored order; t_X = t_(k-2) and t_U the
+    torsion order of H_(k-2) of the (k-2)-skeleton plus U, the product
+    of the Smith invariants of U's columns."""
     b = xs.homology_boundary(k - 1)
     order = range(b.ncols) if order is None else order
     basis = _pivot_columns(SparseMatrix([b.cols[j] for j in order], b.nrows))
     u = sorted(order[i] for i in basis)
     ubar = sorted(set(range(xs.homology_boundary(k).nrows)) - set(u))
-    labels = xs.labels(k - 1)
-    xu = xs.with_top_cells(k - 1, [labels[j] for j in u]) if k >= 2 else xs
-    return u, ubar, _torsion_two_below(xs, k), _torsion_two_below(xu, k)
+    t_u = math.prod(smith_normal_form(SparseMatrix([b.cols[j] for j in u], b.nrows)))
+    return u, ubar, xs.torsion_order(k - 2), t_u
 
 
 def _degree_order(xs: ChainComplex, k: int) -> list:
@@ -265,8 +257,7 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
 def tau_matrix_tree(x, k: int) -> TreeReport:
     xs = _skeleton(x, k)
     if k == 0:
-        n0 = xs.n_cells(0)
-        return TreeReport(n0, "matrix-tree", trees=n0, u_cells=())
+        return TreeReport(xs.pi(0), "matrix-tree", trees=xs.n_cells(0), u_cells=())
     if xs.n_cells(k - 1) > MATRIX_SIDE_CAP:
         raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP,
                           "matrix-tree side cap (MATRIX_SIDE_CAP)")
@@ -279,12 +270,12 @@ def tau_matrix_tree(x, k: int) -> TreeReport:
 
 def tau_alternating(x, k: int) -> int:
     """tau_j = pi_j t_(j-2)^2 / tau_(j-1) for j = 0..k from tau_(-1) = 1
-    on the APC k-skeleton, t_i = |tors H_i| (1 for i < 0); with no
-    torsion below k, the alternating product pi_k / pi_(k-1) * ... ."""
+    on the APC k-skeleton, t_i = torsion_order(i); with no torsion
+    below k, the alternating product pi_k / pi_(k-1) * ... ."""
     xs = _skeleton(x, k)
     tau = 1
     for j in range(k + 1):
-        t = _torsion_two_below(xs, j)
+        t = xs.torsion_order(j - 2)
         tau, rem = divmod(xs.pi(j) * t * t, tau)
         if rem:
             raise ArithmeticError("alternating product is not an integer")
@@ -352,8 +343,8 @@ def _bracket(vs, subset, with_q: bool) -> LaurentPoly:
                 rest[f"x{j}"] = 1
                 rest[f"y{j}"] = 1
         base = {f"q{i}": 1} if with_q else {}
-        acc = acc + LaurentPoly.monomial(vs, {**base, **rest, f"x{i}": rest.get(f"x{i}", 0) + 1})
-        acc = acc + LaurentPoly.monomial(vs, {**base, **rest, f"y{i}": rest.get(f"y{i}", 0) + 1})
+        acc = acc + LaurentPoly.monomial(vs, {**base, **rest, f"x{i}": 1})
+        acc = acc + LaurentPoly.monomial(vs, {**base, **rest, f"y{i}": 1})
     return acc
 
 
@@ -451,13 +442,13 @@ def f_recurrence_check(n: int, k: int) -> dict:
 # property checks used by the verification suites
 
 
-def cmtt_pi_identity_holds(x, d: int | None = None) -> bool:
-    """pi_d times the squared torsion two below equals tau_d tau_{d-1}
-    on complexes that are acyclic in positive codimension."""
+def cmtt_pi_identity_holds(x) -> bool:
+    """pi_d times the squared torsion two below equals tau_d tau_{d-1},
+    d the top dimension, on complexes that are acyclic in positive
+    codimension."""
     c = _as_chain(x)
-    if d is None:
-        d = c.dim
-    t = _torsion_two_below(c, d)
+    d = c.dim
+    t = c.torsion_order(d - 2)
     lhs = c.pi(d) * t * t
     rhs = tau_matrix_tree(c, d).tau * tau_matrix_tree(c, d - 1).tau
     return lhs == rhs
@@ -474,7 +465,7 @@ def submatrix_det_properties(x, k: int) -> dict:
     k_labels = xs.labels(k)
     r_labels = xs.labels(k - 1)
     size = cst_target_size(xs, k)
-    t_amb = _torsion_two_below(xs, k)
+    t_amb = xs.torsion_order(k - 2)
     col_sets = list(itertools.combinations(range(len(k_labels)), size))
     row_sets = list(itertools.combinations(range(len(r_labels)), size))
     pairs = [(rs, cs) for rs in row_sets for cs in col_sets]

@@ -115,6 +115,15 @@ def test_homology_rp2():
     assert [c.torsion_order(j) for j in c.homology_range()] == [1, 2, 1]
 
 
+def test_torsion_order_is_one_outside_the_homology_range():
+    """t_i reads homology inside homology_range() and is 1 outside it;
+    a stored augmentation row (2, 2) gives t_(-1) = |H_(-1)| = 2."""
+    assert [rp2().torsion_order(j) for j in (-2, -1, 3)] == [1, 1, 1]
+    c = ChainComplex({0: ("a", "b")}, {0: [[2, 2]]}, empty_cell=True)
+    assert [c.torsion_order(j) for j in (-2, -1, 0, 1)] == [1, 2, 1, 1]
+    assert c.pi(0) == 8 and c.pi(1) == 1 and c.pi(-1) == 1
+
+
 def test_homology_square_contractible():
     c = square()
     for i in range(3):

@@ -187,7 +187,8 @@ def test_weighted_trees_start_at_k1_with_either_method(capsys, method):
 # sha256 of stdout, as first recorded, for the commands whose output the
 # weighted Laplacians, the brute engine's list of trees or the near-prism
 # test decide, and for those that read the three Laplacians (L^tot as one
-# Gram sum), the Smith forms of homology and pi off a certified char poly.
+# Gram sum), the Smith forms of homology and pi off a certified char poly,
+# and the matrix-tree and recursion engines, which read t_(k-2) by one rule.
 PINNED_STDOUT = {
     "trees --input rp2 --k 2 --method brute":
         "dfe2be452e686d60835908222dcad98e78d0b847ee0e979d4386c662e1d2aead",
@@ -231,6 +232,38 @@ PINNED_STDOUT = {
         "3c01583b2595faed852f3e85bf7c4623d322d0cc1b6aedb4f8bd9562d59ac52b",
     "trees --input cube:5 --k 3 --method alternating-product":
         "26d042ed2229ce2a7baf15217827a0fae8b2933e95d47e006540e0d09138c8b0",
+    "trees --input cube:5 --k 0 --method matrix-tree":
+        "afa66f17c0c6d74f2dd1b81524e55873bf1eabaf9fa8a803506ee1b9a0892fe7",
+    "trees --input cube:5 --k 1 --method matrix-tree":
+        "386792d08c612bd54b79d89dac4382d40ad05ad93dc60410797f632c308f8ee7",
+    "trees --input cube:5 --k 2 --method matrix-tree":
+        "aa066d110235a6a06d1baca317837f03c72b07c15860f9be66e99c9a508f571d",
+    "trees --input cube:5 --k 3 --method matrix-tree":
+        "9791879f7f6e222bc49c611782bdd995cf5d51d741fcd6c5e9a8fb19c3b6b0de",
+    "trees --input cube:5 --k 4 --method matrix-tree":
+        "9c6bc68c0e0aa45376660967ed27e2077b0c20a3dc38d9be0e90d342661f6947",
+    "trees --input cube:5 --k 5 --method matrix-tree":
+        "25c17dc2bd1730fb27e3fe97dfa72326e2053c8c4de1775180354881301a0d94",
+    "trees --input cube:5 --k 0 --method alternating-product":
+        "9f374424f3f07d16f24387975e3091e2a50294c63823a7046b853969bc05fbee",
+    "trees --input cube:5 --k 1 --method alternating-product":
+        "20edbf8366c139cdc73911e791e5dd07b1701aea5c17084fe180982a5e1b2dbb",
+    "trees --input cube:5 --k 2 --method alternating-product":
+        "49b7d7e317564af3db4fbba5b81d71f5eac9dd1e4e0806c7d90bb8359dad8421",
+    "trees --input colorful:2,2,2 --k 0 --method matrix-tree":
+        "1ba3fb1f3b2727d9ca7689eb053e2b028257207ddd048d5f4d51bc52485dcfa7",
+    "trees --input colorful:2,2,2 --k 1 --method matrix-tree":
+        "522e20166f0d36cbebed8db45d6df8e319a741631a375c349d54d83902e1035c",
+    "trees --input colorful:2,2,2 --k 2 --method matrix-tree":
+        "e6183f6c7e8d3f1e307a397d05f271fd72242174a71c0e05e00b64e3c7733613",
+    "trees --input colorful:2,2,2 --k 0 --method alternating-product":
+        "977c731cf7bfe6fa5c83f7d250edeb5b39d01be2a5666d35ca780996fcfae821",
+    "trees --input colorful:2,2,2 --k 1 --method alternating-product":
+        "2515c05960cb95f0f55d38c9e7160b50650915da1913722c241f16cc86a5bd26",
+    "trees --input colorful:2,2,2 --k 2 --method alternating-product":
+        "6656106e0080c78429c6705f776798bf2f28cd10527d97c987b047add7e654e5",
+    "trees --input cube:3 --k 0 --format table":
+        "81abd2945efe77e19a5b11afe265e8933fc023acc2b032931bb2d84bbe2569f8",
 }
 
 
@@ -266,6 +299,19 @@ def test_every_tree_engine_counts_vertices_at_k0(capsys, n):
         rc, out, _ = run(capsys, "trees", "--input", f"cube:{n}", "--k", "0",
                          "--method", method)
         assert (rc, json.loads(out)["tau"]) == (0, str(2 ** n)), method
+
+
+@pytest.mark.parametrize("k, tau", [(0, "8"), (1, "1")])
+def test_engines_agree_on_a_doubled_augmentation(capsys, tmp_path, k, tau):
+    """An edge whose stored augmentation row is (2, 2): H_(-1) = Z/2, so
+    tau_0 = 2^2 + 2^2 and tau_1 = pi_1 t_(-1)^2 / tau_0 = 2 * 4 / 8."""
+    p = tmp_path / "edge.json"
+    p.write_text('{"cells": [["v", "w"], ["e"]], "empty_cell": true, '
+                 '"boundary": {"0": [[2, 2]], "1": [[-1], [1]]}}')
+    for method in ("brute", "matrix-tree", "alternating-product"):
+        rc, out, _ = run(capsys, "trees", "--input", str(p), "--k", str(k),
+                         "--method", method)
+        assert (rc, json.loads(out)["tau"]) == (0, tau), method
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +550,30 @@ def test_json_scalar_is_read_as_a_chain_complex(capsys, tmp_path, document, kind
     assert (rc, out) == (2, "")
     assert err == (f"error: invalid complex in {p}: "
                    f"a chain complex is a JSON object, not {kind}\n")
+
+
+@pytest.mark.parametrize("document, shown", [
+    ({"cells": [[{"x": 1}, None]]}, "{'x': 1}"),
+    ({"cells": [[True, 1.5], ["e"]], "boundary": {"1": [[-1], [1]]}}, "True"),
+    ({"cells": [["a", "b"], [None]], "boundary": {"1": [[-1], [1]]}}, "None"),
+])
+def test_non_label_cells_exit_2(capsys, tmp_path, document, shown):
+    """A cell label is a JSON string or integer: objects, null, booleans
+    and floats are refused, not named by str()."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(document))
+    rc, out, err = run(capsys, "homology", "--input", str(p))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: invalid complex in {p}: "
+                   f"cell label {shown} is not a string or an integer\n")
+
+
+def test_integer_labels_read_as_decimal_strings(capsys, tmp_path):
+    p = tmp_path / "edge.json"
+    p.write_text('{"cells": [[1, 2], [3]], "boundary": {"1": [[-1], [1]]}}')
+    rc, out, _ = run(capsys, "trees", "--input", str(p), "--k", "1", "--method", "brute")
+    assert rc == 0
+    assert json.loads(out)["per_tree"] == [{"cells": ["3"], "torsion": "1"}]
 
 
 @pytest.mark.parametrize("command", ["colorful", "homology"])

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cellspan import trees
 from cellspan.chain import ChainComplex, product
 from cellspan.colorful import colorful_complex
-from cellspan.corpus import colorful_corpus, identity_corpus, mirror_corpus
+from cellspan.corpus import (colorful_corpus, identity_corpus, mirror_corpus, simplicial_chain,
+                             simplicial_families)
 from cellspan.cubical import cube, mirror, weight_vars
 from cellspan.exact import (LaurentPoly, SparseMatrix, _Echelon, _pivot_columns, det_exact,
                             rank_exact, smith_normal_form)
@@ -230,6 +231,32 @@ def test_engines_agree_on_products(a, b):
             assert enumerate_trees(TreeQuery(c, k, cap=20_000)).tau == mt, k
         except CapExceeded:
             pass
+
+
+def scaled_augmentation(c: ChainComplex, s: int) -> ChainComplex:
+    """c with its stored augmentation row times s, so reduced H_(-1) of
+    a complex with a vertex is Z/s."""
+    aug = SparseMatrix([{r: s * v for r, v in col.items()} for col in c.bnd[0].cols], 1)
+    return ChainComplex(c.cells, {**c.bnd, 0: aug}, empty_cell=True)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_engines_agree_with_torsion_in_dimension_minus_one(s):
+    """With the augmentation row scaled by s, t_(-1) = s enters every
+    engine by one rule, torsion_order(-1): brute force, matrix-tree and
+    the recursion agree at every k they accept (tau_0 = pi_0 = n_0 s^2),
+    and a single vertex is a 0-tree of torsion s."""
+    for family in simplicial_families(3):
+        if not family:
+            continue
+        c = scaled_augmentation(simplicial_chain(family), s)
+        assert is_cst(c, 0, c.labels(0)[:1]).torsion == s
+        for k in range(c.dim + 1):
+            try:
+                mt = tau_matrix_tree(c, k).tau
+            except ValueError:
+                continue
+            assert enumerate_trees(TreeQuery(c, k)).tau == tau_alternating(c, k) == mt, (family, k)
 
 
 def test_tot_spectrum_of_a_product_is_the_sum_rule():
