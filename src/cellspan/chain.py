@@ -25,12 +25,12 @@ from .exact import (
     char_poly,
     char_polys,
     gram_sum,
+    integer_spectrum,
     nonzero_root_product,
     outer_sum,
     rank_exact,
     smith_normal_form,
     sparse_transpose,
-    spectrum_of,
 )
 
 FAMILIES = ("ud", "du", "tot")
@@ -113,7 +113,7 @@ class SpectrumGF:
     def items(self):
         if not self.is_integral():
             raise ValueError("spectrum is not integral")
-        return sorted(self.eigs.items())
+        return list(self.eigs.items())
 
     def multiset(self) -> tuple:
         """All eigenvalues, weakly increasing, zeros included."""
@@ -307,7 +307,7 @@ class ChainComplex:
         key = (i, family)
         if key not in self._spec:
             chi = self.char_polynomial(i, family)
-            self._spec[key] = SpectrumGF(i, family, spectrum_of(chi), chi)
+            self._spec[key] = SpectrumGF(i, family, integer_spectrum(chi), chi)
         return self._spec[key]
 
     def total_gf(self) -> LaurentPoly:

@@ -144,12 +144,10 @@ def cmd_spectrum(args) -> int:
         raise CliError("spectrum needs --dim")
     s = c.spectrum(args.dim, args.family)
     if s.is_integral():
-        pairs = [[int(e), int(m)] for e, m in sorted(s.eigs.items())]
         if args.format == "json":
-            _emit_json({"spectrum": pairs})
+            _emit_json({"spectrum": s.items()})
         else:
-            _emit_table([("eigenvalue", "multiplicity")]
-                        + [(e, m) for e, m in pairs])
+            _emit_table([("eigenvalue", "multiplicity")] + s.items())
     else:
         coeffs = [str(s.charpoly().coeff(j))
                   for j in range(s.charpoly().degree + 1)]

@@ -135,16 +135,15 @@ def colorful_tree_count(a, k: int) -> int:
 
 def colorful_omega(a, i: int) -> int:
     """Closed-form product of the nonzero total-Laplacian eigenvalues
-    in dimension i.  The full class set is excluded from the product:
-    its factor would be the zero eigenvalue's contribution."""
+    in dimension i.  J runs over class sets of size at most n - 1, so
+    the full class set is excluded from the product: its factor would
+    be the zero eigenvalue's contribution."""
     spec = ColorfulSpec(a)
     if not (0 <= i <= spec.n - 1):
         raise ValueError(f"i={i} out of range [0, {spec.n - 1}]")
     out = 1
     for j in range(min(i + 1, spec.n - 1) + 1):
         for J in itertools.combinations(range(1, spec.n + 1), j):
-            if len(J) == spec.n:
-                continue
             out *= spec.B(J) ** gen_binom(spec.n - j, i + 1 - j)
     return out
 

@@ -83,9 +83,7 @@ __all__ = [
     "char_polys",
     "char_poly_interpolate",
     "char_poly_memo",
-    "integer_roots",
     "integer_spectrum",
-    "spectrum_of",
     "nonzero_root_product",
     "outer_sum",
     "gram_sum",
@@ -811,7 +809,7 @@ def char_poly(m: SparseMatrix) -> IntPoly:
     p_1, p_2, ... that the rigorous bound |c_{n-k}| <= C(n,k) R^k asks
     for.  It covers non-integral spectra and defective integer
     eigenvalues.  A certified result (a _Split) keeps its {lam: m_lam},
-    so spectrum_of reads the spectrum off it.
+    so integer_spectrum reads the spectrum off it.
 
     char_polys runs the Hessenberg passes and the certificate products
     of many matrices stacked (see the module docstring); char_poly(m) is
@@ -1266,27 +1264,30 @@ def char_poly_interpolate(m: SparseMatrix) -> IntPoly:
     return IntPoly(out)
 
 
-# integer_roots tries the candidate roots up to this bound one by one,
-# and finds larger ones by bisection.
+# integer_spectrum tries the candidate roots up to this bound one by
+# one, and finds larger ones by bisection.
 _ROOT_SCAN = 2**16
 
 
-def integer_roots(chi: IntPoly):
+def integer_spectrum(chi: IntPoly):
     """Eigenvalue multiset of a symmetric PSD integer matrix, read off
     its characteristic polynomial chi.
 
-    Returns {eigenvalue: multiplicity} when every root of chi is a
-    nonnegative integer, or NotIntegral carrying chi otherwise.  After
-    the zero roots, candidates lam = 1, 2, ..., _ROOT_SCAN are tried
-    while lam is at most the sum S of the roots left (all nonnegative
-    for a PSD matrix), and only when lam divides the constant term of
-    the quotient left, as every integer root of it does.  Larger roots
-    are taken from the largest down: bisection over (_ROOT_SCAN, S]
-    gives the ceiling of the largest root (_top_root_ceiling), divided
-    out as often as it divides; if it does not, that root is not an
-    integer.  The keys ascend.  The cost is polynomial in the degree and
-    bit length of chi.
+    Returns {eigenvalue: multiplicity}, keys ascending, when every root
+    of chi is a nonnegative integer, or NotIntegral carrying chi
+    otherwise.  A certified chi (a _Split) gives its roots without a
+    division.  Any other chi is scanned: after the zero roots,
+    candidates lam = 1, 2, ..., _ROOT_SCAN are tried while lam is at
+    most the sum S of the roots left (all nonnegative for a PSD
+    matrix), and only when lam divides the constant term of the
+    quotient left, as every integer root of it does.  Larger roots are
+    taken from the largest down: bisection over (_ROOT_SCAN, S] gives
+    the ceiling of the largest root (_top_root_ceiling), divided out as
+    often as it divides; if it does not, that root is not an integer.
+    The cost is polynomial in the degree and bit length of chi.
     """
+    if isinstance(chi, _Split):
+        return NotIntegral(chi) if chi.roots[0][0] < 0 else dict(chi.roots)
     eigs: dict[int, int] = {}
     v = chi.valuation()
     if v:
@@ -1330,26 +1331,6 @@ def _top_root_ceiling(p: IntPoly, lo: int, hi: int) -> int:
         else:
             hi = mid
     return lo
-
-
-def integer_spectrum(m: SparseMatrix):
-    """Eigenvalue multiset of a symmetric PSD SparseMatrix: the
-    spectrum_of its char_poly."""
-    if m.nrows != m.ncols:
-        raise ValueError("spectrum of a non-square matrix")
-    if m != m.transpose():
-        raise ValueError("matrix is not symmetric")
-    return spectrum_of(char_poly(m))
-
-
-def spectrum_of(chi: IntPoly):
-    """integer_roots(chi), keys ascending, read off a certified chi (a
-    _Split) without a division."""
-    if not isinstance(chi, _Split):
-        return integer_roots(chi)
-    if chi.roots[0][0] < 0:
-        return NotIntegral(chi)
-    return dict(chi.roots)
 
 
 def nonzero_root_product(chi: IntPoly) -> int:
@@ -1679,7 +1660,9 @@ def sparse_transpose(cols, nrows: int) -> list:
 
 
 def det_fraction(rows) -> Fraction:
-    """Determinant over Q by ordinary Gaussian elimination."""
+    """Determinant over Q by ordinary Gaussian elimination.  A test
+    oracle: the independent check on det_exact, and on the weighted
+    engine's enumerator at rational points."""
     n = len(rows)
     if n == 0:
         return Fraction(1)

@@ -257,7 +257,9 @@ def enumerate_trees(q: TreeQuery) -> TreeReport:
 def tau_matrix_tree(x, k: int) -> TreeReport:
     xs = _skeleton(x, k)
     if k == 0:
-        return TreeReport(xs.pi(0), "matrix-tree", trees=xs.n_cells(0), u_cells=())
+        # a 0-tree is a vertex whose augmentation entry is nonzero
+        trees = sum(1 for col in xs.homology_boundary(0).cols if col)
+        return TreeReport(xs.pi(0), "matrix-tree", trees=trees, u_cells=())
     if xs.n_cells(k - 1) > MATRIX_SIDE_CAP:
         raise CapExceeded(xs.n_cells(k - 1), MATRIX_SIDE_CAP,
                           "matrix-tree side cap (MATRIX_SIDE_CAP)")

@@ -226,6 +226,16 @@ PINNED_STDOUT = {
         "86dd422d14b69d6f98a5c7d284bab1636876543cfb402ed079771f10fc1686b2",
     "spectrum --input colorful:2,2,2 --dim -1":
         "ebb5a9021fb9011cfcc3411b76517290aff0a260a3973cbcf070cf5902e6d261",
+    "spectrum --input cube:6 --dim 3":
+        "99af327b46988565ce291f35835d493997e6094e4830f4113766653763ec110f",
+    "spectrum --input cube:2 --dim 0 --family du":
+        "da6dc6046d4b1e95b6c5c6ee5617c3aa01757a772c1adb6e9d8677e1dc1273c1",
+    "spectrum --input colorful:2,3 --dim 1":
+        "816efe591b47f4cb43ba60e5e1467eaf89b984151ffdfce3a8b7183dc106156d",
+    "spectrum --input cube:4 --dim 2 --format table":
+        "ecd81a8b22b682e30a441ae5eb7883600b1fa12b48ec6f41b5ea49c197ee67a3",
+    "spectrum --input rp2 --dim 1 --format table":
+        "6baeb2ac300d64b7432806aef555c915df8842ea6163250aea2c27105cb79078",
     "homology --input rp2":
         "68092983345c0e3848816eb526af0fa6065ec04b3ec366e31416d4f20ca7e0b6",
     "homology --input colorful:2,2,2":
@@ -301,17 +311,32 @@ def test_every_tree_engine_counts_vertices_at_k0(capsys, n):
         assert (rc, json.loads(out)["tau"]) == (0, str(2 ** n)), method
 
 
-@pytest.mark.parametrize("k, tau", [(0, "8"), (1, "1")])
-def test_engines_agree_on_a_doubled_augmentation(capsys, tmp_path, k, tau):
-    """An edge whose stored augmentation row is (2, 2): H_(-1) = Z/2, so
-    tau_0 = 2^2 + 2^2 and tau_1 = pi_1 t_(-1)^2 / tau_0 = 2 * 4 / 8."""
-    p = tmp_path / "edge.json"
-    p.write_text('{"cells": [["v", "w"], ["e"]], "empty_cell": true, '
+_DOUBLED_EDGE = ('{"cells": [["v", "w"], ["e"]], "empty_cell": true, '
                  '"boundary": {"0": [[2, 2]], "1": [[-1], [1]]}}')
+
+
+@pytest.mark.parametrize("doc, k, tau", [
+    pytest.param(_DOUBLED_EDGE, 0, "8", id="0-8"),
+    pytest.param(_DOUBLED_EDGE, 1, "1", id="1-1"),
+    pytest.param('{"cells": [["v", "w"]], "boundary": {"0": [[2, 0]]}, "empty_cell": true}',
+                 0, "4", id="zero-entry-0-4"),
+])
+def test_engines_agree_on_a_doubled_augmentation(capsys, tmp_path, doc, k, tau):
+    """An edge whose stored augmentation row is (2, 2): H_(-1) = Z/2, so
+    tau_0 = 2^2 + 2^2 and tau_1 = pi_1 t_(-1)^2 / tau_0 = 2 * 4 / 8.
+    Two vertices with augmentation entries 2 and 0: only the first is a
+    0-tree, so tau_0 = 2^2 and brute and matrix-tree count one tree."""
+    p = tmp_path / "edge.json"
+    p.write_text(doc)
+    counts = set()
     for method in ("brute", "matrix-tree", "alternating-product"):
         rc, out, _ = run(capsys, "trees", "--input", str(p), "--k", str(k),
                          "--method", method)
-        assert (rc, json.loads(out)["tau"]) == (0, tau), method
+        rep = json.loads(out)
+        assert (rc, rep["tau"]) == (0, tau), method
+        if rep["trees"] is not None:
+            counts.add(rep["trees"])
+    assert len(counts) == 1, counts
 
 
 # ---------------------------------------------------------------------------
