@@ -18,10 +18,12 @@ from __future__ import annotations
 import math
 
 from .exact import (
+    _INT_ONLY,
     IntPoly,
     LaurentPoly,
     NotIntegral,
     SparseMatrix,
+    _int_columns,
     char_poly,
     char_polys,
     gram_sum,
@@ -420,16 +422,20 @@ class ChainComplex:
         for key, rows in boundary.items():
             i = int(key)
             ncols = len(cells.get(i, ())) if i != -1 else 0
+            ints = True
             for r, row in enumerate(as_list(rows, f"boundary {key}")):
                 if type(row) is not list:
                     raise ChainError(f"boundary {key} row {r} must be a JSON list, "
                                      f"not {type(row).__name__}")
-                # int() would truncate 1.5 and true to 1, and overflow on
-                # 1e400; decimal strings, as to_json_dict writes, stay
-                if not _NOT_INTEGERS.isdisjoint(map(type, row)):
-                    v = next(v for v in row if type(v) in _NOT_INTEGERS)
-                    raise ChainError(f"boundary {key} entry {v!r} is not an integer")
-            bnd[i] = SparseMatrix.from_rows(rows, ncols=ncols)
+                if not _INT_ONLY.issuperset(map(type, row)):
+                    # int() would truncate 1.5 and true to 1, and overflow
+                    # on 1e400; decimal strings, as to_json_dict writes, stay
+                    ints = False
+                    v = next((v for v in row if type(v) in _NOT_INTEGERS), None)
+                    if v is not None:
+                        raise ChainError(f"boundary {key} entry {v!r} is not an integer")
+            bnd[i] = (SparseMatrix(_int_columns(rows, ncols), len(rows)) if ints
+                      else SparseMatrix.from_rows(rows, ncols=ncols))
         empty = data.get("empty_cell", False)
         if type(empty) is not bool:
             raise ChainError(f"empty_cell must be true or false, not {empty!r}")

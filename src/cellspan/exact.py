@@ -13,9 +13,9 @@ multimodular: it lifts det by CRT from its residues mod the fewest
 leading primes whose product exceeds twice the Hadamard bound
 prod_i ||row_i||_2 (see dets_exact).
 
-Ranks and Smith forms start with a sparse elimination of +-1 pivots in
-Markowitz order (_eliminate_units), each pivot one invariant factor 1,
-which the matrix keeps, so each matrix is reduced once for both.  The
+Ranks and Smith forms start with a sparse elimination of +-1 pivots,
+sparsest column first (_eliminate_units), each pivot one invariant
+factor 1; the matrix keeps it, so it is reduced once for both.  The
 rows left are finished by the Bareiss echelon (_Echelon, which also
 chooses the trees' U and scans their candidates) for the rank and by
 _smith_dense for the Smith form: one diagonalising pass of
@@ -125,21 +125,31 @@ def _int_entry(v) -> int:
     return x
 
 
-def _nonzeros(row) -> tuple:
-    """(width, positions, values) of the nonzero entries of a row, each
-    entry converted by _int_entry, in order, so a bad entry raises as
-    int() does and a non-integral one raises ValueError.  A list of
-    Python ints, the common row, needs no conversion and no pass over
-    its types: its truthy entries are ints and every other entry equals
-    0 (list.count meets the cached 0 by identity)."""
+def _int_row(row):
+    """row if its truthy entries are Python ints and the rest equal 0
+    (list.count compares by equality, so 0.0 and False count as zeros),
+    else its entries converted by _int_entry: a bad entry raises as
+    int() does, a non-integral one ValueError."""
     if type(row) is list or type(row) is tuple:
-        pos = list(itertools.compress(range(len(row)), row))
-        vals = [row[j] for j in pos]
-        if _INT_ONLY.issuperset(map(type, vals)) and row.count(0) + len(pos) == len(row):
-            return len(row), pos, vals
-    row = [_int_entry(v) for v in row]
-    pos = list(itertools.compress(range(len(row)), row))
-    return len(row), pos, [row[j] for j in pos]
+        vals = list(filter(None, row))
+        if _INT_ONLY.issuperset(map(type, vals)) and row.count(0) + len(vals) == len(row):
+            return row
+    return [_int_entry(v) for v in row]
+
+
+def _int_columns(rows, ncols: int | None = None) -> list:
+    """The {row: value} columns of dense rows whose nonzeros are ints."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueError("ragged rows")
+    w = widths.pop() if widths else 0 if ncols is None else int(ncols)
+    if ncols is not None and ncols != w:
+        raise ValueError("ncols disagrees with row width")
+    cols = [{} for _ in range(w)]
+    for i, row in enumerate(rows):
+        for j in itertools.compress(range(w), row):
+            cols[j][i] = row[j]
+    return cols
 
 
 class SparseMatrix:
@@ -172,14 +182,8 @@ class SparseMatrix:
         stay what they were in later products.  ValueError for ragged
         rows or a width other than ncols; an empty row list has width
         ncols, or 0 when ncols is None."""
-        rs = [_nonzeros(row) for row in rows]
-        widths = {w for w, _, _ in rs}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        w = widths.pop() if widths else 0 if ncols is None else int(ncols)
-        if ncols is not None and ncols != w:
-            raise ValueError("ncols disagrees with row width")
-        return cls(sparse_transpose([dict(zip(pos, vals)) for _, pos, vals in rs], w), len(rs))
+        rows = [_int_row(row) for row in rows]
+        return cls(_int_columns(rows, ncols), len(rows))
 
     @property
     def shape(self):
@@ -223,16 +227,17 @@ class SparseMatrix:
 
 
 def _eliminate_units(m: SparseMatrix):
-    """(units, rest): m reduced by unit pivots, in Markowitz order.
+    """(units, rest): m reduced by unit pivots, sparsest column first.
 
-    On the sparse rows and columns of m, repeatedly take a +-1 entry of
-    least cost (r - 1)(c - 1), r and c the nonzero counts of its row and
-    column; clear its column by adding integer multiples of its row to
-    the others, then drop its row and column.  The heap holds every unit
-    entry with its cost when pushed; a popped entry that is no longer a
-    unit is skipped, and one whose cost has grown goes back in.  units
+    On the sparse rows and columns of m, repeatedly take the column with
+    fewest nonzeros that holds a +-1 entry, and in it the unit whose row
+    has fewest; clear its column by adding integer multiples of its row
+    to the others, then drop its row and column.  The heap holds columns
+    with their counts when pushed: a stale count is skipped, a column
+    with no unit dropped; a pivot changes only the columns of its row
+    and pushes them back, so no unit made by fill-in is missed.  units
     counts the pivots; rest is the list of dense rows of the matrix left
-    on the rows and columns that still hold a nonzero entry.
+    on the rows and columns that still hold a nonzero.
 
     Each step is a unimodular row operation; the pivot row, alone in
     its column, is then cleared by column operations that change nothing
@@ -242,24 +247,23 @@ def _eliminate_units(m: SparseMatrix):
     """
     cols = [dict(c) for c in m.cols]
     rows = sparse_transpose(cols, m.nrows)
-    heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j)
-            for j, col in enumerate(cols) for i, a in col.items() if a == 1 or a == -1]
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     units = 0
     while heap:
-        cost, r, c = pop(heap)
-        row = rows[r]
-        p = row.get(c)
-        if p != 1 and p != -1:
-            continue
+        n, c = pop(heap)
         col = cols[c]
-        now = (len(row) - 1) * (len(col) - 1)
-        if now > cost:
-            push(heap, (now, r, c))
+        if len(col) != n:
             continue
+        r = min((i for i, a in col.items() if a == 1 or a == -1),
+                key=lambda i: len(rows[i]), default=None)
+        if r is None:
+            continue
+        row = rows[r]
+        p = row.pop(c)
+        del col[r]
         units += 1
-        del row[c], col[r]
         for i, a in col.items():
             # row_i -= a p row_r clears (i, c), as p * p = 1
             f = a * p
@@ -270,12 +274,12 @@ def _eliminate_units(m: SparseMatrix):
                 x = ri.get(j, 0) - f * b
                 if x:
                     ri[j] = cj[i] = x
-                    if x == 1 or x == -1:
-                        push(heap, ((len(ri) - 1) * (len(cj) - 1), i, j))
                 else:
                     del ri[j], cj[i]
         for j in row:
             del cols[j][r]
+            if cols[j]:
+                push(heap, (len(cols[j]), j))
         row.clear()
         col.clear()
     live = [i for i, row in enumerate(rows) if row]

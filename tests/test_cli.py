@@ -611,10 +611,12 @@ def test_bad_colorful_generator_exits_2(capsys, command, spec):
 
 @pytest.mark.parametrize("command", [("homology",), ("spectrum", "--dim", "0")])
 @pytest.mark.parametrize("literal, shown", [("1.5", "1.5"), ("true", "True"),
-                                            ("1e400", "inf")])
+                                            ("1e400", "inf"), ("0.0", "0.0"),
+                                            ("-0.0", "-0.0"), ("false", "False")])
 def test_non_integer_boundary_entries_exit_2(capsys, tmp_path, command, literal, shown):
     """A JSON float or boolean is no boundary entry: 1.5 and true are
-    not truncated to 1, and 1e400 (a float infinity) does not crash."""
+    not truncated to 1, 1e400 (a float infinity) does not crash, and
+    0.0, -0.0 and false are refused although they equal 0."""
     p = tmp_path / "bad.json"
     p.write_text('{"cells": [["a", "b"], ["e"]], '
                  f'"boundary": {{"1": [["-1"], [{literal}]]}}}}')

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import cellspan
 from cellspan import exact, trees
 from cellspan.chain import ChainComplex
+from cellspan.cli import load_input
 from cellspan.cubical import CubicalComplex, cube
 from cellspan.exact import (
     IntPoly,
@@ -1045,13 +1046,76 @@ def test_unit_elimination_leaves_only_live_rows_and_columns():
 def test_unit_elimination_on_cube_boundaries_leaves_nothing():
     """Cube boundaries are torsion free: every invariant factor is a
     unit pivot, and their count is the rank."""
-    c = cube(5).to_chain()
-    for i in range(1, 6):
+    c = cube(6).to_chain()
+    for i in range(1, 7):
         b = c.sparse_boundary(i)
         units, rest = exact._eliminate_units(b)
         assert rest == []
         assert units == len(exact._smith_dense(b.rows()))
         assert smith_normal_form(b) == (1,) * units
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_int_matrices())
+@example(NO_UNIT_ENTRY[0])
+@example(NO_UNIT_ENTRY[1])
+@example(NO_UNIT_ENTRY[2])
+@example(NO_UNIT_ENTRY[3])
+@example(mat([[1, 2], [2, 3]]))
+@example(mat([[1, 1, 0], [0, 1, 1], [2, 0, 1]]))
+def test_unit_elimination_invariants(m):
+    """Whatever order the pivots take, the rest holds no unit entry, and
+    the pivots followed by the rest's dense factors are the dense Smith
+    form of the whole matrix, in number (the rank) and in value."""
+    units, rest = exact._eliminate_units(m)
+    assert not any(v == 1 or v == -1 for row in rest for v in row)
+    want = exact._smith_dense(m.rows())
+    assert units + len(exact._smith_dense(rest)) == len(want)
+    assert (1,) * units + exact._smith_dense(rest) == want
+
+
+def rank_mod(rows, p: int) -> int:
+    """Rank over F_p by row elimination."""
+    a = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def check_universal_coefficients(m):
+    """Over F_p an invariant factor s_i becomes 0 iff p divides it, so
+    #{i : p | s_i} = rank_Q(m) - rank_Fp(m) (universal coefficients),
+    against rank_exact and smith_normal_form with no Smith code on the
+    F_p side."""
+    factors, rank = smith_normal_form(m), rank_exact(m)
+    assert len(factors) == rank
+    for p in (2, 3, 5, 7):
+        assert sum(s % p == 0 for s in factors) == rank - rank_mod(m.rows(), p), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrices())
+@example(NO_UNIT_ENTRY[2])
+@example(DENSE_SEED_331)
+def test_universal_coefficients_on_random_matrices(m):
+    check_universal_coefficients(m)
+
+
+@pytest.mark.parametrize("spec", ["rp2", "cube:4", "colorful:2,2,2"])
+def test_universal_coefficients_on_boundaries(spec):
+    x = load_input(spec)
+    c = x.to_chain() if isinstance(x, CubicalComplex) else x
+    for i in range(1, c.dim + 1):
+        check_universal_coefficients(c.sparse_boundary(i))
 
 
 def test_sparse_matrix_from_rows_and_back():
