@@ -15,15 +15,12 @@ prod_i ||row_i||_2 (see dets_exact).
 
 Ranks and Smith forms start with a sparse elimination of +-1 pivots,
 sparsest column first (_eliminate_units), each pivot one invariant
-factor 1; the matrix keeps it, so it is reduced once for both.  The
-rows left are finished by the Bareiss echelon (_Echelon, which also
-chooses the trees' U and scans their candidates) for the rank and by
-_smith_dense for the Smith form: one diagonalising pass of
-nearest-integer quotient steps, each remainder at most half its pivot,
-then gcd/lcm steps that order the diagonal.  The elimination is a
-sequence of unimodular row and column operations, which keep the rank
-and the Smith form, and a +-1 pivot keeps every entry an integer.
-_smith_dense is also the tests' oracle for both.
+factor 1.  _smith_dense finishes the rows left: the Bareiss echelon
+(_Echelon, which also chooses the trees' U and scans their candidates)
+gives their rank r and a nonzero r x r minor D, and one diagonalising
+pass mod D their factors.  The matrix keeps its factors (_factors), so
+rank_exact, their number, and smith_normal_form reduce it once between
+them.  The tests check the factors against determinantal divisors.
 
 numpy is used only for word-size modular arithmetic: the eliminations
 mod p of det_exact (_det_stack), and inside the char poly kernel (see
@@ -163,8 +160,8 @@ class SparseMatrix:
     rank_exact, smith_normal_form and char_poly take it.  from_rows
     builds one from dense rows and rows() gives them back; det_exact
     and the Smith form of the dense rest take plain lists of rows.
-    `_reduced` keeps the unit elimination that rank_exact and
-    smith_normal_form share (_unit_reduction), None until first used.
+    `_reduced` keeps the invariant factors that rank_exact and
+    smith_normal_form both read (_factors), None until first used.
     """
 
     __slots__ = ("cols", "nrows", "ncols", "_reduced")
@@ -287,37 +284,30 @@ def _eliminate_units(m: SparseMatrix):
     return units, [[rows[i].get(j, 0) for j in keep] for i in live]
 
 
-def _unit_reduction(m: SparseMatrix):
-    """The (units, rest) of _eliminate_units(m), computed on first use
-    and kept by m, so rank_exact and smith_normal_form reduce each
-    matrix once between them, whichever is asked first and however many
-    complexes share it; (0, []) at once for a matrix with no nonzero."""
+def _factors(m: SparseMatrix) -> tuple[int, ...]:
+    """The invariant factors of m, computed on first use and kept by m,
+    so rank_exact and smith_normal_form reduce each matrix once, in
+    either order and for every complex that shares it: one 1 per unit
+    pivot of _eliminate_units, which turns m by unimodular steps into
+    diag(+-1, ..., +-1) plus a rest as a block sum, then the factors of
+    the rest (_smith_dense); () at once for a matrix with no nonzero."""
     if m._reduced is None:
-        m._reduced = _eliminate_units(m) if any(m.cols) else (0, [])
+        units, rest = _eliminate_units(m) if any(m.cols) else (0, [])
+        m._reduced = (1,) * units + _smith_dense(rest)
     return m._reduced
 
 
 def rank_exact(m: SparseMatrix) -> int:
-    """Rank over Q of a SparseMatrix: the unit pivots of
-    _eliminate_units plus the rank of what they leave, the columns that
-    the Bareiss echelon (_pivot_columns) keeps.  The elimination is a
-    sequence of row and column operations over Z, which keep the rank."""
-    units, rest = _unit_reduction(m)
-    return units + len(_pivot_columns(SparseMatrix.from_rows(rest)))
+    """Rank over Q of a SparseMatrix: the number of its invariant
+    factors (_factors)."""
+    return len(_factors(m))
 
 
 def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
-    """Positive invariant factors d_1 | d_2 | ... of a SparseMatrix.
-
-    _eliminate_units turns m, by unimodular row and column operations,
-    into diag(+-1, ..., +-1) plus a rest as a block sum.  Unimodular
-    operations keep the Smith form, and 1 divides every factor, so the
-    factors are one 1 per unit pivot followed by the factors of the rest
-    (_smith_dense).  Boundaries of cubical and simplicial complexes have
-    +-1 entries and few nonzeros per column, so the rest is small.
-    """
-    units, rest = _unit_reduction(m)
-    return (1,) * units + _smith_dense(rest)
+    """Positive invariant factors d_1 | d_2 | ... of a SparseMatrix
+    (_factors).  Cubical and simplicial boundaries, with +-1 entries and
+    few nonzeros per column, leave a small rest after the unit pivots."""
+    return _factors(m)
 
 
 class _Echelon:
@@ -384,11 +374,13 @@ class _Echelon:
         self.pivots.pop()
 
 
-def _pivot_columns(b) -> list:
-    """Indices of the lexicographically first basis of the column space
-    of a SparseMatrix: one incremental elimination in
-    column order keeps each column that is independent of those before
-    it."""
+def _pivot_columns(b) -> tuple:
+    """(picked, D): picked the indices of the lexicographically first
+    basis of the column space of a SparseMatrix, from one incremental
+    elimination in column order that keeps each column independent of
+    those before it, and D > 0 the |det| of the r x r minor of b on the
+    picked columns and the echelon's pivot rows (_Echelon.det; 1 when
+    r = 0)."""
     ech = _Echelon()
     picked: list = []
     for j, col in enumerate(b.cols):
@@ -396,26 +388,37 @@ def _pivot_columns(b) -> list:
         if v:
             ech.push(v)
             picked.append(j)
-    return picked
+    return picked, ech.det()
 
 
 def _smith_dense(rows) -> tuple[int, ...]:
     """Positive invariant factors d_1 | d_2 | ... of a list of integer
-    rows: smith_normal_form's solver for the rest after unit pivots,
-    and the tests' oracle for smith_normal_form.
+    rows: smith_normal_form's solver for the rest after unit pivots.
 
-    One diagonalising pass: move a smallest nonzero entry p of the
-    trailing block (the first in row-major order) to (t, t), then
-    subtract from the first row below with a nonzero in column t the
-    multiple of row t by the nearest integer to its quotient by p, and
-    swap the two rows if the remainder is nonzero; then the same along
-    row t with columns.  Each remainder is at most |p|/2, so each swap
-    at least halves |p|, and both are clear after finitely many steps.
-    Then one ordering step: diag(a, b) and diag(gcd, lcm) are equivalent
-    over Z, and taking every pair i < j in turn makes the diagonal the
-    divisibility chain.
+    Bound: the echelon (_pivot_columns) gives the rank r and D, the |det|
+    of an r x r minor, which d_1 ... d_r (the gcd of the r x r minors)
+    divides.  The pass runs on residues mod D in [-D/2, D/2], so no entry
+    outgrows D, whose bits are at most the Hadamard bound of that minor,
+    and on an m x n rest it takes O(min(m, n) max(m, n)^2 log D) steps.
+    Unimodular steps mod D give the Smith form over Z/DZ,
+    diag(gcd(d_i, D)), which is diag(d_i) for i <= r.
+
+    The pass moves a smallest nonzero entry p of the trailing block (the
+    first in row-major order) to (t, t), then subtracts from the first
+    row below with a nonzero in column t the multiple of row t by the
+    nearest integer to its quotient by p, and swaps the two rows if the
+    remainder is nonzero: each remainder is at most |p|/2, so each swap
+    at least halves |p|.  Once column t is clear, a nonzero left in row
+    t is cleared the same way on the transpose.  Each pivot gives
+    gcd(p, D), and D each pivot short of r when the block runs out.
+    Then diag(a, b) ~ diag(gcd, lcm) over every pair i < j in turn makes
+    the diagonal the divisibility chain, whose first r are the factors:
+    more than r pivots can be nonzero mod D, but the chain moves the
+    excess into entries equal to D, as diag(2, 3) ~ diag(1, 6) mod 6.
     """
-    a = [list(r) for r in rows]
+    picked, d = _pivot_columns(SparseMatrix.from_rows(rows))
+    h = d // 2
+    a = [[(v + h) % d - h for v in row] for row in rows]
     nr, nc = len(a), len(a[0]) if a else 0
     diag = []
     for t in range(min(nr, nc)):
@@ -432,25 +435,21 @@ def _smith_dense(rows) -> tuple[int, ...]:
                 at, ai = a[t], a[i]
                 q = (2 * ai[t] + at[t]) // (2 * at[t])
                 for j in range(t, nc):
-                    ai[j] -= q * at[j]
+                    ai[j] = (ai[j] - q * at[j] + h) % d - h
                 if ai[t]:
                     a[t], a[i] = ai, at
-                continue
-            j = next((j for j in range(t + 1, nc) if a[t][j]), None)
-            if j is None:
+            elif any(a[t][t + 1:]):
+                a = [list(c) for c in zip(*a)]
+                nr, nc = nc, nr
+            else:
                 break
-            q = (2 * a[t][j] + a[t][t]) // (2 * a[t][t])
-            for row in a[t:]:
-                row[j] -= q * row[t]
-            if a[t][j]:
-                for row in a[t:]:
-                    row[t], row[j] = row[j], row[t]
-        diag.append(abs(a[t][t]))
+        diag.append(math.gcd(a[t][t], d))
+    diag += [d] * (len(picked) - len(diag))
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = math.gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return tuple(diag)
+    return tuple(diag[:len(picked)])
 
 
 # ---------------------------------------------------------------------------

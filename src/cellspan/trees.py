@@ -170,7 +170,7 @@ def _reduction(xs: ChainComplex, k: int, order=None) -> tuple:
     of the Smith invariants of U's columns."""
     b = xs.homology_boundary(k - 1)
     order = range(b.ncols) if order is None else order
-    basis = _pivot_columns(SparseMatrix([b.cols[j] for j in order], b.nrows))
+    basis, _ = _pivot_columns(SparseMatrix([b.cols[j] for j in order], b.nrows))
     u = sorted(order[i] for i in basis)
     ubar = sorted(set(range(xs.homology_boundary(k).nrows)) - set(u))
     t_u = math.prod(smith_normal_form(SparseMatrix([b.cols[j] for j in u], b.nrows)))

@@ -859,9 +859,8 @@ DENSE_SEED_331 = mat([[-2, 3, 2, 1, 2, 2, 2, 2, 3], [1, 0, 1, 3, 0, 3, 2, 3, -2]
 @example(DENSE_SEED_331)
 def test_unit_pivots_against_dense_smith_and_rank(m):
     """smith_normal_form and rank_exact (unit pivots, then the dense
-    Smith form or the Bareiss echelon on the rest) against the dense
-    Smith form of the whole matrix, which gives the rank as its number
-    of factors."""
+    Smith form of the rest) against the dense Smith form of the whole
+    matrix, which gives the rank as its number of factors."""
     assert smith_normal_form(m) == exact._smith_dense(m.rows())
     assert rank_exact(m) == len(exact._smith_dense(m.rows()))
 
@@ -872,7 +871,7 @@ def test_unit_pivots_against_dense_smith_and_rank(m):
 @example(NO_UNIT_ENTRY[3])
 @example(DENSE_SEED_331)
 def test_rank_and_smith_form_do_not_depend_on_their_order(m):
-    """The matrix keeps its unit elimination, so the second of the two
+    """The matrix keeps its invariant factors, so the second of the two
     reads the first one's: either order gives the same rank and Smith
     form as the dense Smith form, each on a fresh copy of m."""
     a, b = mat(m.rows(), m.ncols), mat(m.rows(), m.ncols)
@@ -946,6 +945,60 @@ def test_dense_smith_of_a_dense_seeded_12x12_matrix():
     assert factors == (2,) * 11 + (44519772,)
     assert math.prod(factors) == abs(det_exact(rows)) == 2**11 * 44519772
     assert math.prod(factors[:11]) == minors_gcd(rows, 11) == 2**11
+
+
+def test_smith_form_of_cube6_reduced_laplacians():
+    """The reduced Laplacians L^ud_(k-1)[Ubar, Ubar] of (cube:6, k = 2)
+    and (cube:6, k = 3), as tau_matrix_tree builds them: nonsingular, so
+    every factor is one of side many, and their product is |det|."""
+    for k, side in ((2, 129), (3, 111)):
+        xs = trees._skeleton(cube(6), k)
+        keep = trees._reduction(xs, k)[1]
+        lap = xs.laplacian(k - 1, "ud").cols
+        rows = [[lap[r].get(s, 0) for s in keep] for r in keep]
+        factors = smith_normal_form(mat(rows))
+        assert len(rows) == len(factors) == side, k
+        assert math.prod(factors) == abs(det_exact(rows)), k
+
+
+def test_smith_form_of_the_cube6_ud_laplacian():
+    """L^ud_1 = d_2 d_2^T of cube:6 has the rank of d_2, which unit
+    pivots alone give, since d_2 has +-1 entries and leaves no rest."""
+    c = cube(6).to_chain()
+    b = c.sparse_boundary(2)
+    assert exact._eliminate_units(b)[1] == []
+    assert len(smith_normal_form(c.laplacian(1, "ud"))) == rank_exact(b) == 129
+
+
+@pytest.mark.parametrize("seed", [1, 4, 51])
+def test_smith_form_of_dense_seeded_30x29_matrices(seed):
+    """Entries in [-100, 100] from random.Random(seed), row by row: 29
+    factors, whose product is the gcd of the 30 maximal minors."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-100, 100) for _ in range(29)] for _ in range(30)]
+    factors = smith_normal_form(mat(rows))
+    assert len(factors) == 29
+    assert math.prod(factors) == minors_gcd(rows, 29)
+
+
+@pytest.mark.parametrize("rows, d, factors", [
+    ([[2, 3], [3, 5]], 1, (1, 1)),  # D = 1 with no +-1 entry
+    ([[6]], 6, (6,)),  # s_r = D
+    ([[2, 0], [0, 6]], 12, (2, 6)),
+    ([[2, 4], [4, 8]], 2, (2,)),  # every entry is 0 mod D
+    ([[6, -3], [4, -2]], 6, (1,)),  # pivots 3, 2 mod D at rank 1: the chain's D goes
+    ([[4, 6, 10]], 4, (2,)),  # row t left once column t is clear: the transpose
+    ([[4], [6], [10]], 4, (2,)),
+    ([[0, 0], [0, 0]], 1, ()),
+])
+def test_smith_bound_at_its_edges(rows, d, factors):
+    """D from the echelon, and the factors that the pass mod D leaves,
+    at the edges of the bound."""
+    m = mat(rows)
+    assert exact._eliminate_units(m)[0] == 0
+    assert exact._pivot_columns(m)[1] == d
+    assert exact._smith_dense(rows) == smith_normal_form(m) == factors
+    assert factors == determinantal_divisors(rows)
 
 
 def test_homology_of_a_dense_seeded_boundary():
@@ -1097,7 +1150,7 @@ def check_universal_coefficients(m):
     against rank_exact and smith_normal_form with no Smith code on the
     F_p side."""
     factors, rank = smith_normal_form(m), rank_exact(m)
-    assert len(factors) == rank
+    assert rank == fraction_rank(m.rows())
     for p in (2, 3, 5, 7):
         assert sum(s % p == 0 for s in factors) == rank - rank_mod(m.rows(), p), p
 
@@ -1108,6 +1161,29 @@ def check_universal_coefficients(m):
 @example(DENSE_SEED_331)
 def test_universal_coefficients_on_random_matrices(m):
     check_universal_coefficients(m)
+
+
+@st.composite
+def presentation_complexes(draw):
+    """One vertex, 1..6 edges with d_1 = 0 and 1..6 two-cells with d_2
+    entries in [-3, 3]: H_1 is coker d_2, which can hold any torsion."""
+    e, f = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(f)] for _ in range(e)]
+    return ChainComplex({0: ("v",), 1: [f"e{i}" for i in range(e)],
+                         2: [f"f{j}" for j in range(f)]}, {1: [[0] * e], 2: rows})
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentation_complexes())
+def test_torsion_of_presentation_complexes(c):
+    """H_1 against elimination over Q for its rank, and against the gcd
+    of the r x r minors of d_2 for its torsion, r the rank of d_2."""
+    b = c.sparse_boundary(2)
+    rows, r = b.rows(), fraction_rank(b.rows())
+    h = c.homology(1)
+    assert h.betti == c.n_cells(1) - r
+    assert h.torsion == math.prod(smith_normal_form(b)) == (minors_gcd(rows, r) if r else 1)
+    check_universal_coefficients(b)
 
 
 @pytest.mark.parametrize("spec", ["rp2", "cube:4", "colorful:2,2,2"])

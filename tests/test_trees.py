@@ -47,6 +47,13 @@ def vertex():
     return ChainComplex({0: ("v",)}, {})
 
 
+def moore3():
+    # M(Z/3, 1): one vertex, one edge, one 2-cell wrapping the edge three
+    # times, so H_1 = Z/3, odd torsion
+    return ChainComplex.from_json_dict(
+        {"cells": [["v"], ["e"], ["f"]], "boundary": {"1": [[0]], "2": [[3]]}})
+
+
 def test_closed_form_values():
     assert tau_cube_closed_form(2, 1) == 4
     assert tau_cube_closed_form(3, 1) == 384
@@ -170,6 +177,20 @@ def test_alternating_values():
     assert tau_alternating(rp2(), 2) == 4  # torsion below the top dimension
 
 
+@pytest.mark.parametrize("c, torsion, counts", [
+    (moore3(), [1, 3, 1], {1: 1, 2: 9}),
+    (product(moore3(), moore3()), [1, 9, 3, 3, 1], {2: 81, 3: 18, 4: 9}),
+    (product(rp2(), moore3()), [1, 6, 1, 1, 1], {2: 36, 3: 13}),
+])
+def test_odd_torsion_counts(c, torsion, counts):
+    """M(Z/3, 1) alone and in products: torsion orders in dimensions
+    0..dim, and one count from all three engines."""
+    assert [c.torsion_order(n) for n in range(c.dim + 1)] == torsion
+    for k, tau in counts.items():
+        assert (tau_matrix_tree(c, k).tau == tau_alternating(c, k)
+                == enumerate_trees(TreeQuery(c, k)).tau == tau), k
+
+
 PRODUCTS_WITH_RP2 = [
     (rp2(), {2: 16, 3: 8, 4: 4}),
     (cube(2).to_chain(), {0: 4, 1: 4, 2: 1152, 3: 8, 4: 1}),
@@ -205,7 +226,7 @@ def test_reduction_is_the_same_at_every_column_order(factor, counts):
 
 
 PRODUCT_FACTORS = [
-    rp2(), cube(1).to_chain(), cube(2).to_chain(),
+    rp2(), moore3(), cube(1).to_chain(), cube(2).to_chain(),
     mirror(2, [[1], [2]]).to_chain(),
     mirror(3, [[1, 2], [1, 3]]).to_chain(),
     mirror(3, [[1, 2], [3]]).to_chain(),
@@ -518,7 +539,11 @@ def low_rank_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(low_rank_matrices())
 def test_pivot_columns_match_rank_greedy(b):
-    assert _pivot_columns(b) == rank_greedy(b)
+    """The basis is the greedy one, and D, a nonzero r x r minor, is a
+    multiple of the product of the invariant factors."""
+    picked, d = _pivot_columns(b)
+    assert picked == rank_greedy(b)
+    assert d % math.prod(smith_normal_form(b)) == 0
 
 
 @settings(max_examples=150, deadline=None)
