@@ -50,10 +50,13 @@ _PENDING_ENTRIES = 2**15
 
 def as_int(v, what: str) -> int:
     """int(v), refusing floats and booleans (as JSON numbers give
-    them): int() would truncate 1.5 and true to 1."""
-    if type(v) in _NOT_INTEGERS:
+    them) and any other non-string that int() would change, such as
+    Fraction(5, 2): int() would truncate 1.5 and true to 1.  A decimal
+    string reads as int() reads it."""
+    x = None if type(v) in _NOT_INTEGERS else int(v)
+    if x is None or (x != v and not isinstance(v, str)):
         raise ValueError(f"{what} {v!r} is not an integer")
-    return int(v)
+    return x
 
 
 def as_list(v, what: str) -> list:

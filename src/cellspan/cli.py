@@ -34,26 +34,21 @@ class CliError(Exception):
     """A validation error found by the CLI itself: exit 2."""
 
 
-def _env_cap() -> int | None:
+def _cap(args, default: int) -> int:
+    """--cap, else CELLSPAN_CAP (read only when --cap is absent), else
+    default."""
+    if args.cap is not None:
+        if args.cap < 1:
+            raise CliError("--cap must be positive")
+        return args.cap
     raw = os.environ.get("CELLSPAN_CAP")
-    if raw is None:
-        return None
     try:
-        v = int(raw)
+        v = default if raw is None else int(raw)
         if v < 1:
             raise ValueError
         return v
     except ValueError:
         raise CliError(f"CELLSPAN_CAP must be a positive integer, got {raw!r}")
-
-
-def _cap(args, default: int) -> int:
-    if getattr(args, "cap", None) is not None:
-        if args.cap < 1:
-            raise CliError("--cap must be positive")
-        return args.cap
-    env = _env_cap()
-    return env if env is not None else default
 
 
 def _read_json(path: str) -> dict:
@@ -125,7 +120,7 @@ def _emit_json(obj) -> None:
 
 
 def _emit_table(rows) -> None:
-    """Rows of string tuples, columns padded to equal width."""
+    """Rows of tuples, read once, columns padded to equal width."""
     rows = [tuple(str(c) for c in row) for row in rows]
     if not rows:
         return
@@ -135,44 +130,36 @@ def _emit_table(rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (the JSON object, its tables as lists of rows,
+# the exit code); main prints the one that --format names.
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple:
     c = _as_chain(load_input(args.input))
     if args.dim is None:
         raise CliError("spectrum needs --dim")
     s = c.spectrum(args.dim, args.family)
     if s.is_integral():
-        if args.format == "json":
-            _emit_json({"spectrum": s.items()})
-        else:
-            _emit_table([("eigenvalue", "multiplicity")] + s.items())
-    else:
-        coeffs = [str(s.charpoly().coeff(j))
-                  for j in range(s.charpoly().degree + 1)]
-        if args.format == "json":
-            _emit_json({"spectrum": None, "charpoly": coeffs})
-        else:
-            print("spectrum is not integral; characteristic polynomial "
-                  "coefficients (ascending):")
-            _emit_table([(f"y^{j}", c) for j, c in enumerate(coeffs)])
-    return EXIT_OK
+        items = s.items()
+        return {"spectrum": items}, [[("eigenvalue", "multiplicity")] + items], EXIT_OK
+    coeffs = [str(s.charpoly().coeff(j))
+              for j in range(s.charpoly().degree + 1)]
+    header = ("spectrum is not integral; characteristic polynomial "
+              "coefficients (ascending):",)
+    return ({"spectrum": None, "charpoly": coeffs},
+            [[header], [(f"y^{j}", c) for j, c in enumerate(coeffs)]], EXIT_OK)
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> tuple:
     c = _as_chain(load_input(args.input))
     dims = [args.dim] if args.dim is not None else c.homology_range()
     rows = []
     for i in dims:
         h = c.homology(i)
         rows.append({"dim": i, "betti": h.betti, "torsion": str(h.torsion)})
-    if args.format == "json":
-        _emit_json({"homology": rows})
-    else:
-        _emit_table([("dim", "betti", "torsion")]
-                    + [(r["dim"], r["betti"], r["torsion"]) for r in rows])
-    return EXIT_OK
+    table = ([("dim", "betti", "torsion")]
+             + [(r["dim"], r["betti"], r["torsion"]) for r in rows])
+    return {"homology": rows}, [table], EXIT_OK
 
 
 def _tree_query(args) -> TreeQuery:
@@ -183,23 +170,19 @@ def _tree_query(args) -> TreeQuery:
                      weighted=args.weighted, cap=_cap(args, BRUTE_CAP))
 
 
-def cmd_trees(args) -> int:
+def cmd_trees(args) -> tuple:
     rep = run_query(_tree_query(args))
-    if args.format == "json":
-        _emit_json(rep.to_json_dict())
-    elif args.weighted:
-        tau = rep.to_json_dict()["tau"]
-        _emit_table([("method", rep.method)])
-        _emit_table([(_fmt_exp(t["exp"], tau["vars"]), t["coef"])
-                     for t in tau["terms"]])
-    else:
-        rows = [("tau", rep.tau), ("method", rep.method)]
-        if rep.trees is not None:
-            rows.append(("trees", rep.trees))
-        if rep.u_cells is not None:
-            rows.append(("U", " ".join(rep.u_cells) or "-"))
-        _emit_table(rows)
-    return EXIT_OK
+    out = rep.to_json_dict()
+    if args.weighted:
+        tau = out["tau"]
+        terms = ((_fmt_exp(t["exp"], tau["vars"]), t["coef"]) for t in tau["terms"])
+        return out, [[("method", rep.method)], terms], EXIT_OK
+    rows = [("tau", rep.tau), ("method", rep.method)]
+    if rep.trees is not None:
+        rows.append(("trees", rep.trees))
+    if rep.u_cells is not None:
+        rows.append(("U", " ".join(rep.u_cells) or "-"))
+    return out, [rows], EXIT_OK
 
 
 def _fmt_exp(exp, vars) -> str:
@@ -207,7 +190,7 @@ def _fmt_exp(exp, vars) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def cmd_conjecture(args) -> int:
+def cmd_conjecture(args) -> tuple:
     if args.n is None or args.k is None:
         raise CliError("conjecture needs --n and --k")
     cap = _cap(args, BRUTE_CAP)
@@ -216,16 +199,12 @@ def cmd_conjecture(args) -> int:
         rep["f_recurrence"] = f_recurrence_check(args.n, args.k)["holds"]
     else:
         rep["f_recurrence"] = None
-    if args.format == "json":
-        _emit_json(rep)
-    else:
-        _emit_table([("status", "equal" if rep["equal"] else "counterexample"),
-                     ("trees", rep["trees"]),
-                     ("f-recurrence", rep["f_recurrence"])])
-    return EXIT_OK
+    return rep, [[("status", "equal" if rep["equal"] else "counterexample"),
+                  ("trees", rep["trees"]),
+                  ("f-recurrence", rep["f_recurrence"])]], EXIT_OK
 
 
-def cmd_colorful(args) -> int:
+def cmd_colorful(args) -> tuple:
     spec = args.input
     if not spec.startswith("colorful:"):
         raise CliError("colorful subcommand needs --input colorful:a1,a2,...")
@@ -240,18 +219,15 @@ def cmd_colorful(args) -> int:
         "omega": {str(i): str(colorful_omega(a, i)) for i in range(n)},
         "tau": {str(k): str(colorful_tree_count(a, k)) for k in range(n)},
     }
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        rows = [("tau", k, v) for k, v in sorted(out["tau"].items(), key=lambda t: int(t[0]))]
-        rows += [("omega", k, v) for k, v in sorted(out["omega"].items(), key=lambda t: int(t[0]))]
-        rows += [("etot", k, " ".join(f"{e}:{m}" for e, m in v))
-                 for k, v in sorted(out["etot"].items(), key=lambda t: int(t[0]))]
-        _emit_table(rows)
-    return EXIT_OK
+    # each dict's keys were inserted in ascending order
+    rows = [("tau", k, v) for k, v in out["tau"].items()]
+    rows += [("omega", k, v) for k, v in out["omega"].items()]
+    rows += [("etot", k, " ".join(f"{e}:{m}" for e, m in v))
+             for k, v in out["etot"].items()]
+    return out, [rows], EXIT_OK
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args) -> tuple:
     if args.n is None:
         raise CliError("dual needs --n")
     rep = cross_polytope_cube_duality(args.n, seed=args.seed)
@@ -259,14 +235,10 @@ def cmd_dual(args) -> int:
         rep["weighted_match"] = weighted_duality_check(args.n, seed=args.seed)
     else:
         rep["weighted_match"] = None
-    if args.format == "json":
-        _emit_json(rep)
-    else:
-        _emit_table(sorted(rep.items()))
-    return EXIT_OK
+    return rep, [sorted(rep.items())], EXIT_OK
 
 
-def cmd_shifted_check(args) -> int:
+def cmd_shifted_check(args) -> tuple:
     x = _need_cubical(load_input(args.input))
     out = {"is_shifted": x.is_shifted(), "pure": x.is_pure()}
     try:
@@ -284,46 +256,40 @@ def cmd_shifted_check(args) -> int:
         out["error"] = str(e)
     out["near_prisms"] = [{"direction": i, "holds": bool(x.near_prism(i).holds)}
                           for i in x.universe]
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        rows = [(k, out[k]) for k in ("is_shifted", "pure", "recursion",
-                                      "direct", "match") if k in out]
-        if "error" in out:
-            rows.append(("error", out["error"]))
-        rows += [(f"near-prism dir {d['direction']}", d["holds"])
-                 for d in out["near_prisms"]]
-        _emit_table(rows)
-    return EXIT_OK
+    rows = [(k, out[k]) for k in ("is_shifted", "pure", "recursion",
+                                  "direct", "match", "error") if k in out]
+    rows += [(f"near-prism dir {d['direction']}", d["holds"])
+             for d in out["near_prisms"]]
+    return out, [rows], EXIT_OK
 
 
-def cmd_mirror(args) -> int:
+def _mirror_rows(x):
+    """The mirror table, counted only when it is printed."""
+    yield "universe", " ".join(map(str, x.universe))
+    for i in range(x.dim + 1):
+        yield f"dim {i}", x.n_faces(i)
+
+
+def cmd_mirror(args) -> tuple:
     x = load_input(args.input)
     x = _need_cubical(x)
-    if args.format == "json":
-        _emit_json(x.to_json_dict())
-    else:
-        _emit_table([("universe", " ".join(map(str, x.universe)))]
-                    + [(f"dim {i}", x.n_faces(i)) for i in range(x.dim + 1)])
-    return EXIT_OK
+    return x.to_json_dict(), [_mirror_rows(x)], EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}; "
                        f"choose from {', '.join(sorted(SUITES))}")
     cap = _cap(args, VERIFY_CAP)
     rows = SUITES[args.suite](cap=cap, seed=args.seed)
     hard_failures = [r for r in rows if not r.ok and r.hard]
-    if args.format == "json":
-        _emit_json({"suite": args.suite,
-                    "checks": [{"name": r.name, "ok": r.ok, "hard": r.hard,
-                                "detail": r.detail} for r in rows],
-                    "failed": len(hard_failures)})
-    else:
-        for r in rows:
-            print(f"[{'PASS' if r.ok else 'FAIL'}] {r.name}: {r.detail}")
-    return EXIT_FAILURE if hard_failures else EXIT_OK
+    out = {"suite": args.suite,
+           "checks": [{"name": r.name, "ok": r.ok, "hard": r.hard,
+                       "detail": r.detail} for r in rows],
+           "failed": len(hard_failures)}
+    # one column: every detail ends in a non-space, so rstrip keeps it
+    lines = ((f"[{'PASS' if r.ok else 'FAIL'}] {r.name}: {r.detail}",) for r in rows)
+    return out, [lines], EXIT_FAILURE if hard_failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +382,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        result, tables, code = args.fn(args)
+        if args.format == "json":
+            _emit_json(result)
+        else:
+            for rows in tables:
+                _emit_table(rows)
+        return code
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from .chain import ChainComplex, simplicial
+from .chain import ChainComplex, as_int, simplicial
 from .cubical import _magnitude, cube, weight_vars, xi_weight
 from .exact import LaurentPoly, gen_binom, scaled_char_polys
 from .trees import cst_target_size, is_cst
@@ -31,7 +31,7 @@ class ColorfulSpec:
     complementary sum to the product of (a_j - 1)."""
 
     def __init__(self, a):
-        a = tuple(int(v) for v in a)
+        a = tuple(as_int(v, "class size") for v in a)
         if not a or any(v < 1 for v in a):
             raise ValueError("class sizes must be positive")
         self.a = a

@@ -338,11 +338,12 @@ def mirror(n: int, facets) -> CubicalComplex:
     complex is void, not {empty set}, and so is its mirror.  At most
     FACE_CAP faces, a facet F spanning at most 3^|F| 2^(n-|F|) of them,
     and at most FACE_CAP vertices, checked first."""
+    n = as_int(n, "mirror vertex count")
     if n < 0:
         raise ValueError(f"mirror vertex count {n} is negative")
     if n > FACE_CAP:
         raise ValueError(f"mirror vertex count {_magnitude(n)} exceeds cap {FACE_CAP}")
-    facets = [set(f) for f in facets]
+    facets = [{as_int(v, "facet vertex") for v in f} for f in facets]
     if any(not (1 <= v <= n) for f in facets for v in f):
         raise ValueError(f"facet vertex outside [1, {n}]")
     _check_face_bound(sum(3 ** len(f) * 2 ** (n - len(f)) for f in facets))

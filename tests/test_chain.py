@@ -1,5 +1,7 @@
 import json
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -649,3 +651,15 @@ def test_numpy_and_bool_rows_match_python_ints(convert):
                     assert lap == want.laplacian(i, family)
                     assert c.spectrum(i, family).eigs == want.spectrum(i, family).eigs
     assert want.laplacian(1, "du").rows() == ((ints[0][0] ** 2 + ints[1][0] ** 2,),)
+
+
+@pytest.mark.parametrize("v", [Fraction(5, 2), 1.5, True, np.float64(2.5), Decimal("2.5")])
+def test_as_int_refuses_what_int_would_truncate(v):
+    with pytest.raises(ValueError, match="size .* is not an integer"):
+        chain.as_int(v, "size")
+
+
+@pytest.mark.parametrize("v, n", [(3, 3), ("12", 12), (" -4 ", -4), (Fraction(4, 2), 2),
+                                  (np.int64(7), 7), (Decimal("6"), 6)])
+def test_as_int_reads_integers_and_decimal_strings(v, n):
+    assert chain.as_int(v, "size") == n and type(chain.as_int(v, "size")) is int

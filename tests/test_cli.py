@@ -302,6 +302,92 @@ def test_verify_outputs_are_pinned(capsys, command):
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED_VERIFY[command]
 
 
+# (exit code, sha256 of stdout), as first recorded, of the table renderings
+# that no other test reaches: the non-integral spectrum's header, the
+# weighted terms, the shifted-check error row and verify's [PASS] lines.
+# {path4} is the path P_4, {path1432} the mirror of the path 1-4-3-2 and
+# {path213} the mirror of the path 2-1-3.
+PINNED_TABLES = {
+    "spectrum --input {path4} --dim 0 --family ud --format table":
+        (0, "4697e43bcff2d4d276dd1a8c65f2c671156bd778a7f237da1e33d6050490823d"),
+    "homology --input rp2 --format table":
+        (0, "9f5eb5063c35cf86d99b152d3af784abb65402525ebd1cb5e6ad21a870708b54"),
+    "homology --input colorful:2,2,2 --format table":
+        (0, "4483184807d84faae6f67c561a0bb8cf4e6ede1f7358165428f28c6823407fc7"),
+    "trees --input rp2 --k 2 --method brute --format table":
+        (0, "12847b86b8ac1a5bceddc4fde4eeb6b924a2d9a4c13b7bf928752031515a4d4a"),
+    "weighted-trees --input cube:3 --k 2 --format table":
+        (0, "91231dacd871370a58927f1a5f61cd1e499e36aed0946e343ab4a51d718938e9"),
+    "conjecture --n 3 --k 2 --format table":
+        (0, "5d346b7628251d6732311b0685a33b7466031150fce64a0dae6243500ad10e7b"),
+    "colorful --input colorful:2,3 --format table":
+        (0, "c6d96a477e8e6a9d20a7cebd541b5dbb6c18598e2b94bbd617c70f60f96976d0"),
+    "dual --n 2 --format table":
+        (0, "5980a163a08a6a9e49adc3b54af3c1eda0ab6da264324e8aa3932b90386ab599"),
+    "dual --n 4 --format table":
+        (0, "bd4112f15f2cb124e70a7c9e586e2ebdc4813f96c5d5f46236515f7961437b64"),
+    "shifted-check --input cube:3 --format table":
+        (0, "c95632bca2d879e0cc289132c45934dddbd8fbd34a993b7a0b6411569795ad42"),
+    "shifted-check --input {path1432} --format table":
+        (0, "0c66866205ed50c51b7b60748db56af7acc9a9dadbe71992d0377235fa10c7cf"),
+    "mirror --input {path213} --format table":
+        (0, "bd02c37eef854edef74ba170ab54279dcdeeb790b51c54fd10e95adb7a305388"),
+    "verify conjectures --format table":
+        (0, "6f6cc5b619e902e4a859c31e8ad5c412e2240f75d792a360861b037f8c867ef3"),
+    "verify duality --format table":
+        (0, "de6a45db0ed21ec112a6c5821318b93a6a63016806859da13b6ab37e8fa7666b"),
+    "verify engines --format table":
+        (0, "7d2d8c57d3f8391d1d2f0c7de275b221242daa99528152a39d5c27998e1ea2fe"),
+    "verify identities --format table":
+        (0, "27c75d447557ede6431a5f67eee4896c2ae167a16e5a52cd0b7a513dcba04182"),
+    "verify shifted --format table":
+        (4, "f3fcd664116823a5657042a2f11eafff5654f4b7f21c7ab8d05a48927ea17d24"),
+}
+
+
+def input_files(tmp_path) -> dict:
+    """The files that PINNED_TABLES and the usage errors name."""
+    p1432 = tmp_path / "p1432.json"
+    p1432.write_text(json.dumps({"vertices": 4, "facets": [[1, 4], [4, 3], [3, 2]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"cells": [')
+    return {"path4": path4(tmp_path), "path1432": "mirror:" + str(p1432),
+            "path213": mirror_file(tmp_path), "bad": str(bad)}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TABLES))
+def test_table_outputs_are_pinned(capsys, tmp_path, command):
+    rc, out, err = run(capsys, *command.format(**input_files(tmp_path)).split())
+    assert err == ""
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED_TABLES[command]
+
+
+@pytest.mark.parametrize("command, env, message", [
+    ("trees --input cube:2 --k 1 --cap 0", None, "--cap must be positive"),
+    ("trees --input cube:2 --k 1", "0", "CELLSPAN_CAP must be a positive integer, got '0'"),
+    ("spectrum --input cube:2", None, "spectrum needs --dim"),
+    ("spectrum --input cube:x --dim 0", None, "bad cube generator 'cube:x'"),
+    ("conjecture --n 3", None, "conjecture needs --n and --k"),
+    ("colorful --input cube:2", None,
+     "colorful subcommand needs --input colorful:a1,a2,..."),
+    ("dual", None, "dual needs --n"),
+    ("mirror --input rp2", None,
+     "this subcommand needs a cubical complex (faces over {0,1,*})"),
+    ("homology --input {bad}", None,
+     "{bad} is not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+])
+def test_usage_errors_exit_2_with_their_message(capsys, monkeypatch, tmp_path,
+                                                command, env, message):
+    files = input_files(tmp_path)
+    if env is None:
+        monkeypatch.delenv("CELLSPAN_CAP", raising=False)
+    else:
+        monkeypatch.setenv("CELLSPAN_CAP", env)
+    rc, out, err = run(capsys, *command.format(**files).split())
+    assert (rc, out) == (2, "")
+    assert err == "error: " + message.replace("{bad}", files["bad"]) + "\n"
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_every_tree_engine_counts_vertices_at_k0(capsys, n):
     """A 0-tree of a cube is one vertex: every engine gives 2^n."""

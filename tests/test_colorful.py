@@ -3,6 +3,7 @@ import pytest
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from cellspan import colorful
 from cellspan.colorful import (ColorfulSpec, colorful_complex, colorful_etot,
@@ -183,3 +184,20 @@ def test_weighted_duality_rejects_non_reciprocal_weights(monkeypatch, n):
     monkeypatch.setattr(colorful, "cube_face_to_simplex",
                         lambda spec, f: real(spec, trade.get(f, f)))
     assert not weighted_duality_check(n, seed=0)
+
+
+@pytest.mark.parametrize("a, shown", [
+    pytest.param((2.5, 2), "2.5", id="float"),
+    pytest.param((True, 2), "True", id="bool"),
+    pytest.param((Fraction(5, 2), 2), r"Fraction\(5, 2\)", id="fraction")])
+def test_class_sizes_that_int_would_truncate_are_refused(a, shown):
+    """ColorfulSpec((2.5, 2)) read its sizes as (2, 2), so colorful_etot
+    answered for the four-cycle."""
+    with pytest.raises(ValueError, match=f"class size {shown} is not an integer"):
+        ColorfulSpec(a)
+    with pytest.raises(ValueError, match=f"class size {shown} is not an integer"):
+        colorful_etot(a, 0)
+
+
+def test_class_sizes_read_integral_values_as_ints():
+    assert ColorfulSpec((2, "3", Fraction(8, 2))).a == (2, 3, 4)

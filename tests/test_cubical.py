@@ -511,3 +511,22 @@ def test_u_form():
     u = u_form((1, 2), (1,))
     val = u.subs({"q1": 2, "x1": 1, "y1": 2, "q2": 1, "x2": 1, "y2": 1})
     assert val == Fraction(4, 1) + Fraction(1, 1)
+
+
+def test_a_fractional_universe_entry_is_refused_not_truncated():
+    with pytest.raises(ValueError, match=r"universe entry Fraction\(5, 2\) is not an integer"):
+        CubicalComplex((1, Fraction(5, 2)), ["**"])
+
+
+@pytest.mark.parametrize("n, facets, message", [
+    pytest.param(3, [[1, 2.5]], "facet vertex 2.5 is not an integer", id="float-vertex"),
+    pytest.param(3, [[True, 2]], "facet vertex True is not an integer", id="bool-vertex"),
+    pytest.param(3.5, [[1]], "mirror vertex count 3.5 is not an integer", id="float-count"),
+    pytest.param(Fraction(7, 2), [[1]],
+                 r"mirror vertex count Fraction\(7, 2\) is not an integer", id="fraction-count"),
+])
+def test_mirror_refuses_vertices_that_int_would_truncate(n, facets, message):
+    """mirror(3, [[1, 2.5]]) passed the range check and built the mirror
+    of {1}."""
+    with pytest.raises(ValueError, match=message):
+        mirror(n, facets)
